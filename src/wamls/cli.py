@@ -158,13 +158,16 @@ def cmd_solve(args) -> int:
             seed=args.seed,
         )
         target = args.beta
-    if inst.n <= problems.EXACT_CAP:
-        driver.verify_run(inst, report, target)
+    # Checks membership at any n; recomputes OPT only up to problems.EXACT_CAP.
+    verdict = driver.verify_run(inst, report, target)
     text = report.to_json()
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
     print(text)
+    if not verdict.ok:
+        print(f"verification failed: {verdict.reason}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 

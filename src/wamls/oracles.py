@@ -9,7 +9,6 @@ bitmask itself, so every oracle is deterministic.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import problems
-from .families import ResourceCapError, DEFAULT_CAP
+from .families import ResourceCapError, DEFAULT_CAP, log_cost
 from .problems import (
     Instance,
     WeightedFVSInstance,
@@ -52,12 +50,7 @@ class QueryLedger:
 
     def cost_log(self, c: float) -> float:
         """ln sum(c^ell) over recorded queries (log-sum-exp; -inf when empty)."""
-        if not self.queries:
-            return -math.inf
-        logc = math.log(c)
-        terms = [ell * logc for _, ell in self.queries]
-        m = max(terms)
-        return m + math.log(sum(math.exp(t - m) for t in terms))
+        return log_cost(self.queries, c)
 
 
 @dataclass

@@ -7,7 +7,6 @@ Partial Vertex Cover ships as a membership predicate only.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache

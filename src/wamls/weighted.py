@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds, families
-from .families import CoveringFamily, ExtensionFamily, ResourceCapError, DEFAULT_CAP
+from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _mask
 
 __all__ = [
     "WeightClassPartition",
@@ -105,7 +105,7 @@ def combine_blocks(
     w_k = 0
     for i in partition.index_set:
         if i < k - partition.d:
-            w_k |= _mask_of(partition.classes[i])
+            w_k |= _mask(partition.classes[i])
     block = [(w_k, 0)]
     for i in partition.index_set:
         if k - partition.d <= i <= k:
@@ -115,19 +115,14 @@ def combine_blocks(
     return block
 
 
-def _mask_of(elems: tuple[int, ...]) -> int:
-    m = 0
-    for e in elems:
-        m |= 1 << e
-    return m
-
-
-@lru_cache(maxsize=4096)
+# Small bounds: a solve with a fresh target factor never hits these caches,
+# so a large bound only grows the process by a few KB per solve.
+@lru_cache(maxsize=256)
 def _unweighted_covering_cached(n: int, alpha: float, cap: int) -> CoveringFamily:
     return families.build_unweighted_covering(n, alpha, cap=cap)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _unweighted_extension_cached(
     n: int, alpha: float, c: float, beta: float, cap: int
 ) -> ExtensionFamily:

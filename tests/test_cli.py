@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from wamls import driver
 from wamls.cli import main
 from wamls.problems import emit_instance, random_instance
 
@@ -156,6 +157,16 @@ class TestSolveCommand:
         )
         assert code == 0
         assert json.loads(report.read_text()) == json.loads(out)
+
+    def test_failed_verification_exit_code(self, capsys, vc_file, monkeypatch):
+        monkeypatch.setattr(
+            driver, "verify_run",
+            lambda *a, **k: driver.RunVerdict(ok=False, reason="ratio exceeded"),
+        )
+        code, out, err = run(capsys, "solve", vc_file, "--beta", "1.5")
+        assert code == 1
+        assert "ratio exceeded" in err
+        assert json.loads(out)["problem"] == "wvc"
 
     def test_max_n_cap_exit_code(self, capsys, vc_file):
         code, _, err = run(capsys, "solve", vc_file, "--beta", "1.5", "--max-n", "4")

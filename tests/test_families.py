@@ -1,10 +1,17 @@
 """Tests for unweighted covering/extension families and their verifiers."""
 
 import math
+import pathlib
 import random
+import re
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wamls import families
 from wamls.families import (
     CoveringFamily,
     ExtensionFamily,
@@ -81,6 +88,86 @@ class TestBuildExtension:
         # for the layer's s; entries from fallback layers carry ell = 0.
         for size, ells in by_size.items():
             assert all(0 <= e <= n for e in ells)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_COVERING_ALPHAS = [1.5, 2.0, 2.5, 3.0]
+# (alpha, c, beta) with alpha < beta, alpha = beta and alpha > beta.
+GOLDEN_EXTENSION_PARAMS = [
+    (alpha, c, beta)
+    for alpha, beta in [(1.0, 1.5), (1.25, 2.0), (1.5, 1.5), (2.0, 1.5)]
+    for c in (1.0, 2.0, 3.0)
+]
+
+
+def _golden_blocks(name):
+    text = (DATA / name).read_text()
+    return [b for b in re.split(r"(?m)^(?=family )", text) if b]
+
+
+def _reference_layer(n, s, t, need, popcount):
+    """Per-pick rescan of every candidate against every uncovered subset."""
+    uncovered = {m for m in range(1 << n) if m.bit_count() == s}
+    cands = [sum(1 << e for e in co) for co in combinations(range(n), t)]
+    picks = []
+    while uncovered:
+        gains = [sum((u & c).bit_count() >= need for u in uncovered) for c in cands]
+        if max(gains) <= 0:
+            return None
+        pick = cands[gains.index(max(gains))]
+        picks.append(pick)
+        uncovered = {u for u in uncovered if (u & pick).bit_count() < need}
+    return picks
+
+
+def _dump_or_error(build, *args):
+    try:
+        return dump_family(build(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestGreedyKernel:
+    """The dumps in tests/data were written by the per-candidate greedy scan
+    the numpy kernel replaced; they pin every pick, tie-breaks included."""
+
+    def test_covering_golden_dumps(self):
+        built = [
+            dump_family(build_unweighted_covering(n, alpha))
+            for alpha in GOLDEN_COVERING_ALPHAS
+            for n in range(11)
+        ]
+        assert built == _golden_blocks("golden_covering.txt")
+
+    def test_extension_golden_dumps(self):
+        built = [
+            dump_family(build_unweighted_extension(n, alpha, c, beta), schedule=f"c={c:g}")
+            for alpha, c, beta in GOLDEN_EXTENSION_PARAMS
+            for n in range(11)
+        ]
+        assert built == _golden_blocks("golden_extension.txt")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        alpha=st.floats(1.0, 3.0),
+        c=st.floats(1.0, 4.0),
+        beta=st.floats(1.05, 3.0),
+    )
+    def test_matches_reference_scan(self, n, alpha, c, beta):
+        builds = [(build_unweighted_extension, n, alpha, c, beta)]
+        if alpha > 1:
+            builds.append((build_unweighted_covering, n, alpha))
+        for build, *args in builds:
+            got = _dump_or_error(build, *args)
+            with mock.patch.object(families, "_greedy_layer", _reference_layer):
+                want = _dump_or_error(build, *args)
+            assert got == want
+
+    def test_chunked_cover_counts(self):
+        with mock.patch.object(families, "_CHUNK_PAIRS", 7):
+            small = dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
+        assert small == dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
 
 
 class TestVerifiers:
