@@ -97,24 +97,19 @@ def cmd_family(args) -> int:
     if args.action == "build":
         if args.kind == "covering":
             rep = weighted.build_weighted_covering(
-                weights, args.alpha, mode=args.mode, eps=args.eps, cap=cap
-            )
-            sched = rep.schedule
-            schedule = (
-                f"delta={sched['delta']:g} inner={sched['inner']:g} "
-                f"d={sched.get('d', 0)} gamma={sched.get('gamma', 0):g}"
+                weights, args.alpha, mode=args.mode, cap=cap
             )
             size = len(rep.family.sets)
         else:
             rep = weighted.build_weighted_extension(
                 weights, args.alpha, args.c, args.beta, eps=args.eps, cap=cap
             )
-            sched = rep.schedule
-            schedule = (
-                f"delta={sched['delta']:g} inner={sched['inner']:g} "
-                f"d={sched.get('d', 0)} gamma={sched.get('gamma', 0):g}"
-            )
             size = len(rep.family.entries)
+        sched = rep.schedule
+        schedule = (
+            f"delta={sched['delta']:g} inner={sched['inner']:g} "
+            f"d={sched.get('d', 0)} gamma={sched.get('gamma', 0):g}"
+        )
         text = families.dump_family(rep.family, schedule=schedule)
         if args.out:
             with open(args.out, "w") as fh:
@@ -158,8 +153,7 @@ def cmd_solve(args) -> int:
             seed=args.seed,
         )
         target = args.beta
-    # Checks membership at any n; recomputes OPT only up to problems.EXACT_CAP.
-    verdict = driver.verify_run(inst, report, target)
+    verdict = driver.verify_run(inst, report, target, cap=cap)
     text = report.to_json()
     if args.report:
         with open(args.report, "w") as fh:

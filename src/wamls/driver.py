@@ -90,7 +90,7 @@ def approximate_membership(
         family_size = 1 << n
     else:
         report = weighted.build_weighted_covering(
-            list(instance.weights), alpha, mode=mode, eps=eps, cap=cap
+            list(instance.weights), alpha, mode=mode, cap=cap
         )
         sets = report.family.sets
         family_size = len(sets)
@@ -178,13 +178,14 @@ class RunVerdict:
 
 
 def verify_run(
-    instance: Instance, report: RunReport, target_factor: float, cap: int | None = None
+    instance: Instance, report: RunReport, target_factor: float, cap: int = DEFAULT_CAP
 ) -> RunVerdict:
-    """Recompute OPT and check membership plus the ratio bound of a run."""
+    """Recompute OPT and check membership plus the ratio bound of a run.
+
+    Membership is checked at any n; OPT is recomputed only up to `cap`.
+    """
     if not membership_check(instance, report.output_set):
         return RunVerdict(ok=False, reason="not a solution")
-    if cap is None:
-        cap = problems.EXACT_CAP
     if instance.n > cap:
         return RunVerdict(ok=True, reason="opt omitted (cap exceeded)")
     _, opt = problems.exact_opt(instance, cap)

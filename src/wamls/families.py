@@ -39,6 +39,7 @@ __all__ = [
     "Verdict",
     "ResourceCapError",
     "DEFAULT_CAP",
+    "subset_sums",
     "build_unweighted_covering",
     "build_unweighted_extension",
     "verify_covering",
@@ -118,12 +119,16 @@ class Verdict:
         return self.ok
 
 
-def _popcount_table(n: int) -> np.ndarray:
-    """popcount[m] for every mask m over {0..n-1}."""
-    table = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        table[1 << i : 2 << i] = table[: 1 << i] + 1
-    return table
+def subset_sums(values, dtype) -> np.ndarray:
+    """sums[m] = sum of values[i] over the bits i of m, for every mask m.
+
+    Built by doubling, so each sum adds its values in ascending bit order;
+    subset_sums([1] * n, np.uint8) is the popcount table.
+    """
+    sums = np.zeros(1 << len(values), dtype=dtype)
+    for i, v in enumerate(values):
+        sums[1 << i : 2 << i] = sums[: 1 << i] + v
+    return sums
 
 
 def _cover_counts(
@@ -180,7 +185,7 @@ def build_unweighted_covering(
         raise ValueError(f"alpha must be > 1, got {alpha}")
     _check_cap(n, cap)
 
-    popcount = _popcount_table(n)
+    popcount = subset_sums([1] * n, np.uint8)
     sets: list[int] = []
     seen: set[int] = set()
     for s in range(n + 1):
@@ -205,7 +210,9 @@ def _extension_layer_shape(
 
     The sampled-set fraction tau* at kappa = s/n comes from the saddle-point
     machinery; the budget floor((beta*s - t)/alpha) makes the weight
-    inequality hold by construction for any S the layer covers.
+    inequality hold by construction for any S the layer covers.  It is
+    capped at n, the largest budget an entry may carry: a smaller budget
+    covers fewer S and keeps the inequality for those it covers.
     """
     if s == 0:
         return 0, 0
@@ -216,7 +223,7 @@ def _extension_layer_shape(
     else:
         t = s
     t = max(0, min(t, math.floor(beta * s), n))
-    ell = math.floor((beta * s - t) / alpha)
+    ell = min(math.floor((beta * s - t) / alpha), n)
     return t, ell
 
 
@@ -237,7 +244,7 @@ def build_unweighted_extension(
         raise ValueError(f"beta must be > 1, got {beta}")
     _check_cap(n, cap)
 
-    popcount = _popcount_table(n)
+    popcount = subset_sums([1] * n, np.uint8)
     entries: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for s in range(n + 1):
@@ -258,19 +265,6 @@ def build_unweighted_extension(
     return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
 
 
-def _weight_tables(n: int, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mask total weight and popcount arrays over all 2^n masks."""
-    size = 1 << n
-    w = np.zeros(size)
-    pc = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        bit = 1 << i
-        idx = np.arange(size) & bit != 0
-        w[idx] += weights[i]
-        pc[idx] += 1
-    return w, pc
-
-
 def verify_covering(
     family: CoveringFamily, weights, cap: int = DEFAULT_CAP
 ) -> Verdict:
@@ -280,7 +274,7 @@ def verify_covering(
         raise ValueError(f"expected {n} weights, got {len(weights)}")
     _check_cap(n, cap)
     size = 1 << n
-    w, _ = _weight_tables(n, weights)
+    w = subset_sums(weights, np.float64)
     masks = np.arange(size)
     covered = np.zeros(size, dtype=bool)
     alpha = family.alpha
@@ -300,7 +294,8 @@ def verify_extension(
         raise ValueError(f"expected {n} weights, got {len(weights)}")
     _check_cap(n, cap)
     size = 1 << n
-    w, pc = _weight_tables(n, weights)
+    w = subset_sums(weights, np.float64)
+    pc = subset_sums([1] * n, np.uint8)
     masks = np.arange(size)
     covered = np.zeros(size, dtype=bool)
     alpha, beta = family.alpha, family.beta

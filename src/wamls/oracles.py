@@ -5,6 +5,10 @@ within the oracle's declared factor alpha of the best extension of size at
 most ell (if none exists the weight bound is vacuous and the oracle returns
 the full complement).  Ties are broken by weight, then cardinality, then the
 bitmask itself, so every oracle is deterministic.
+
+Vertex Cover is served as 2-Hitting Set: the branching and local-ratio
+oracles work on the instance's constraint masks, so VC gets c = d = 2
+branching and alpha = d = 2 local ratio from the same code as d-HS.
 """
 
 from __future__ import annotations
@@ -16,14 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .families import ResourceCapError, DEFAULT_CAP, log_cost
+from .families import DEFAULT_CAP, log_cost, subset_sums
 from .problems import (
     Instance,
     WeightedFVSInstance,
     WeightedHSInstance,
     WeightedVCInstance,
     membership_table,
-    weight_of,
     _fvs_acyclic,
 )
 
@@ -65,10 +68,6 @@ def wrap_with_ledger(
     oracle: OracleFn, c: float, alpha: float = 1.0
 ) -> ExtensionOracleHandle:
     """Attach a fresh query ledger to a bare oracle function."""
-    return make_handle(oracle, alpha=alpha, c=c)
-
-
-def make_handle(oracle: OracleFn, alpha: float, c: float) -> ExtensionOracleHandle:
     ledger = QueryLedger()
 
     def extend(subset: int, ell: int) -> int:
@@ -83,30 +82,23 @@ def make_handle(oracle: OracleFn, alpha: float, c: float) -> ExtensionOracleHand
     )
 
 
-def _best_key(instance: Instance, mask: int) -> tuple[int, int, int]:
-    return weight_of(instance, mask), mask.bit_count(), mask
-
-
 def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> OracleFn:
-    """Minimum-weight extension by exhaustive scan (alpha = 1)."""
+    """Minimum-weight extension by exhaustive scan (alpha = 1).
+
+    Raises ResourceCapError above `cap`.
+    """
+    table = membership_table(instance, cap)
     n = instance.n
-    if n > cap:
-        raise ResourceCapError(f"n = {n} exceeds enumeration cap {cap}")
-    table = membership_table(instance)
-    size = 1 << n
-    masks = np.arange(size)
-    w = np.zeros(size, dtype=np.int64)
-    pc = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        hit = masks & (1 << i) != 0
-        w[hit] += instance.weights[i]
-        pc[hit] += 1
-    full = size - 1
+    subsets = np.arange(1 << n)
+    w = subset_sums(instance.weights, np.int64)
+    pc = subset_sums([1] * n, np.uint8)
+    full = (1 << n) - 1
 
     def extend(subset: int, ell: int) -> int:
         if ell == 0:
             return 0 if table[subset] else full & ~subset
-        feasible = np.flatnonzero((masks & subset == 0) & (pc <= ell) & table[masks | subset])
+        free = subsets & subset == 0
+        feasible = np.flatnonzero(free & (pc <= ell) & table[subsets | subset])
         if feasible.size == 0:
             return full & ~subset
         order = np.lexsort((feasible, pc[feasible], w[feasible]))
@@ -115,18 +107,35 @@ def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> Oracle
     return extend
 
 
-def _branching_oracle(instance: Instance, first_violation, branch_elems) -> OracleFn:
-    """Generic bounded search tree; exact among extensions of size <= ell."""
-    n = instance.n
-    full = (1 << n) - 1
+def _elements(mask: int) -> list[int]:
+    """Bits of `mask` in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def branching_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> OracleFn:
+    """d-way branching on the lowest-indexed unhit set (alpha=1, c=d).
+
+    Exact among extensions of size <= ell.  Branches follow the sorted
+    elements of the first unhit constraint mask; VC is the d = 2 case.
+    """
+    full = (1 << instance.n) - 1
     weights = instance.weights
+    constraints = [(m, _elements(m)) for m in instance.masks]
 
     def extend(subset: int, ell: int) -> int:
         best: list[tuple[int, int, int] | None] = [None]
 
         def rec(chosen: int, chosen_w: int, depth: int) -> None:
-            viol = first_violation(subset | chosen)
-            if viol is None:
+            cur = subset | chosen
+            for m, unhit in constraints:
+                if not cur & m:
+                    break
+            else:
                 key = (chosen_w, chosen.bit_count(), chosen)
                 if best[0] is None or key < best[0]:
                     best[0] = key
@@ -135,9 +144,8 @@ def _branching_oracle(instance: Instance, first_violation, branch_elems) -> Orac
                 return
             if best[0] is not None and chosen_w >= best[0][0]:
                 return  # any completion only adds weight
-            for v in branch_elems(viol):
-                if not (subset | chosen) >> v & 1:
-                    rec(chosen | 1 << v, chosen_w + weights[v], depth + 1)
+            for v in unhit:
+                rec(chosen | 1 << v, chosen_w + weights[v], depth + 1)
 
         rec(0, 0, 0)
         if best[0] is None:
@@ -147,80 +155,36 @@ def _branching_oracle(instance: Instance, first_violation, branch_elems) -> Orac
     return extend
 
 
-def branching_vc_oracle(instance: WeightedVCInstance) -> OracleFn:
-    """Two-way branching on the lowest-indexed uncovered edge (alpha=1, c=2)."""
-    edges = instance.edges
-
-    def first_violation(s: int):
-        for e in edges:
-            u, v = e
-            if not (s >> u & 1 or s >> v & 1):
-                return e
-        return None
-
-    return _branching_oracle(instance, first_violation, lambda e: e)
-
-
-def branching_hs_oracle(instance: WeightedHSInstance) -> OracleFn:
-    """d-way branching on the lowest-indexed unhit set (alpha=1, c=d)."""
-    sets = instance.sets
-
-    def first_violation(s: int):
-        for f in sets:
-            if not any(s >> e & 1 for e in f):
-                return f
-        return None
-
-    return _branching_oracle(instance, first_violation, lambda f: f)
-
-
-def local_ratio_vc_oracle(instance: WeightedVCInstance) -> OracleFn:
-    """Bar-Yehuda/Even local ratio on the residual graph (alpha=2, c=1).
+def local_ratio_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> OracleFn:
+    """Bar-Yehuda/Even local ratio over the unhit sets (alpha=d, c=1).
 
     The budget is ignored; the weight guarantee is inherited from
-    2 * OPT(G - S) <= 2 * (any size-restricted optimum).
+    d * OPT(residual) <= d * (any size-restricted optimum).  VC is the
+    d = 2 case.
     """
-    edges = instance.edges
+    n = instance.n
     weights = instance.weights
+    constraints = [(m, _elements(m)) for m in instance.masks]
 
     def extend(subset: int, ell: int) -> int:
         res = list(weights)
-        residual = [e for e in edges if not (subset >> e[0] & 1 or subset >> e[1] & 1)]
-        for u, v in residual:
-            m = min(res[u], res[v])
-            if m > 0:
-                res[u] -= m
-                res[v] -= m
-        cover = [v for v in range(instance.n) if not subset >> v & 1 and res[v] == 0]
-        return _reverse_delete(cover, lambda mask: all(
-            mask >> u & 1 or mask >> v & 1 for u, v in residual
-        ))
+        residual = []
+        for m, elems in constraints:
+            if subset & m:
+                continue
+            residual.append(m)
+            low = min([res[e] for e in elems])
+            if low > 0:
+                for e in elems:
+                    res[e] -= low
+        hitters = [v for v in range(n) if not subset >> v & 1 and res[v] == 0]
+        return _reverse_delete(hitters, lambda mask: all(mask & m for m in residual))
 
     return extend
 
 
-def local_ratio_hs_oracle(instance: WeightedHSInstance) -> OracleFn:
-    """Local ratio over unhit sets of the residual instance (alpha=d, c=1)."""
-    weights = instance.weights
-
-    def extend(subset: int, ell: int) -> int:
-        res = list(weights)
-        residual = [
-            tuple(e for e in f if not subset >> e & 1)
-            for f in instance.sets
-            if not any(subset >> e & 1 for e in f)
-        ]
-        for f in residual:
-            m = min(res[e] for e in f)
-            if m > 0:
-                for e in f:
-                    res[e] -= m
-        hitters = [v for v in range(instance.n) if not subset >> v & 1 and res[v] == 0]
-        return _reverse_delete(hitters, lambda mask: all(
-            any(mask >> e & 1 for e in f) for f in residual
-        ))
-
-    return extend
+branching_vc_oracle = branching_hs_oracle
+local_ratio_vc_oracle = local_ratio_hs_oracle
 
 
 def _reverse_delete(candidates: list[int], is_feasible) -> int:
@@ -304,23 +268,18 @@ def oracle_for(
     instance: Instance, name: str, cap: int = DEFAULT_CAP
 ) -> ExtensionOracleHandle:
     """Named oracle with its honest declared (alpha, c)."""
+    hitting_set = isinstance(instance, (WeightedVCInstance, WeightedHSInstance))
     if name == "exact":
-        return make_handle(exact_extension_oracle(instance, cap), alpha=1.0, c=2.0)
+        return wrap_with_ledger(exact_extension_oracle(instance, cap), c=2.0)
     if name == "branching":
-        if isinstance(instance, WeightedVCInstance):
-            return make_handle(branching_vc_oracle(instance), alpha=1.0, c=2.0)
-        if isinstance(instance, WeightedHSInstance):
-            return make_handle(
-                branching_hs_oracle(instance), alpha=1.0, c=float(instance.d)
-            )
+        if hitting_set:
+            return wrap_with_ledger(branching_hs_oracle(instance), c=float(instance.d))
         raise ValueError(f"no branching oracle for {instance.kind}")
     if name == "local-ratio":
-        if isinstance(instance, WeightedVCInstance):
-            return make_handle(local_ratio_vc_oracle(instance), alpha=2.0, c=1.0)
-        if isinstance(instance, WeightedHSInstance):
-            return make_handle(
-                local_ratio_hs_oracle(instance), alpha=float(instance.d), c=1.0
+        if hitting_set:
+            return wrap_with_ledger(
+                local_ratio_hs_oracle(instance), c=1.0, alpha=float(instance.d)
             )
         if isinstance(instance, WeightedFVSInstance):
-            return make_handle(local_ratio_fvs_oracle(instance), alpha=2.0, c=1.0)
+            return wrap_with_ledger(local_ratio_fvs_oracle(instance), c=1.0, alpha=2.0)
     raise ValueError(f"unknown oracle {name!r} for {instance.kind}")

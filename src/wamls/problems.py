@@ -3,17 +3,21 @@
 Each instance exposes a monotone membership predicate over vertex subsets
 (bitmask encoded) and an exhaustive exact optimizer used as the test oracle.
 Partial Vertex Cover ships as a membership predicate only.
+
+Vertex Cover is served as 2-Hitting Set: VC, HS and PVC instances store
+their edges or sets once as int constraint masks, and S hits a constraint
+m iff S & m.  FVS stays on union-find.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .families import ResourceCapError
+from .families import DEFAULT_CAP, ResourceCapError, _mask, subset_sums
 
 __all__ = [
     "WeightedVCInstance",
@@ -28,10 +32,7 @@ __all__ = [
     "parse_instance",
     "emit_instance",
     "random_instance",
-    "EXACT_CAP",
 ]
-
-EXACT_CAP = 22
 
 
 class ParseError(ValueError):
@@ -48,11 +49,21 @@ def _validate_weights(weights) -> None:
             raise ValueError(f"weights must be integers >= 1, got {w!r}")
 
 
+# Constraint masks live on the instance, out of eq, hash and repr.  A cache
+# keyed on the instance would hash it on every lookup, which costs about as
+# much as a whole membership check.
+def _masks_field():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class WeightedVCInstance:
+    """Vertex cover as the d = 2 hitting set of its edges."""
+
     n: int
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
         _validate_weights(self.weights)
@@ -66,8 +77,10 @@ class WeightedVCInstance:
                 raise ValueError(f"self-loop at {u} not allowed in vertex cover")
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "masks", tuple(map(_mask, self.edges)))
 
     kind = "wvc"
+    d = 2
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,7 @@ class WeightedHSInstance:
     weights: tuple[int, ...]
     d: int
     sets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
         _validate_weights(self.weights)
@@ -94,6 +108,7 @@ class WeightedHSInstance:
                 raise ValueError(f"hyperedge {ss} out of range")
             norm.add(ss)
         object.__setattr__(self, "sets", tuple(sorted(norm)))
+        object.__setattr__(self, "masks", tuple(map(_mask, self.sets)))
 
     kind = "whs"
 
@@ -128,6 +143,7 @@ class WeightedPVCInstance:
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     t: int
+    masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
         _validate_weights(self.weights)
@@ -143,6 +159,7 @@ class WeightedPVCInstance:
                 raise ValueError(f"self-loop at {u} not allowed")
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "masks", tuple(map(_mask, self.edges)))
         if self.t > len(self.edges):
             raise ValueError("threshold t exceeds the number of edges")
 
@@ -178,44 +195,33 @@ def membership_check(instance: Instance, subset: int) -> bool:
     """True iff `subset` (bitmask) is a solution of the instance's set system."""
     if subset & ~((1 << instance.n) - 1):
         raise ValueError("subset contains out-of-range elements")
-    if isinstance(instance, WeightedVCInstance):
-        return all(subset >> u & 1 or subset >> v & 1 for u, v in instance.edges)
-    if isinstance(instance, WeightedHSInstance):
-        return all(any(subset >> e & 1 for e in s) for s in instance.sets)
+    if isinstance(instance, (WeightedVCInstance, WeightedHSInstance)):
+        return all(subset & m for m in instance.masks)
     if isinstance(instance, WeightedFVSInstance):
         remaining = ~subset & ((1 << instance.n) - 1)
         return _fvs_acyclic(instance.n, instance.edges, remaining)
     if isinstance(instance, WeightedPVCInstance):
-        covered = sum(1 for u, v in instance.edges if subset >> u & 1 or subset >> v & 1)
-        return covered >= instance.t
+        return sum(1 for m in instance.masks if subset & m) >= instance.t
     raise TypeError(f"unsupported instance type {type(instance)!r}")
 
 
 @lru_cache(maxsize=256)
-def membership_table(instance: Instance, cap: int = EXACT_CAP) -> np.ndarray:
+def membership_table(instance: Instance, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Boolean membership of every subset mask; cached per instance."""
     n = instance.n
     if n > cap:
         raise ResourceCapError(f"n = {n} exceeds the exact enumeration cap {cap}")
     size = 1 << n
-    masks = np.arange(size)
-    if isinstance(instance, WeightedVCInstance):
+    subsets = np.arange(size)
+    if isinstance(instance, (WeightedVCInstance, WeightedHSInstance)):
         ok = np.ones(size, dtype=bool)
-        for u, v in instance.edges:
-            ok &= (masks >> u & 1 | masks >> v & 1).astype(bool)
-        return ok
-    if isinstance(instance, WeightedHSInstance):
-        ok = np.ones(size, dtype=bool)
-        for s in instance.sets:
-            hit = np.zeros(size, dtype=bool)
-            for e in s:
-                hit |= (masks >> e & 1).astype(bool)
-            ok &= hit
+        for m in instance.masks:
+            ok &= subsets & m != 0
         return ok
     if isinstance(instance, WeightedPVCInstance):
         covered = np.zeros(size, dtype=np.int64)
-        for u, v in instance.edges:
-            covered += np.asarray(masks >> u & 1 | masks >> v & 1)
+        for m in instance.masks:
+            covered += subsets & m != 0
         return covered >= instance.t
     # FVS: union-find per subset, no useful vectorization.
     return np.fromiter(
@@ -227,23 +233,14 @@ def weight_of(instance: Instance, subset: int) -> int:
     return sum(w for i, w in enumerate(instance.weights) if subset >> i & 1)
 
 
-def exact_opt(instance: Instance, cap: int = EXACT_CAP) -> tuple[int, int]:
+def exact_opt(instance: Instance, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     """Exhaustive minimum-weight solution; ties broken by size then mask.
 
-    Returns (subset mask, weight).
+    Returns (subset mask, weight).  Raises ResourceCapError above `cap`.
     """
-    n = instance.n
-    if n > cap:
-        raise ResourceCapError(f"n = {n} exceeds the exact enumeration cap {cap}")
     table = membership_table(instance, cap)
-    size = 1 << n
-    masks = np.arange(size)
-    w = np.zeros(size, dtype=np.int64)
-    pc = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        hit = masks & (1 << i) != 0
-        w[hit] += instance.weights[i]
-        pc[hit] += 1
+    w = subset_sums(instance.weights, np.int64)
+    pc = subset_sums([1] * instance.n, np.uint8)
     sols = np.flatnonzero(table)
     order = np.lexsort((sols, pc[sols], w[sols]))
     best = int(sols[order[0]])

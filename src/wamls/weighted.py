@@ -152,7 +152,6 @@ def build_weighted_covering(
     weights,
     alpha: float,
     mode: str = "fixed",
-    eps: float = 1e-3,
     cap: int = DEFAULT_CAP,
 ) -> WeightedFamilyReport:
     """alpha-covering family of an arbitrarily weighted universe.

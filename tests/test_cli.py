@@ -173,6 +173,19 @@ class TestSolveCommand:
         assert code == 3
         assert "resource" in err
 
+    def test_max_n_bounds_verification(self, capsys, tmp_path):
+        # The solve itself fits in cap 8 (weight classes hold one or two
+        # vertices), but OPT over 2^10 subsets does not.
+        path = tmp_path / "i.wvc"
+        path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=7)))
+        code, out, _ = run(
+            capsys, "solve", str(path), "--oracle", "branching", "--max-n", "8"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["opt_weight"] is None
+        assert payload["ratio"] is None
+
     def test_env_cap_override(self, capsys, vc_file, monkeypatch):
         monkeypatch.setenv("WAMLS_MAX_N", "4")
         code, _, _ = run(capsys, "solve", vc_file, "--beta", "1.5")

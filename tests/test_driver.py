@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -14,11 +15,60 @@ from wamls.driver import (
 )
 from wamls.oracles import oracle_for
 from wamls.problems import (
+    WeightedPVCInstance,
     WeightedVCInstance,
     exact_opt,
     membership_check,
     random_instance,
 )
+
+GOLDEN_REPORTS = pathlib.Path(__file__).parent / "data" / "golden_reports.txt"
+GOLDEN_ORACLES = {
+    "wvc": ("exact", "branching", "local-ratio"),
+    "whs": ("exact", "branching", "local-ratio"),
+    "wfvs": ("exact", "local-ratio"),
+}
+GOLDEN_BETAS = (1.2, 1.5, 1.9)
+GOLDEN_ALPHAS = (1.5, 2.0, 3.0)
+
+
+def _golden_instances(kind):
+    """Fixed-seed instances: spread weights (power-set families) and few
+    distinct weights (families with ell > 0 entries)."""
+    for lo, hi in ((1, 100), (1, 3)):
+        for n in (5, 8):
+            for seed in (0, 1):
+                base = "wvc" if kind == "wpvc" else kind
+                inst = random_instance(base, n, 0.4, weight_range=(lo, hi), seed=seed)
+                if kind == "wpvc":
+                    inst = WeightedPVCInstance(
+                        n=n, weights=inst.weights, edges=inst.edges, t=len(inst.edges) // 2
+                    )
+                yield f"{kind} n={n} w={lo}..{hi} seed={seed}", inst
+
+
+def golden_report_lines():
+    """One line per run: case, verdict, then RunReport.to_json() after verify_run."""
+    runs = []
+    for kind, names in GOLDEN_ORACLES.items():
+        for case, inst in _golden_instances(kind):
+            for name in names:
+                for beta in GOLDEN_BETAS:
+                    report = approximate_extension(
+                        inst, oracle_for(inst, name), beta, force=True, seed=7
+                    )
+                    runs.append((f"{case} {name} beta={beta}", inst, report, beta))
+    for kind in ("wvc", "whs", "wfvs", "wpvc"):
+        for case, inst in _golden_instances(kind):
+            for mode in ("fixed", "schedule"):
+                for alpha in GOLDEN_ALPHAS:
+                    report = approximate_membership(inst, alpha, mode=mode, seed=7)
+                    runs.append((f"{case} membership {mode} alpha={alpha}", inst, report, alpha))
+    lines = []
+    for case, inst, report, target in runs:
+        verdict = verify_run(inst, report, target)
+        lines.append(f"{case}\t{verdict.ok}\t{report.to_json()}\n")
+    return lines
 
 
 class TestMembershipDriver:
@@ -137,3 +187,11 @@ class TestReportSerialization:
             assert key in payload
         assert payload["problem"] == "wvc"
         assert payload["seed"] == 1
+
+
+class TestGoldenReports:
+    def test_reports_match_golden(self):
+        """The golden lines were written before VC moved onto the hitting-set
+        path; every oracle, both models and OPT must reproduce them."""
+        want = GOLDEN_REPORTS.read_text().splitlines(keepends=True)
+        assert golden_report_lines() == want

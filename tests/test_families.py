@@ -7,6 +7,7 @@ import re
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from wamls.families import (
     dump_family,
     family_cost,
     parse_family,
+    subset_sums,
     verify_covering,
     verify_extension,
 )
@@ -88,6 +90,13 @@ class TestBuildExtension:
         # for the layer's s; entries from fallback layers carry ell = 0.
         for size, ells in by_size.items():
             assert all(0 <= e <= n for e in ells)
+
+    @pytest.mark.parametrize("n,alpha,c,beta", [(7, 1.0, 1.0, 3.0), (5, 1.0, 1.0, 4.0)])
+    def test_budget_capped_at_n(self, n, alpha, c, beta):
+        # Large beta against alpha gives floor((beta*s - t)/alpha) > n.
+        fam = build_unweighted_extension(n, alpha, c, beta)
+        assert max(ell for _, ell in fam.entries) == n
+        assert verify_extension(fam, [1] * n).ok
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -168,6 +177,34 @@ class TestGreedyKernel:
         with mock.patch.object(families, "_CHUNK_PAIRS", 7):
             small = dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
         assert small == dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
+
+
+class TestSubsetSums:
+    """Pinned against bit_count() and a left-to-right Python sum in ascending
+    bit order, which is the float order the verifiers have always used."""
+
+    def test_popcount(self):
+        for n in range(0, 11):
+            got = subset_sums([1] * n, np.uint8)
+            assert got.dtype == np.uint8
+            assert got.tolist() == [m.bit_count() for m in range(1 << n)]
+
+    @pytest.mark.parametrize(
+        "values,dtype",
+        [
+            ([5, 1, 9, 2, 100, 7, 3], np.int64),
+            ([0.1, 0.7, 1e16, 3.3, 2.0 / 3.0, 1e-8, 5.5, 0.2], np.float64),
+            ([], np.float64),
+        ],
+    )
+    def test_ascending_bit_sums(self, values, dtype):
+        got = subset_sums(values, dtype)
+        for m in range(1 << len(values)):
+            total = dtype(0)
+            for i, v in enumerate(values):
+                if m >> i & 1:
+                    total = total + v
+            assert got[m] == total
 
 
 class TestVerifiers:

@@ -21,6 +21,7 @@ from wamls.problems import (
     WeightedHSInstance,
     WeightedVCInstance,
     membership_check,
+    membership_table,
     random_instance,
     weight_of,
 )
@@ -208,6 +209,34 @@ class TestContracts:
         inst = random_instance("wfvs", 4, 0.5, seed=0)
         with pytest.raises(ValueError):
             oracle_for(inst, "branching")
+
+
+class TestVCAsTwoHittingSet:
+    """A VC instance and the d = 2 HS instance on its edges are one problem."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_answers(self, seed):
+        vc = random_instance("wvc", 8, 0.35, seed=seed)
+        hs = WeightedHSInstance(n=vc.n, weights=vc.weights, d=2, sets=vc.edges)
+        full = (1 << vc.n) - 1
+        assert [membership_check(vc, s) for s in range(full + 1)] == [
+            membership_check(hs, s) for s in range(full + 1)
+        ]
+        assert (membership_table(vc) == membership_table(hs)).all()
+        rng = random.Random(seed)
+        queries = [(rng.randrange(full + 1), rng.randrange(vc.n + 1)) for _ in range(40)]
+        for name in ("exact", "branching", "local-ratio"):
+            a, b = oracle_for(vc, name), oracle_for(hs, name)
+            assert (a.declared_alpha, a.declared_c) == (b.declared_alpha, b.declared_c)
+            assert [a.extend(s, ell) for s, ell in queries] == [
+                b.extend(s, ell) for s, ell in queries
+            ]
+
+    def test_declared_factors(self):
+        vc = random_instance("wvc", 5, 0.5, seed=3)
+        for name, factors in (("branching", (1.0, 2.0)), ("local-ratio", (2.0, 1.0))):
+            handle = oracle_for(vc, name)
+            assert (handle.declared_alpha, handle.declared_c) == factors
 
 
 class TestLedger:

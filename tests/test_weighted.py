@@ -177,6 +177,12 @@ class TestWeightedExtension:
         assert verify_extension(rep.family, weights).ok
         assert verify_extension(rep.family, scaled).ok
 
+    def test_large_beta_budget_capped(self):
+        # Unit weights form one class, whose layer budgets would exceed n = 5.
+        rep = build_weighted_extension([1] * 5, 1.0, 1.0, 4.0)
+        assert max(ell for _, ell in rep.family.entries) <= 5
+        assert verify_extension(rep.family, [1] * 5).ok
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             build_weighted_extension([1], 0.9, 1.0, 1.5)
