@@ -9,6 +9,7 @@ from .bounds import (
     BoundDomainError,
     BoundParams,
     SaddlePoint,
+    ShapeReport,
     amls_bound,
     bound_table,
     brute_bound,

@@ -11,6 +11,11 @@ approximate monotone local search: the exponential of
 where g is an entropy expression parameterized by (alpha, beta, c).  The inner
 objective is convex in tau and the inner minimum is concave in kappa, so both
 levels are solved by golden-section search.
+
+Everything in g that depends on kappa alone is computed once per kappa by one
+kernel, ``_g_at``, which ``g_value``, ``g_star`` and ``shape_check`` all go
+through; its results are bit-identical to evaluating the formula anew at every
+(kappa, tau).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 __all__ = [
     "BoundParams",
     "SaddlePoint",
+    "ShapeReport",
     "BoundDomainError",
     "entropy",
     "brute_bound",
@@ -115,10 +121,68 @@ def m_lower(alpha: float, beta: float, kappa: float) -> float:
     return (alpha - beta) * kappa / (alpha - 1.0)
 
 
-def _clamp_unit(x: float, what: str) -> float:
-    if x < -_CLAMP_TOL or x > 1.0 + _CLAMP_TOL:
-        raise BoundDomainError(f"{what} = {x} outside [0, 1] beyond tolerance")
-    return min(max(x, 0.0), 1.0)
+def _g_at(alpha: float, beta: float, c: float, kappa: float):
+    """The inner objective g(tau) at a fixed kappa, returned as (M(kappa), g).
+
+    Everything that depends on kappa alone (kappa's domain check, M(kappa),
+    beta*kappa, H(kappa), ln c, 1 - beta/alpha and 1/alpha) is computed once
+    here; g repeats the per-call float operations of the formula in the same
+    order, so its results are bit-identical to evaluating everything anew.
+    """
+    lo = m_lower(alpha, beta, kappa)
+    hi = beta * kappa
+    h_kappa = entropy(kappa)
+    ln_c = math.log(c)
+    ratio = 1.0 - beta / alpha
+    inv_alpha = 1.0 / alpha
+    lo_slack, hi_slack = lo - _CLAMP_TOL, hi + _CLAMP_TOL
+    unit_lo, unit_hi = -_CLAMP_TOL, 1.0 + _CLAMP_TOL
+    tau_one, tau_zero = 1.0 - _CLAMP_TOL, _CLAMP_TOL
+    log = math.log
+
+    def g(tau: float) -> float:
+        if tau < lo_slack or tau > hi_slack:
+            raise BoundDomainError(
+                f"tau = {tau} infeasible for kappa = {kappa} (interval [{lo}, {hi}])"
+            )
+        # min(max(tau, lo), hi), spelled out: the same float, NaN included.
+        if lo > tau:
+            tau = lo
+        if hi < tau:
+            tau = hi
+
+        # tau <= beta*kappa holds exactly in floats after the clamp above, so
+        # the numerator below is nonnegative; computing it as
+        # (beta*kappa - tau) keeps it consistent with that clamp (splitting
+        # the division across terms can flip the sign of a ~1e-17 remainder
+        # and blow up near tau=1).
+        if tau >= tau_one:
+            delta = inv_alpha  # only reachable with beta*kappa = 1
+        else:
+            delta = (hi - tau) / alpha / (1.0 - tau)
+        if tau <= tau_zero:
+            gamma = inv_alpha
+        else:
+            gamma = ratio * (kappa / tau) + inv_alpha
+        if delta < unit_lo or delta > unit_hi:
+            raise BoundDomainError(f"delta = {delta} outside [0, 1] beyond tolerance")
+        if gamma < unit_lo or gamma > unit_hi:
+            raise BoundDomainError(f"gamma = {gamma} outside [0, 1] beyond tolerance")
+
+        # entropy() inlined.  Clamping delta and gamma into [0, 1] first
+        # would only turn values outside (0, 1) into 0 or 1, whose entropy
+        # is 0 as well, so the clamp is left out.
+        if gamma <= 0.0 or gamma >= 1.0:
+            h_gamma = 0.0
+        else:
+            h_gamma = -gamma * log(gamma) - (1.0 - gamma) * log(1.0 - gamma)
+        if delta <= 0.0 or delta >= 1.0:
+            h_delta = 0.0
+        else:
+            h_delta = -delta * log(delta) - (1.0 - delta) * log(1.0 - delta)
+        return ((hi - tau) / alpha) * ln_c - tau * h_gamma - (1.0 - tau) * h_delta + h_kappa
+
+    return lo, g
 
 
 def g_value(alpha: float, beta: float, c: float, kappa: float, tau: float) -> float:
@@ -127,36 +191,7 @@ def g_value(alpha: float, beta: float, c: float, kappa: float, tau: float) -> fl
     delta and gamma take their stated special-case value 1/alpha at tau = 1
     and tau = 0 respectively; elsewhere the rational formulas apply.
     """
-    lo = m_lower(alpha, beta, kappa)
-    hi = beta * kappa
-    if tau < lo - _CLAMP_TOL or tau > hi + _CLAMP_TOL:
-        raise BoundDomainError(
-            f"tau = {tau} infeasible for kappa = {kappa} (interval [{lo}, {hi}])"
-        )
-    tau = min(max(tau, lo), hi)
-
-    # tau <= beta*kappa holds exactly in floats after the clamp above, so the
-    # numerator below is nonnegative; computing it as (beta*kappa - tau)
-    # keeps it consistent with that clamp (splitting the division across
-    # terms can flip the sign of a ~1e-17 remainder and blow up near tau=1).
-    if tau >= 1.0 - _CLAMP_TOL:
-        delta = 1.0 / alpha  # only reachable with beta*kappa = 1
-    else:
-        delta = (beta * kappa - tau) / alpha / (1.0 - tau)
-    if tau <= _CLAMP_TOL:
-        gamma = 1.0 / alpha
-    else:
-        gamma = (1.0 - beta / alpha) * (kappa / tau) + 1.0 / alpha
-
-    delta = _clamp_unit(delta, "delta")
-    gamma = _clamp_unit(gamma, "gamma")
-
-    return (
-        ((beta * kappa - tau) / alpha) * math.log(c)
-        - tau * entropy(gamma)
-        - (1.0 - tau) * entropy(delta)
-        + entropy(kappa)
-    )
+    return _g_at(alpha, beta, c, kappa)[1](tau)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
@@ -193,7 +228,7 @@ def g_star(
 
     Golden-section search, justified by convexity of g in tau.
     """
-    lo = m_lower(alpha, beta, kappa)
+    lo, g = _g_at(alpha, beta, c, kappa)
     hi = beta * kappa
     if hi < lo - _CLAMP_TOL:
         raise RuntimeError(
@@ -201,7 +236,7 @@ def g_star(
         )
     hi = max(hi, lo)
     tol = max(1e-13, min(precision * 1e-2, 1e-6))
-    value, tau, _ = _golden_min(lambda t: g_value(alpha, beta, c, kappa, t), lo, hi, tol)
+    value, tau, _ = _golden_min(g, lo, hi, tol)
     return value, tau
 
 
@@ -209,17 +244,23 @@ def amls_bound(params: BoundParams) -> SaddlePoint:
     """Evaluate exp(max_kappa min_tau g) by nested golden-section search.
 
     The outer level maximizes the concave inner minimum over kappa in
-    [0, 1/beta]; the tolerance budget is split equally between levels.
+    [0, 1/beta]; the tolerance budget is split equally between levels.  Each
+    outer probe builds the per-kappa kernel once for its inner search, and the
+    probes are kept, so the minimizer tau at kappa* is read back rather than
+    searched for again.  Results are bit-identical to the per-call form.
     """
     a, b, c = params.alpha, params.beta, params.c
     half = params.precision / 2.0
     tol = max(1e-13, min(half * 1e-2, 1e-6))
 
+    probes: dict[float, tuple[float, float]] = {}
+
     def neg_inner(k: float) -> float:
-        return -g_star(a, b, c, k, half)[0]
+        probes[k] = g_star(a, b, c, k, half)
+        return -probes[k][0]
 
     neg_val, kappa, spread = _golden_min(neg_inner, 0.0, 1.0 / b, tol)
-    g_best, tau = g_star(a, b, c, kappa, half)
+    g_best, tau = probes[kappa]  # _golden_min returns an evaluated point
     g_best = max(g_best, -neg_val, 0.0)  # kappa = 0 is always feasible with g = 0
     value = math.exp(g_best)
     err = value * (spread + tol) + 1e-12
@@ -271,11 +312,11 @@ def shape_check(params: BoundParams, grid_resolution: int = 200) -> ShapeReport:
     worst_convex = 0.0  # most negative second difference of g in tau, negated
     for frac in (0.25, 0.5, 0.75, 1.0):
         k = frac / b
-        lo, hi = m_lower(a, b, k), b * k
+        lo, g = _g_at(a, b, c, k)
+        hi = b * k
         if hi - lo <= 0:
             continue
-        ts = [lo + (hi - lo) * i / m for i in range(m + 1)]
-        gs = [g_value(a, b, c, k, t) for t in ts]
+        gs = [g(lo + (hi - lo) * i / m) for i in range(m + 1)]
         for i in range(1, m):
             d2 = gs[i - 1] - 2.0 * gs[i] + gs[i + 1]
             worst_convex = max(worst_convex, -d2)

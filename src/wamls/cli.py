@@ -169,7 +169,10 @@ def cmd_verify(args) -> int:
     from . import verify as verify_mod
 
     ok, summary = verify_mod.run_suite(
-        args.suite, max_n=args.max_n or 10, trials=args.trials, seed=args.seed
+        args.suite,
+        max_n=10 if args.max_n is None else args.max_n,
+        trials=args.trials,
+        seed=args.seed,
     )
     print(summary)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -230,7 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=("bounds", "families", "end-to-end"), required=True)
-    v.add_argument("--max-n", type=int, help="largest universe size exercised")
+    v.add_argument(
+        "--max-n", type=int,
+        help="largest universe size exercised (default 10; at least 1 for "
+        "families, 2 for end-to-end)",
+    )
     v.add_argument("--trials", type=int, default=25)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(fn=cmd_verify)

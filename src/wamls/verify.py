@@ -98,9 +98,16 @@ def _end_to_end_suite(max_n: int, trials: int, seed: int) -> tuple[bool, list[st
     return ok, lines
 
 
+# Smallest max_n each suite can draw a universe size from.
+_MIN_N = {"families": 1, "end-to-end": 2}
+
+
 def run_suite(
     suite: str, max_n: int = 10, trials: int = 25, seed: int = 0
 ) -> tuple[bool, str]:
+    min_n = _MIN_N.get(suite)
+    if min_n is not None and max_n < min_n:
+        raise ValueError(f"max_n for suite {suite} must be >= {min_n}, got {max_n}")
     if suite == "bounds":
         ok, lines = _bounds_suite(trials, seed)
     elif suite == "families":

@@ -1,11 +1,14 @@
 """Tests for the brute and amls running-time bases."""
 
 import math
+import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wamls
 from wamls.bounds import (
     BoundDomainError,
     BoundParams,
@@ -18,6 +21,59 @@ from wamls.bounds import (
     m_lower,
     shape_check,
 )
+from wamls.cli import PRESETS
+
+GOLDEN_BOUNDS = pathlib.Path(__file__).parent / "data" / "golden_bounds.txt"
+GOLDEN_PRECISIONS = (1e-3, 1e-6, 1e-9)
+GOLDEN_KAPPA_FRACS = (0.0, 0.37, 1.0)
+# alpha = beta, beta = 1, c = 1, huge alpha and huge c.
+GOLDEN_EDGE_ROWS = [
+    (1.5, 2.0, 1.5),
+    (2.0, 1.0, 2.0),
+    (1.0, 2.0, 1.0),
+    (2.0, 3.0, 1.0),
+    (1.0, 1.0, 1.5),
+    (3.0, 1.0, 1.2),
+    (1e6, 1.0, 1.5),
+    (1e6, 2.0, 3.0),
+    (1.0, 1e300, 1.5),
+    (2.0, 1e300, 2.5),
+]
+
+
+def golden_bound_params():
+    """Every preset row, 40 seeded random triples at three precisions, edge rows."""
+    rows = [
+        BoundParams(alpha=a, c=c, beta=b)
+        for rows_ac, betas in PRESETS.values()
+        for a, c in rows_ac
+        for b in betas
+    ]
+    rng = random.Random(4)
+    triples = [
+        (rng.uniform(1.0, 4.0), rng.uniform(1.0, 5.0), rng.uniform(1.0, 4.0))
+        for _ in range(40)
+    ]
+    rows += [
+        BoundParams(alpha=a, c=c, beta=b, precision=prec)
+        for a, c, b in triples
+        for prec in GOLDEN_PRECISIONS
+    ]
+    rows += [BoundParams(alpha=a, c=c, beta=b) for a, c, b in GOLDEN_EDGE_ROWS]
+    return rows
+
+
+def golden_bound_lines():
+    """One line per row: params, amls_bound, g_star at three kappa, shape_check(20)."""
+    lines = []
+    for p in golden_bound_params():
+        a, c, b = p.alpha, p.c, p.beta
+        fields = [repr((a, c, b, p.precision)), repr(amls_bound(p))]
+        for frac in GOLDEN_KAPPA_FRACS:
+            fields.append(repr(g_star(a, b, c, frac / b, p.precision)))
+        fields.append(repr(shape_check(p, 20)))
+        lines.append("\t".join(fields) + "\n")
+    return lines
 
 
 class TestEntropy:
@@ -110,6 +166,26 @@ class TestGValue:
     def test_infeasible_tau_rejected(self):
         with pytest.raises(BoundDomainError):
             g_value(1.0, 1.5, 2.0, 0.2, 0.9)  # above beta * kappa
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (
+                (1.0, 1.5, 2.0, 0.2, 0.9),
+                "tau = 0.9 infeasible for kappa = 0.2 (interval [0.125, 0.30000000000000004])",
+            ),
+            (
+                (2.0, 1.5, 1.0, 0.3, -0.01),
+                "tau = -0.01 infeasible for kappa = 0.3 (interval [0.15, 0.44999999999999996])",
+            ),
+            ((1.0, 2.0, 1.0, 0.6, 0.5), "kappa must be in [0, 1/beta], got 0.6"),
+            ((0.5, 1.5, 1.0, 0.3, 0.1), "alpha and beta must be >= 1"),
+        ],
+    )
+    def test_error_messages(self, args, message):
+        with pytest.raises(BoundDomainError) as exc:
+            g_value(*args)
+        assert str(exc.value) == message
 
 
 class TestGStar:
@@ -232,6 +308,7 @@ class TestShapeCheck:
     )
     def test_known_parameters_pass(self, alpha, c, beta):
         rep = shape_check(BoundParams(alpha=alpha, c=c, beta=beta), grid_resolution=200)
+        assert isinstance(rep, wamls.ShapeReport)
         assert rep.ok
         assert rep.max_convexity_violation <= 1e-7
         assert rep.max_concavity_violation <= 1e-7
@@ -239,3 +316,12 @@ class TestShapeCheck:
     def test_coarse_grid_rejected(self):
         with pytest.raises(BoundDomainError):
             shape_check(BoundParams(alpha=1.0, c=1.0, beta=1.5), grid_resolution=5)
+
+
+class TestGoldenBounds:
+    def test_bounds_match_golden(self):
+        """The golden lines were written by the per-call g_value, before the
+        per-kappa kernel; every SaddlePoint, g_star and ShapeReport field
+        must reproduce them bit for bit."""
+        want = GOLDEN_BOUNDS.read_text().splitlines(keepends=True)
+        assert golden_bound_lines() == want

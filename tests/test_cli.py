@@ -210,6 +210,15 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("suite,max_n", [("families", "0"), ("end-to-end", "1")])
+    def test_max_n_below_suite_minimum_rejected(self, capsys, suite, max_n):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--trials", "2", "--max-n", max_n
+        )
+        assert code == 2
+        assert "pass" not in out
+        assert f"max_n for suite {suite} must be >=" in err
+
 
 class TestHelpGolden:
     @pytest.mark.parametrize(
