@@ -220,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run an approximation driver on an instance")
     s.add_argument("instance", help="instance file path")
     s.add_argument("--model", choices=("membership", "extension"), default="extension")
-    s.add_argument("--oracle", default="exact", help="exact | branching | local-ratio")
+    s.add_argument(
+        "--oracle", choices=("exact", "branching", "local-ratio"), default="exact",
+        help="extension-model oracle",
+    )
     s.add_argument("--alpha", type=float, default=2.0, help="membership target factor")
     s.add_argument("--beta", type=float, default=1.5, help="extension target factor")
     s.add_argument("--eps", type=float, default=0.05)
@@ -246,7 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:
+            raise  # --help
+        return EXIT_USAGE  # argparse has printed the usage error
     try:
         return args.fn(args)
     except ResourceCapError as exc:

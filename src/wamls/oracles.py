@@ -9,25 +9,32 @@ bitmask itself, so every oracle is deterministic.
 Vertex Cover is served as 2-Hitting Set: the branching and local-ratio
 oracles work on the instance's constraint masks, so VC gets c = d = 2
 branching and alpha = d = 2 local ratio from the same code as d-HS.
+
+The local-ratio oracles ignore the budget, and their answer depends only on
+the residual instance: the constraints S leaves unhit, or the 2-core of
+G - S for FVS.  Each oracle keys its queries by that residual, computed with
+int bitmask operations, and solves each distinct residual once; the memo
+belongs to the oracle and goes with it.  The ledger above the oracle still
+records every query.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .families import DEFAULT_CAP, log_cost, subset_sums
+from .families import DEFAULT_CAP, _mask, log_cost, subset_sums
 from .problems import (
     Instance,
     WeightedFVSInstance,
     WeightedHSInstance,
+    WeightedPVCInstance,
     WeightedVCInstance,
     membership_table,
-    _fvs_acyclic,
 )
 
 __all__ = [
@@ -155,32 +162,67 @@ def branching_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> Or
     return extend
 
 
+def _solve_once(key_of: Callable[[int], object], solve: Callable) -> OracleFn:
+    """Oracle answering (S, ell) with solve(key_of(S)), each distinct key solved once.
+
+    For oracles that ignore the budget and whose answer depends only on the
+    residual instance left by S; the memo lives and dies with the oracle.
+    """
+    solved: dict = {}
+
+    def extend(subset: int, ell: int) -> int:
+        key = key_of(subset)
+        x = solved.get(key)
+        if x is None:
+            x = solved[key] = solve(key)
+        return x
+
+    return extend
+
+
 def local_ratio_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> OracleFn:
     """Bar-Yehuda/Even local ratio over the unhit sets (alpha=d, c=1).
 
     The budget is ignored; the weight guarantee is inherited from
-    d * OPT(residual) <= d * (any size-restricted optimum).  VC is the
-    d = 2 case.
+    d * OPT(residual) <= d * (any size-restricted optimum).  The answer
+    depends only on the constraints S leaves unhit, so each distinct
+    residual is solved once.  VC is the d = 2 case.
     """
     n = instance.n
     weights = instance.weights
-    constraints = [(m, _elements(m)) for m in instance.masks]
+    masks = instance.masks
+    elements = [_elements(m) for m in masks]
+    # hit[k][b]: the constraints (index bits) hit by byte b of S at bit 8k.
+    hit = []
+    for k in range(0, n, 8):
+        table = [0]
+        for v in range(k, min(k + 8, n)):
+            h = _mask(i for i, m in enumerate(masks) if m >> v & 1)
+            table += [t | h for t in table]
+        hit.append(table)
+    every = (1 << len(masks)) - 1
 
-    def extend(subset: int, ell: int) -> int:
+    def unhit(subset: int) -> int:
+        out = every
+        for table in hit:
+            out &= ~table[subset & 255]
+            subset >>= 8
+        return out
+
+    def solve(unhit_bits: int) -> int:
+        residual = _elements(unhit_bits)
         res = list(weights)
-        residual = []
-        for m, elems in constraints:
-            if subset & m:
-                continue
-            residual.append(m)
+        for i in residual:
+            elems = elements[i]
             low = min([res[e] for e in elems])
             if low > 0:
                 for e in elems:
                     res[e] -= low
-        hitters = [v for v in range(n) if not subset >> v & 1 and res[v] == 0]
-        return _reverse_delete(hitters, lambda mask: all(mask & m for m in residual))
+        # Weights are >= 1, so only elements of unhit sets reach 0: none is in S.
+        hitters = [v for v in range(n) if res[v] == 0]
+        return _reverse_delete(hitters, lambda mask: not unhit_bits & unhit(mask))
 
-    return extend
+    return _solve_once(unhit, solve)
 
 
 branching_vc_oracle = branching_hs_oracle
@@ -189,9 +231,7 @@ local_ratio_vc_oracle = local_ratio_hs_oracle
 
 def _reverse_delete(candidates: list[int], is_feasible) -> int:
     """Drop candidates in reverse order while feasibility is preserved."""
-    mask = 0
-    for v in candidates:
-        mask |= 1 << v
+    mask = _mask(candidates)
     for v in reversed(candidates):
         trial = mask & ~(1 << v)
         if is_feasible(trial):
@@ -205,81 +245,90 @@ def local_ratio_fvs_oracle(instance: WeightedFVSInstance) -> OracleFn:
     Becker-Geiger scheme: after pruning degree <= 1 vertices and forcing
     self-loop vertices, subtract gamma * deg(v) with the largest gamma keeping
     all residuals nonnegative; zeroed vertices are stacked and a reverse
-    delete pass restores minimality.  Exact rational arithmetic keeps the
-    zero test and the pick order deterministic.
+    delete pass restores minimality.  Residuals are integers over one shared
+    positive denominator, so the zero test and the pick order are exact.
+
+    Every cycle of G - S lies in its 2-core C, so the answer depends on C
+    alone (C - X is acyclic iff G - S - X is), and each distinct C is solved
+    once.  Degrees follow the multigraph semantics of the instance.
     """
     n = instance.n
-    all_edges = instance.edges
     weights = instance.weights
+    loops = 0
+    # layers[v][k]: the neighbours joined to v by more than k edges.
+    layers: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), k in Counter(instance.edges).items():
+        if u == v:
+            loops |= 1 << u
+            continue
+        for a, b in ((u, v), (v, u)):
+            layer = layers[a]
+            layer.extend([0] * (k - len(layer)))
+            for i in range(k):
+                layer[i] |= 1 << b
+    nbr = [layer[0] if layer else 0 for layer in layers]
+    par = [layer[1] if len(layer) > 1 else 0 for layer in layers]
 
-    def extend(subset: int, ell: int) -> int:
-        active = set(v for v in range(n) if not subset >> v & 1)
-        edges = [e for e in all_edges if e[0] in active and e[1] in active]
-        res = {v: Fraction(weights[v]) for v in active}
-        stack: list[int] = []
+    def core(alive: int) -> int:
+        """The 2-core of the multigraph induced on `alive` (a bitmask)."""
+        todo = alive & ~loops
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            nb = nbr[v] & alive
+            if nb & (nb - 1) or par[v] & alive:
+                continue  # degree >= 2
+            alive ^= low
+            todo |= nb & ~loops  # the one neighbour lost a degree
+        return alive
 
-        def degrees():
-            deg = {v: 0 for v in active}
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1  # a self-loop contributes 2
-            return deg
+    def solve(cyclic: int) -> int:
+        stack = _elements(cyclic & loops)  # self-loop vertices are forced
+        alive = core(cyclic & ~loops)
+        res = list(weights)
+        while alive:
+            verts = _elements(alive)
+            deg = [sum((m & alive).bit_count() for m in layers[v]) for v in verts]
+            # argmin of res/deg, cross-multiplied; the denominator cancels.
+            i = 0
+            for j in range(1, len(verts)):
+                if res[verts[j]] * deg[i] < res[verts[i]] * deg[j]:
+                    i = j
+            ru, du = res[verts[i]], deg[i]
+            zeroed = 0
+            for v, dv in zip(verts, deg):
+                res[v] = r = res[v] * du - ru * dv  # the denominator gains du
+                if not r:
+                    zeroed |= 1 << v
+            stack.extend(_elements(zeroed))
+            alive = core(alive & ~zeroed)
+        return _reverse_delete(stack, lambda mask: not core(cyclic & ~mask))
 
-        while True:
-            # Prune: degree <= 1 vertices are on no cycle.
-            while True:
-                deg = degrees()
-                low = [v for v in active if deg[v] <= 1]
-                if not low:
-                    break
-                active.difference_update(low)
-                edges = [e for e in edges if e[0] in active and e[1] in active]
-            if not active:
-                break
-            looped = sorted({a for a, b in edges if a == b})
-            if looped:
-                v = looped[0]
-                stack.append(v)
-                active.remove(v)
-                edges = [e for e in edges if v not in e]
-                continue
-            deg = degrees()
-            gamma = min(res[v] / deg[v] for v in active)
-            for v in active:
-                res[v] -= gamma * deg[v]
-            zeroed = sorted(v for v in active if res[v] == 0)
-            stack.extend(zeroed)
-            active.difference_update(zeroed)
-            edges = [e for e in edges if e[0] in active and e[1] in active]
-
-        surviving_base = ((1 << n) - 1) & ~subset
-        residual_edges = [
-            e for e in all_edges if not (subset >> e[0] & 1 or subset >> e[1] & 1)
-        ]
-        return _reverse_delete(
-            stack,
-            lambda mask: _fvs_acyclic(n, residual_edges, surviving_base & ~mask),
-        )
-
-    return extend
+    full = (1 << n) - 1
+    return _solve_once(lambda subset: core(full & ~subset), solve)
 
 
 def oracle_for(
     instance: Instance, name: str, cap: int = DEFAULT_CAP
 ) -> ExtensionOracleHandle:
     """Named oracle with its honest declared (alpha, c)."""
-    hitting_set = isinstance(instance, (WeightedVCInstance, WeightedHSInstance))
     if name == "exact":
         return wrap_with_ledger(exact_extension_oracle(instance, cap), c=2.0)
+    if name not in ("branching", "local-ratio"):
+        raise ValueError(f"unknown oracle {name!r}")
+    if isinstance(instance, WeightedPVCInstance):
+        raise ValueError(
+            f"wpvc has no {name} extension oracle; solve it with --model membership"
+            " (or --oracle exact)"
+        )
+    hitting_set = isinstance(instance, (WeightedVCInstance, WeightedHSInstance))
     if name == "branching":
         if hitting_set:
             return wrap_with_ledger(branching_hs_oracle(instance), c=float(instance.d))
         raise ValueError(f"no branching oracle for {instance.kind}")
-    if name == "local-ratio":
-        if hitting_set:
-            return wrap_with_ledger(
-                local_ratio_hs_oracle(instance), c=1.0, alpha=float(instance.d)
-            )
-        if isinstance(instance, WeightedFVSInstance):
-            return wrap_with_ledger(local_ratio_fvs_oracle(instance), c=1.0, alpha=2.0)
-    raise ValueError(f"unknown oracle {name!r} for {instance.kind}")
+    if hitting_set:
+        return wrap_with_ledger(
+            local_ratio_hs_oracle(instance), c=1.0, alpha=float(instance.d)
+        )
+    return wrap_with_ledger(local_ratio_fvs_oracle(instance), c=1.0, alpha=2.0)

@@ -147,8 +147,24 @@ class TestSolveCommand:
         assert json.loads(out)["output_weight"] == 0
 
     def test_unknown_oracle(self, capsys, vc_file):
-        code, _, _ = run(capsys, "solve", vc_file, "--oracle", "wizard")
+        code, out, err = run(capsys, "solve", vc_file, "--oracle", "wizard")
         assert code == 2
+        assert out == ""
+        assert "invalid choice: 'wizard'" in err
+        assert "exact" in err and "branching" in err and "local-ratio" in err
+
+    @pytest.mark.parametrize("name", ["branching", "local-ratio"])
+    def test_pvc_extension_oracle_points_to_membership(self, capsys, tmp_path, name):
+        path = tmp_path / "i.wpvc"
+        path.write_text("p wpvc 3 2 2\nw 1 1\nw 2 2\nw 3 3\ne 1 2\ne 2 3\n")
+        code, out, err = run(capsys, "solve", str(path), "--oracle", name)
+        assert code == 2
+        assert out == ""
+        assert f"wpvc has no {name} extension oracle" in err
+        assert "--model membership" in err
+        code, out, _ = run(capsys, "solve", str(path), "--model", "membership")
+        assert code == 0
+        assert json.loads(out)["output_weight"] == 2
 
     def test_report_file_written(self, capsys, vc_file, tmp_path):
         report = tmp_path / "r.json"

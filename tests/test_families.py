@@ -286,7 +286,36 @@ class TestFamilyCost:
         assert family_cost(fam, 2.0) == pytest.approx(math.log(naive), rel=1e-9)
 
 
+# Factors with at most five significant digits survive the dump's {:g}.
+_factors = st.integers(1000, 99999).map(lambda k: k / 1000)
+
+
+@st.composite
+def dumpable_families(draw):
+    n = draw(st.integers(0, 10))
+    subsets = st.integers(0, (1 << n) - 1)
+    alpha = draw(_factors)
+    if draw(st.booleans()):
+        sets = draw(st.lists(subsets, unique=True, max_size=30))
+        return CoveringFamily(universe_size=n, alpha=alpha, sets=sets)
+    entries = draw(
+        st.lists(st.tuples(subsets, st.integers(0, n)), unique=True, max_size=30)
+    )
+    return ExtensionFamily(
+        universe_size=n, alpha=alpha, beta=draw(_factors), entries=entries
+    )
+
+
 class TestDumpParse:
+    @settings(max_examples=80, deadline=None)
+    @given(fam=dumpable_families(), schedule=st.sampled_from([None, "delta=0.1 d=3"]))
+    def test_round_trip_property(self, fam, schedule):
+        text = dump_family(fam, schedule=schedule)
+        back = parse_family(text)
+        assert type(back) is type(fam)
+        assert back == fam
+        assert dump_family(back, schedule=schedule) == text
+
     def test_covering_round_trip(self):
         fam = build_unweighted_covering(5, 2.0)
         back = parse_family(dump_family(fam))

@@ -1,6 +1,7 @@
 """Tests for extension oracles: contracts, agreement, and cost accounting."""
 
 import math
+import pathlib
 import random
 
 import pytest
@@ -19,9 +20,11 @@ from wamls.oracles import (
 from wamls.problems import (
     WeightedFVSInstance,
     WeightedHSInstance,
+    WeightedPVCInstance,
     WeightedVCInstance,
     membership_check,
     membership_table,
+    parse_instance,
     random_instance,
     weight_of,
 )
@@ -205,6 +208,14 @@ class TestContracts:
         with pytest.raises(ValueError):
             oracle_for(inst, "magic")
 
+    @pytest.mark.parametrize("name", ["branching", "local-ratio"])
+    def test_pvc_error_names_membership_model(self, name):
+        vc = random_instance("wvc", 4, 0.5, seed=0)
+        pvc = WeightedPVCInstance(n=4, weights=vc.weights, edges=vc.edges, t=1)
+        with pytest.raises(ValueError, match=f"wpvc has no {name} extension oracle"):
+            oracle_for(pvc, name)
+        assert oracle_for(pvc, "exact").declared_alpha == 1.0
+
     def test_no_branching_for_fvs(self):
         inst = random_instance("wfvs", 4, 0.5, seed=0)
         with pytest.raises(ValueError):
@@ -259,3 +270,69 @@ class TestLedger:
         assert handle.ledger.queries == [(0, 0), (1, 1)]
         assert handle.ledger.cost_log(1.0) == pytest.approx(math.log(2), abs=1e-12)
         assert handle.ledger.wall_time >= 0.0
+
+
+GOLDEN_LOCAL_RATIO = pathlib.Path(__file__).parent / "data" / "golden_local_ratio.txt"
+
+
+def _multigraph_text(n, seed):
+    """Seeded wfvs text with self-loops, parallel edges and isolated vertices."""
+    rng = random.Random(seed)
+    used = sorted(rng.sample(range(n), max(1, n - 1 - seed % 3)))
+    edges = []
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        u = rng.choice(used)
+        v = u if rng.random() < 0.15 else rng.choice(used)
+        edges.append((u, v))
+        if rng.random() < 0.2:
+            edges.append((v, u))  # a parallel copy
+    lines = [f"p wfvs {n} {len(edges)}"]
+    lines += [f"w {v} {rng.randint(1, 9)}" for v in range(1, n + 1)]
+    lines += [f"e {u + 1} {v + 1}" for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
+def _golden_local_ratio_cases():
+    for kind, d in (("wvc", 2), ("whs", 2), ("whs", 3), ("whs", 4), ("wfvs", 2)):
+        for n in (0, 1, 3, 5, 8):
+            for density in (0.3, 0.6):
+                for lo, hi in ((1, 100), (1, 3)):
+                    for seed in (0, 1):
+                        inst = random_instance(
+                            kind, n, density, weight_range=(lo, hi), seed=seed, d=d
+                        )
+                        yield (
+                            f"{kind} d={d} n={n} p={density} w={lo}..{hi} seed={seed}",
+                            inst,
+                        )
+    for n in (2, 4, 6, 8):
+        for seed in range(6):
+            yield f"wfvs multigraph n={n} seed={seed}", parse_instance(
+                _multigraph_text(n, seed)
+            )
+
+
+def golden_local_ratio_lines():
+    """One line per instance: every subset's (S, ell, X) in hex, ell drawn by seed."""
+    lines = []
+    for case, inst in _golden_local_ratio_cases():
+        if isinstance(inst, WeightedFVSInstance):
+            extend = local_ratio_fvs_oracle(inst)
+        else:
+            extend = local_ratio_hs_oracle(inst)
+        rng = random.Random(case)
+        answers = []
+        for s in range(1 << inst.n):
+            ell = rng.randrange(inst.n + 1)
+            answers.append(f"{s:x}:{ell}:{extend(s, ell):x}")
+        lines.append(f"{case}\t{' '.join(answers)}\n")
+    return lines
+
+
+class TestGoldenLocalRatio:
+    def test_answers_match_golden(self):
+        """The golden lines were written by the Fraction-based, per-query
+        local-ratio oracles; the memoised integer oracles must reproduce
+        every answer."""
+        want = GOLDEN_LOCAL_RATIO.read_text().splitlines(keepends=True)
+        assert golden_local_ratio_lines() == want

@@ -24,6 +24,28 @@ from wamls.problems import (
 TRIANGLE = ((0, 1), (1, 2), (0, 2))
 
 
+@st.composite
+def instances(draw, kind):
+    """Any instance of `kind`; wfvs edges include self-loops and parallel copies."""
+    n = draw(st.integers(0, 9))
+    weights = tuple(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)))
+    vertex = st.integers(0, max(n - 1, 0))
+    if kind == "whs":
+        d = draw(st.integers(2, 4))
+        sets = draw(st.lists(st.lists(vertex, min_size=1, max_size=d), max_size=12))
+        sets = tuple(map(tuple, sets)) if n else ()
+        return WeightedHSInstance(n=n, weights=weights, d=d, sets=sets)
+    pairs = st.lists(st.tuples(vertex, vertex), max_size=15) if n else st.just([])
+    if kind == "wfvs":
+        return WeightedFVSInstance(n=n, weights=weights, edges=tuple(draw(pairs)))
+    edges = tuple((u, v) for u, v in draw(pairs) if u != v)
+    if kind == "wvc":
+        return WeightedVCInstance(n=n, weights=weights, edges=edges)
+    m = len({(min(e), max(e)) for e in edges})
+    t = draw(st.integers(0, m))
+    return WeightedPVCInstance(n=n, weights=weights, edges=edges, t=t)
+
+
 class TestMembership:
     def test_full_universe_always_solves(self):
         vc = WeightedVCInstance(n=3, weights=(1, 1, 1), edges=TRIANGLE)
@@ -136,6 +158,24 @@ class TestParsing:
             for seed in range(5):
                 inst = random_instance(kind, 7, 0.4, seed=seed)
                 assert parse_instance(emit_instance(inst)) == inst
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["wvc", "whs", "wfvs", "wpvc"]))
+    def test_round_trip_property(self, data, kind):
+        inst = data.draw(instances(kind))
+        text = emit_instance(inst)
+        back = parse_instance(text)
+        assert type(back) is type(inst)
+        assert back == inst
+        assert emit_instance(back) == text
+
+    def test_round_trip_keeps_fvs_multigraph(self):
+        inst = WeightedFVSInstance(
+            n=4, weights=(1, 2, 3, 4), edges=((1, 1), (0, 2), (2, 0), (1, 1), (0, 2))
+        )
+        back = parse_instance(emit_instance(inst))
+        assert back.edges == ((0, 2), (0, 2), (0, 2), (1, 1), (1, 1))
+        assert back == inst
 
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
