@@ -2,9 +2,18 @@
 
 The membership driver scans an alpha-covering family and keeps the cheapest
 member that is a solution.  The extension driver queries the oracle once per
-(T, ell) entry of an (alpha, beta)-extension family and keeps the cheapest
-T | X.  Both stream entries and never take an early exit, so the recorded
-query cost equals the family cost exactly.
+(T, ell) entry of an (alpha, beta)-extension family, in family order, and
+keeps the cheapest T | X.  There is no early exit, so the recorded query cost
+equals the family cost exactly.
+
+Both drivers collect their candidates into one int64 array, so they refuse
+n > 63 and total weights of 2^63 or more.  They check and rank the array in
+one pass: problems.membership_many tests every candidate, and a lexsort over
+per-byte weight and popcount tables picks the weight -> cardinality ->
+bitmask minimum.  The extension driver's oracle
+contract check thus runs after the last query: when it names the first
+output in family order that is not a solution, every entry has already been
+queried.
 """
 
 from __future__ import annotations
@@ -13,10 +22,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import families, problems, weighted
-from .families import DEFAULT_CAP
+import numpy as np
+
+from . import problems, weighted
+from .families import DEFAULT_CAP, ResourceCapError, subset_sums
 from .oracles import ExtensionOracleHandle
-from .problems import Instance, membership_check, weight_of
+from .problems import Instance, membership_check, membership_many
 
 __all__ = [
     "RunReport",
@@ -29,6 +40,33 @@ __all__ = [
 
 class OracleMismatchError(ValueError):
     """Declared oracle factor exceeds the requested target and force is off."""
+
+
+# Candidate masks and their weights are int64, which would wrap silently.
+_WORD_BITS = 63
+
+
+def _check_int64(instance: Instance) -> None:
+    if instance.n > _WORD_BITS:
+        raise ResourceCapError(
+            f"n = {instance.n} exceeds the {_WORD_BITS}-element limit of the int64 "
+            "driver arrays"
+        )
+    if sum(instance.weights) >> _WORD_BITS:
+        raise ResourceCapError("total weight exceeds the int64 range of the driver arrays")
+
+
+def _cheapest(instance: Instance, sets: np.ndarray) -> tuple[int, int]:
+    """(mask, weight) of the weight -> cardinality -> bitmask minimum of `sets`."""
+    weight = np.zeros(sets.size, dtype=np.int64)
+    size = np.zeros(sets.size, dtype=np.int64)
+    popcount = subset_sums([1] * 8, np.int64)
+    for lo in range(0, instance.n, 8):
+        octet = sets >> lo & 0xFF
+        weight += subset_sums(instance.weights[lo : lo + 8], np.int64)[octet]
+        size += popcount[octet]
+    best = np.lexsort((sets, size, weight))[0]
+    return int(sets[best]), int(weight[best])
 
 
 @dataclass
@@ -83,25 +121,19 @@ def approximate_membership(
     "fixed"/"schedule" select the weight-rounding split accordingly.
     """
     n = instance.n
+    _check_int64(instance)
     if mode == "exhaustive":
         if n > cap:
-            raise families.ResourceCapError(f"n = {n} exceeds enumeration cap {cap}")
-        sets = range(1 << n)
-        family_size = 1 << n
+            raise ResourceCapError(f"n = {n} exceeds enumeration cap {cap}")
+        sets = np.arange(1 << n, dtype=np.int64)
     else:
         report = weighted.build_weighted_covering(
             list(instance.weights), alpha, mode=mode, cap=cap
         )
-        sets = report.family.sets
-        family_size = len(sets)
-
-    best = None
-    for t in sets:
-        if membership_check(instance, t):
-            key = (weight_of(instance, t), t.bit_count(), t)
-            if best is None or key < best:
-                best = key
-    assert best is not None  # U is in every covering family and every system
+        sets = np.array(report.family.sets, dtype=np.int64)
+    family_size = sets.size
+    # U is in every covering family and every system, so a solution exists.
+    best, best_weight = _cheapest(instance, sets[membership_many(instance, sets)])
     return RunReport(
         problem=instance.kind,
         n=n,
@@ -109,8 +141,8 @@ def approximate_membership(
         c=None,
         beta=None,
         eps=eps,
-        output_set=best[2],
-        output_weight=best[0],
+        output_set=best,
+        output_weight=best_weight,
         family_size=family_size,
         cost_log=math.log(family_size) if family_size else None,
         seed=seed,
@@ -132,6 +164,7 @@ def approximate_extension(
     the guarantee still holds then, but the configuration usually signals a
     mistake.
     """
+    _check_int64(instance)
     alpha, c = oracle.declared_alpha, oracle.declared_c
     if alpha > beta and not force:
         raise OracleMismatchError(
@@ -142,18 +175,16 @@ def approximate_extension(
     )
     fam = report.family
 
-    best = None
-    for t, ell in fam.entries:
-        x = oracle.extend(t, ell)
-        out = t | x
-        if not membership_check(instance, out):
-            raise RuntimeError(
-                f"oracle contract violation: {out:#x} is not a solution"
-            )
-        key = (weight_of(instance, out), out.bit_count(), out)
-        if best is None or key < best:
-            best = key
-    assert best is not None  # the family is never empty
+    outs = np.fromiter(
+        (t | oracle.extend(t, ell) for t, ell in fam.entries),
+        dtype=np.int64,
+        count=len(fam.entries),
+    )
+    ok = membership_many(instance, outs)
+    if not ok.all():
+        bad = int(outs[np.argmin(ok)])
+        raise RuntimeError(f"oracle contract violation: {bad:#x} is not a solution")
+    best, best_weight = _cheapest(instance, outs)  # the family is never empty
     return RunReport(
         problem=instance.kind,
         n=instance.n,
@@ -161,8 +192,8 @@ def approximate_extension(
         c=c,
         beta=beta,
         eps=eps,
-        output_set=best[2],
-        output_weight=best[0],
+        output_set=best,
+        output_weight=best_weight,
         family_size=len(fam.entries),
         cost_log=report.cost_log,
         seed=seed,

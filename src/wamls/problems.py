@@ -6,7 +6,12 @@ Partial Vertex Cover ships as a membership predicate only.
 
 Vertex Cover is served as 2-Hitting Set: VC, HS and PVC instances store
 their edges or sets once as int constraint masks, and S hits a constraint
-m iff S & m.  FVS stays on union-find.
+m iff S & m.  The scalar FVS check runs union-find.
+
+membership_many is the same predicate over an int64 array of masks (so
+n <= 63): one `arr & m != 0` test per constraint mask, and for FVS a forest
+peel that shares no code with the oracles' 2-core peel.  membership_check
+stays the independent scalar reference.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "WeightedPVCInstance",
     "ParseError",
     "membership_check",
+    "membership_many",
     "membership_table",
     "exact_opt",
     "weight_of",
@@ -205,28 +211,66 @@ def membership_check(instance: Instance, subset: int) -> bool:
     raise TypeError(f"unsupported instance type {type(instance)!r}")
 
 
+# Rows per chunk of the vectorised FVS peel: at most 2 MB of float64 degrees.
+_PEEL_ROWS = 1 << 12
+
+
+def _fvs_forests(instance: WeightedFVSInstance, alive: np.ndarray) -> np.ndarray:
+    """True where the multigraph induced on alive[i] is a forest.
+
+    Each round removes every live vertex of live degree <= 1, where parallel
+    edges count each and a self-loop counts 2: so a vertex goes iff it has no
+    self-loop, at most one distinct live neighbour and no live parallel edge.
+    A set is a forest iff the rounds empty it.  The degrees of a round are
+    one matmul of the 0/1 live matrix with the edge multiplicities.
+    """
+    n = instance.n
+    mult = np.zeros((n, n))
+    for u, v in instance.edges:
+        mult[u, v] += 1
+        mult[v, u] += 1
+    out = np.empty(alive.size, dtype=bool)
+    for lo in range(0, alive.size, _PEEL_ROWS):
+        octets = alive[lo : lo + _PEEL_ROWS].astype("<i8").view(np.uint8)
+        bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
+        live = bits[:, :n].astype(np.float64)
+        while True:
+            peeled = live * (live @ mult > 1)
+            if np.array_equal(peeled, live):
+                break
+            live = peeled
+        out[lo : lo + _PEEL_ROWS] = ~live.any(axis=1)
+    return out
+
+
+def membership_many(instance: Instance, subsets: np.ndarray) -> np.ndarray:
+    """membership_check over a 1-D int64 array of subset masks (n <= 63)."""
+    subsets = np.asarray(subsets, dtype=np.int64)
+    full = (1 << instance.n) - 1
+    if np.any(subsets & ~full):
+        raise ValueError("subset contains out-of-range elements")
+    if isinstance(instance, (WeightedVCInstance, WeightedHSInstance)):
+        ok = np.ones(subsets.shape, dtype=bool)
+        for m in instance.masks:
+            ok &= subsets & m != 0
+        return ok
+    if isinstance(instance, WeightedFVSInstance):
+        return _fvs_forests(instance, ~subsets & full)
+    if isinstance(instance, WeightedPVCInstance):
+        covered = np.zeros(subsets.shape, dtype=np.int64)
+        for m in instance.masks:
+            covered += subsets & m != 0
+        return covered >= instance.t
+    raise TypeError(f"unsupported instance type {type(instance)!r}")
+
+
 @lru_cache(maxsize=256)
 def membership_table(instance: Instance, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Boolean membership of every subset mask; cached per instance."""
     n = instance.n
     if n > cap:
         raise ResourceCapError(f"n = {n} exceeds the exact enumeration cap {cap}")
-    size = 1 << n
-    subsets = np.arange(size)
-    if isinstance(instance, (WeightedVCInstance, WeightedHSInstance)):
-        ok = np.ones(size, dtype=bool)
-        for m in instance.masks:
-            ok &= subsets & m != 0
-        return ok
-    if isinstance(instance, WeightedPVCInstance):
-        covered = np.zeros(size, dtype=np.int64)
-        for m in instance.masks:
-            covered += subsets & m != 0
-        return covered >= instance.t
-    # FVS: union-find per subset, no useful vectorization.
-    return np.fromiter(
-        (membership_check(instance, s) for s in range(size)), dtype=bool, count=size
-    )
+    return membership_many(instance, np.arange(1 << n))
 
 
 def weight_of(instance: Instance, subset: int) -> int:

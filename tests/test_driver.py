@@ -13,14 +13,18 @@ from wamls.driver import (
     approximate_membership,
     verify_run,
 )
-from wamls.oracles import oracle_for
+from wamls.families import ResourceCapError
+from wamls.oracles import oracle_for, wrap_with_ledger
 from wamls.problems import (
+    WeightedHSInstance,
     WeightedPVCInstance,
     WeightedVCInstance,
     exact_opt,
     membership_check,
     random_instance,
+    weight_of,
 )
+from wamls.weighted import build_weighted_covering, build_weighted_extension
 
 GOLDEN_REPORTS = pathlib.Path(__file__).parent / "data" / "golden_reports.txt"
 GOLDEN_ORACLES = {
@@ -134,6 +138,91 @@ class TestExtensionDriver:
         assert report.cost_log == pytest.approx(
             math.log(report.family_size), rel=1e-9
         )
+
+
+def _recording(inst, choose):
+    """A ledger handle whose oracle answers choose(t, ell) and records each T | X."""
+    outs = []
+
+    def extend(t, ell):
+        x = choose(t, ell)
+        outs.append(t | x)
+        return x
+
+    return wrap_with_ledger(extend, c=1.0), outs
+
+
+class TestBatchedCheckAndRank:
+    def test_contract_violation_names_first_bad_output(self):
+        inst = random_instance("wvc", 6, 0.5, seed=2)
+        handle, outs = _recording(inst, lambda t, ell: 0)
+        with pytest.raises(RuntimeError) as exc:
+            approximate_extension(inst, handle, 1.5)
+        entries = build_weighted_extension(list(inst.weights), 1.0, 1.0, 1.5).family.entries
+        bad = [t for t, _ in entries if not membership_check(inst, t)]
+        assert len(set(bad)) > 1
+        assert str(exc.value) == f"oracle contract violation: {bad[0]:#x} is not a solution"
+        # The check runs once over all outputs, after every entry was queried.
+        assert outs == [t for t, _ in entries]
+        assert len(handle.ledger.queries) == len(entries)
+
+    def test_unit_weight_ties_break_by_mask(self):
+        # Both {0, 2} and {1, 3} cover the 4-cycle with weight 2.
+        cycle = WeightedVCInstance(
+            n=4, weights=(1, 1, 1, 1), edges=((0, 1), (1, 2), (2, 3), (0, 3))
+        )
+        report = approximate_membership(cycle, 2.0, mode="exhaustive")
+        assert (report.output_set, report.output_weight) == (0b0101, 2)
+        for mode in ("fixed", "schedule"):
+            sets = build_weighted_covering([1] * 4, 2.0, mode=mode).family.sets
+            sols = [t for t in sets if membership_check(cycle, t)]
+            best = min(sols, key=lambda t: (weight_of(cycle, t), t.bit_count(), t))
+            report = approximate_membership(cycle, 2.0, mode=mode)
+            assert (report.output_set, report.output_weight) == (best, weight_of(cycle, best))
+
+        def choose(t, ell):
+            # The unit family queries T = 0 at ell = 0..3; {1, 3} comes first.
+            return (0b0101 if ell % 2 else 0b1010) & ~t
+
+        handle, outs = _recording(cycle, choose)
+        report = approximate_extension(cycle, handle, 1.5)
+        assert {0b0101, 0b1010} <= set(outs)
+        assert outs.index(0b1010) < outs.index(0b0101)
+        assert (report.output_set, report.output_weight) == (0b0101, 2)
+
+    def test_weight_ties_break_by_cardinality_before_mask(self):
+        # {2} and {0, 1} both hit every set with weight 2; {2} is smaller.
+        inst = WeightedHSInstance(n=3, weights=(1, 1, 2), d=2, sets=((0, 2), (1, 2)))
+        report = approximate_membership(inst, 2.0, mode="exhaustive")
+        assert (report.output_set, report.output_weight) == (0b100, 2)
+
+        def choose(t, ell):
+            return 0 if t & 0b100 else 0b011 & ~t
+
+        handle, outs = _recording(inst, choose)
+        report = approximate_extension(inst, handle, 1.5)
+        assert {0b100, 0b011} <= set(outs)
+        assert (report.output_set, report.output_weight) == (0b100, 2)
+
+    def test_word_width_guard(self):
+        inst = WeightedVCInstance(n=64, weights=(1,) * 64, edges=((0, 63),))
+        handle = wrap_with_ledger(lambda t, ell: 0, c=1.0)
+        with pytest.raises(ResourceCapError, match="63-element limit"):
+            approximate_extension(inst, handle, 1.5, cap=64)
+        with pytest.raises(ResourceCapError, match="63-element limit"):
+            approximate_membership(inst, 2.0, cap=64)
+        assert handle.ledger.queries == []
+
+    def test_int64_weight_guard(self):
+        # Two weights of 2^62 would sum to a wrapped int64.
+        inst = WeightedVCInstance(n=2, weights=(1 << 62, 1 << 62), edges=((0, 1),))
+        with pytest.raises(ResourceCapError, match="total weight"):
+            approximate_membership(inst, 2.0, mode="exhaustive")
+        with pytest.raises(ResourceCapError, match="total weight"):
+            approximate_extension(inst, wrap_with_ledger(lambda t, ell: 0, c=1.0), 1.5)
+        fits = WeightedVCInstance(n=2, weights=(1 << 62, (1 << 62) - 1), edges=((0, 1),))
+        report = approximate_membership(fits, 2.0, mode="exhaustive")
+        assert (report.output_set, report.output_weight) == (0b10, (1 << 62) - 1)
 
 
 class TestVerifyRun:

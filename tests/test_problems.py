@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from wamls.problems import (
     emit_instance,
     exact_opt,
     membership_check,
+    membership_many,
+    membership_table,
     parse_instance,
     random_instance,
     weight_of,
@@ -25,9 +28,9 @@ TRIANGLE = ((0, 1), (1, 2), (0, 2))
 
 
 @st.composite
-def instances(draw, kind):
+def instances(draw, kind, max_n=9):
     """Any instance of `kind`; wfvs edges include self-loops and parallel copies."""
-    n = draw(st.integers(0, 9))
+    n = draw(st.integers(0, max_n))
     weights = tuple(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)))
     vertex = st.integers(0, max(n - 1, 0))
     if kind == "whs":
@@ -88,6 +91,51 @@ class TestMembership:
         s = data & 0xFF
         if membership_check(inst, s):
             assert membership_check(inst, s | (1 << extra))
+
+
+def _scalar_table(inst):
+    return np.array([membership_check(inst, s) for s in range(1 << inst.n)], dtype=bool)
+
+
+class TestMembershipMany:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["wvc", "whs", "wpvc", "wfvs"]))
+    def test_matches_scalar_check_on_every_subset(self, data, kind):
+        inst = data.draw(instances(kind, max_n=10))
+        got = membership_many(inst, np.arange(1 << inst.n))
+        assert got.dtype == bool
+        assert got.tolist() == _scalar_table(inst).tolist()
+
+    def test_fvs_multigraph(self):
+        # 0-1 doubled, a self-loop at 2, a triangle 3-4-5, a pendant 6, isolated 7.
+        inst = WeightedFVSInstance(
+            n=8,
+            weights=(1,) * 8,
+            edges=((0, 1), (1, 0), (2, 2), (3, 4), (4, 5), (3, 5), (5, 6)),
+        )
+        subsets = np.arange(1 << 8)
+        assert membership_many(inst, subsets).tolist() == _scalar_table(inst).tolist()
+        assert membership_many(inst, np.array([0b00010101, 0b00100110])).tolist() == [
+            True,
+            True,
+        ]
+        assert not membership_many(inst, np.array([0b11111011]))[0]  # loop at 2
+
+    def test_fvs_membership_table_matches_union_find(self):
+        cases = [random_instance("wfvs", n, 0.35, seed=n) for n in (0, 1, 5, 9, 12, 13)]
+        cases.append(
+            WeightedFVSInstance(
+                n=9, weights=(1,) * 9, edges=((0, 0), (1, 2), (1, 2), (2, 3), (3, 1), (6, 7))
+            )
+        )
+        for inst in cases:
+            table = membership_table(inst)
+            assert table.tolist() == _scalar_table(inst).tolist()
+
+    def test_out_of_range_rejected(self):
+        inst = WeightedVCInstance(n=3, weights=(1, 1, 1), edges=TRIANGLE)
+        with pytest.raises(ValueError):
+            membership_many(inst, np.array([0b111, 0b1000]))
 
 
 class TestExactOpt:
