@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import problems, weighted
-from .families import DEFAULT_CAP, ResourceCapError, subset_sums
+from .families import DEFAULT_CAP, _check_cap, subset_sums
 from .oracles import ExtensionOracleHandle
-from .problems import Instance, membership_check, membership_many
+from .problems import Instance, _check_int64, membership_check, membership_many
 
 __all__ = [
     "RunReport",
@@ -40,20 +40,6 @@ __all__ = [
 
 class OracleMismatchError(ValueError):
     """Declared oracle factor exceeds the requested target and force is off."""
-
-
-# Candidate masks and their weights are int64, which would wrap silently.
-_WORD_BITS = 63
-
-
-def _check_int64(instance: Instance) -> None:
-    if instance.n > _WORD_BITS:
-        raise ResourceCapError(
-            f"n = {instance.n} exceeds the {_WORD_BITS}-element limit of the int64 "
-            "driver arrays"
-        )
-    if sum(instance.weights) >> _WORD_BITS:
-        raise ResourceCapError("total weight exceeds the int64 range of the driver arrays")
 
 
 def _cheapest(instance: Instance, sets: np.ndarray) -> tuple[int, int]:
@@ -123,8 +109,7 @@ def approximate_membership(
     n = instance.n
     _check_int64(instance)
     if mode == "exhaustive":
-        if n > cap:
-            raise ResourceCapError(f"n = {n} exceeds enumeration cap {cap}")
+        _check_cap(n, cap)
         sets = np.arange(1 << n, dtype=np.int64)
     else:
         report = weighted.build_weighted_covering(
@@ -211,12 +196,15 @@ class RunVerdict:
 def verify_run(
     instance: Instance, report: RunReport, target_factor: float, cap: int = DEFAULT_CAP
 ) -> RunVerdict:
-    """Recompute OPT and check membership plus the ratio bound of a run.
+    """Recompute OPT and check membership, the weight and the ratio bound of a run.
 
-    Membership is checked at any n; OPT is recomputed only up to `cap`.
+    Membership and the reported weight are checked at any n; OPT is
+    recomputed only up to `cap`.
     """
     if not membership_check(instance, report.output_set):
         return RunVerdict(ok=False, reason="not a solution")
+    if problems.weight_of(instance, report.output_set) != report.output_weight:
+        return RunVerdict(ok=False, reason="weight mismatch")
     if instance.n > cap:
         return RunVerdict(ok=True, reason="opt omitted (cap exceeded)")
     _, opt = problems.exact_opt(instance, cap)

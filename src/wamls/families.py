@@ -6,6 +6,10 @@ w(T) <= alpha * w(S).  An extension family is a list of (T, ell) query pairs
 such that every S has a pair with |S \\ T| <= ell and
 w(T) + alpha * w(S \\ T) <= beta * w(S).
 
+An alpha-covering family is the (1, alpha)-extension family with every
+budget 0: then S subseteq T and w(T) + w(S \\ T) = w(T).  So one layer loop
+builds, and one exhaustive core verifies, both kinds.
+
 Constructions here are layered greedy covers, one layer per cardinality s of
 the covered set S; validity is certified by the exhaustive verifiers, which
 are deliberately independent of the construction code.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -72,6 +76,27 @@ def _mask(elems) -> int:
     return m
 
 
+def _check_entries(n: int, sets, budgets, keys: list, duplicate: str) -> None:
+    """Reject entry i when sets[i] leaves the universe, budgets[i] is out of
+    range or keys[i] repeats; the error names the first bad entry.
+
+    set(keys) hashes every key in C; the Python loop hashes keys itself only
+    when that set is short, to name the first repeat.
+    """
+    repeats = len(set(keys)) < len(keys)
+    outside = ~((1 << n) - 1)
+    seen = set()
+    for t, ell, key in zip(sets, budgets, keys):
+        if t & outside:
+            raise ValueError(f"set {t:#x} not contained in the universe")
+        if not 0 <= ell <= n:
+            raise ValueError(f"budget {ell} out of range for entry {t:#x}")
+        if repeats:
+            if key in seen:
+                raise ValueError(duplicate.format(t=t, ell=ell))
+            seen.add(key)
+
+
 @dataclass
 class CoveringFamily:
     universe_size: int
@@ -79,14 +104,9 @@ class CoveringFamily:
     sets: list[int]
 
     def __post_init__(self) -> None:
-        full = (1 << self.universe_size) - 1
-        seen = set()
-        for t in self.sets:
-            if t & ~full:
-                raise ValueError(f"set {t:#x} not contained in the universe")
-            if t in seen:
-                raise ValueError(f"duplicate set {t:#x}")
-            seen.add(t)
+        _check_entries(
+            self.universe_size, self.sets, repeat(0), self.sets, "duplicate set {t:#x}"
+        )
 
 
 @dataclass
@@ -97,16 +117,13 @@ class ExtensionFamily:
     entries: list[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        full = (1 << self.universe_size) - 1
-        seen = set()
-        for t, ell in self.entries:
-            if t & ~full:
-                raise ValueError(f"set {t:#x} not contained in the universe")
-            if not 0 <= ell <= max(self.universe_size, 0):
-                raise ValueError(f"budget {ell} out of range for entry {t:#x}")
-            if (t, ell) in seen:
-                raise ValueError(f"duplicate entry ({t:#x}, {ell})")
-            seen.add((t, ell))
+        _check_entries(
+            self.universe_size,
+            [t for t, _ in self.entries],
+            [ell for _, ell in self.entries],
+            self.entries,
+            "duplicate entry ({t:#x}, {ell})",
+        )
 
 
 @dataclass
@@ -171,36 +188,45 @@ def _greedy_layer(
     return picks
 
 
+def _layered(n: int, shape, cap: int) -> list[tuple[int, int]]:
+    """Layered greedy (T, ell) entries, deduplicated in first-pick order.
+
+    shape(s) gives layer s its target size t and budget ell.  Layer s picks
+    t-sets until every s-subset S has a pick T with |S \\ T| <= ell; a layer
+    that cannot make progress, or whose only choice is T = S, falls back to
+    the always-valid {(S, 0) : |S| = s}.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _check_cap(n, cap)
+    popcount = subset_sums([1] * n, np.uint8)
+    entries: dict[tuple[int, int], None] = {}
+    for s in range(n + 1):
+        t_size, ell = shape(s)
+        need = s - ell  # a pick T covers S iff |S & T| >= need
+        picks = None
+        if t_size >= need and not (ell == 0 and t_size == s):
+            picks = _greedy_layer(n, s, t_size, need, popcount)
+        if picks is None:
+            layer = [(u, 0) for u in np.flatnonzero(popcount == s).tolist()]
+        else:
+            layer = [(t, ell) for t in picks]
+        entries.update(dict.fromkeys(layer))
+    return list(entries)
+
+
 def build_unweighted_covering(
     n: int, alpha: float, cap: int = DEFAULT_CAP
 ) -> CoveringFamily:
     """Greedy layered alpha-covering family of {0..n-1} under uniform weights.
 
-    Layer s covers all s-subsets by sets of size min(n, floor(alpha * s)),
-    picked greedily by the number of still-uncovered s-subsets they contain.
+    The budget-0 extension family whose layer s covers all s-subsets by sets
+    of size min(n, floor(alpha * s)).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if alpha <= 1:
         raise ValueError(f"alpha must be > 1, got {alpha}")
-    _check_cap(n, cap)
-
-    popcount = subset_sums([1] * n, np.uint8)
-    sets: list[int] = []
-    seen: set[int] = set()
-    for s in range(n + 1):
-        t_size = min(n, math.floor(alpha * s))
-        if t_size == s:
-            # T = S is forced; the layer is exactly the s-subsets.
-            picks = np.flatnonzero(popcount == s).tolist()
-        else:
-            # S is a subset of T iff |S & T| = |S|.
-            picks = _greedy_layer(n, s, t_size, s, popcount)
-        for t in picks:
-            if t not in seen:
-                seen.add(t)
-                sets.append(t)
-    return CoveringFamily(universe_size=n, alpha=alpha, sets=sets)
+    entries = _layered(n, lambda s: (min(n, math.floor(alpha * s)), 0), cap)
+    return CoveringFamily(universe_size=n, alpha=alpha, sets=[t for t, _ in entries])
 
 
 def _extension_layer_shape(
@@ -230,66 +256,18 @@ def _extension_layer_shape(
 def build_unweighted_extension(
     n: int, alpha: float, c: float, beta: float, cap: int = DEFAULT_CAP
 ) -> ExtensionFamily:
-    """Greedy layered (alpha, beta)-extension family under uniform weights.
-
-    Layer s picks t-sets until every s-subset S has a pick T with
-    |S \\ T| <= ell; a layer that cannot make progress falls back to the
-    always-valid {(S, 0) : |S| = s}.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Greedy layered (alpha, beta)-extension family under uniform weights."""
     if alpha < 1 or c < 1:
         raise ValueError("alpha and c must be >= 1")
     if beta <= 1:
         raise ValueError(f"beta must be > 1, got {beta}")
-    _check_cap(n, cap)
-
-    popcount = subset_sums([1] * n, np.uint8)
-    entries: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for s in range(n + 1):
-        t_size, ell = _extension_layer_shape(n, s, alpha, beta, c)
-        need = s - ell  # a pick T covers S iff |S & T| >= need
-        picks = None
-        if t_size >= need and not (ell == 0 and t_size == s):
-            picks = _greedy_layer(n, s, t_size, need, popcount)
-        if picks is None:
-            # Layer cannot do better than listing the s-subsets themselves.
-            layer = [(u, 0) for u in np.flatnonzero(popcount == s).tolist()]
-        else:
-            layer = [(t, ell) for t in picks]
-        for entry in layer:
-            if entry not in seen:
-                seen.add(entry)
-                entries.append(entry)
+    entries = _layered(n, lambda s: _extension_layer_shape(n, s, alpha, beta, c), cap)
     return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
 
 
-def verify_covering(
-    family: CoveringFamily, weights, cap: int = DEFAULT_CAP
-) -> Verdict:
-    """Exhaustively check the covering property for every S under `weights`."""
-    n = family.universe_size
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
-    _check_cap(n, cap)
-    size = 1 << n
-    w = subset_sums(weights, np.float64)
-    masks = np.arange(size)
-    covered = np.zeros(size, dtype=bool)
-    alpha = family.alpha
-    for t in family.sets:
-        covered |= (masks & ~t == 0) & (w[t] <= alpha * w + 1e-9)
-    if covered.all():
-        return Verdict(ok=True, checked=size)
-    return Verdict(ok=False, violating_set=int(np.argmin(covered)), checked=size)
-
-
-def verify_extension(
-    family: ExtensionFamily, weights, cap: int = DEFAULT_CAP
-) -> Verdict:
-    """Exhaustively check both extension-family inequalities for every S."""
-    n = family.universe_size
+def _verify(n: int, weights, entries, alpha: float, beta: float, cap: int) -> Verdict:
+    """Exhaustive check that every S has an entry (T, ell) with |S \\ T| <= ell
+    and w(T) + alpha * w(S \\ T) <= beta * w(S)."""
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
     _check_cap(n, cap)
@@ -298,15 +276,35 @@ def verify_extension(
     pc = subset_sums([1] * n, np.uint8)
     masks = np.arange(size)
     covered = np.zeros(size, dtype=bool)
-    alpha, beta = family.alpha, family.beta
-    for t, ell in family.entries:
-        w_diff = w - w[masks & t]  # w(S \ T)
-        covered |= (pc[masks & ~t] <= ell) & (
-            w[t] + alpha * w_diff <= beta * w + 1e-9
+    for t, ell in entries:
+        inside = masks & t  # S & T
+        covered |= (pc[masks ^ inside] <= ell) & (
+            w[t] + alpha * (w - w[inside]) <= beta * w + 1e-9
         )
     if covered.all():
         return Verdict(ok=True, checked=size)
     return Verdict(ok=False, violating_set=int(np.argmin(covered)), checked=size)
+
+
+def verify_covering(
+    family: CoveringFamily, weights, cap: int = DEFAULT_CAP
+) -> Verdict:
+    """Exhaustively check the covering property for every S under `weights`.
+
+    The sets are checked as budget-0 entries with inner factor 1: for S
+    inside T, w(S) - w(S & T) is exactly 0.0.
+    """
+    entries = [(t, 0) for t in family.sets]
+    return _verify(family.universe_size, weights, entries, 1.0, family.alpha, cap)
+
+
+def verify_extension(
+    family: ExtensionFamily, weights, cap: int = DEFAULT_CAP
+) -> Verdict:
+    """Exhaustively check both extension-family inequalities for every S."""
+    return _verify(
+        family.universe_size, weights, family.entries, family.alpha, family.beta, cap
+    )
 
 
 def family_cost(family: ExtensionFamily, c: float) -> float:

@@ -34,6 +34,7 @@ from .problems import (
     WeightedHSInstance,
     WeightedPVCInstance,
     WeightedVCInstance,
+    _check_int64,
     membership_table,
 )
 
@@ -92,8 +93,9 @@ def wrap_with_ledger(
 def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> OracleFn:
     """Minimum-weight extension by exhaustive scan (alpha = 1).
 
-    Raises ResourceCapError above `cap`.
+    Raises ResourceCapError above `cap` or past the int64 weight range.
     """
+    _check_int64(instance)
     table = membership_table(instance, cap)
     n = instance.n
     subsets = np.arange(1 << n)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import DEFAULT_CAP, ResourceCapError, _mask, subset_sums
+from .families import DEFAULT_CAP, ResourceCapError, _check_cap, _mask, subset_sums
 
 __all__ = [
     "WeightedVCInstance",
@@ -267,10 +267,23 @@ def membership_many(instance: Instance, subsets: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=256)
 def membership_table(instance: Instance, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Boolean membership of every subset mask; cached per instance."""
-    n = instance.n
-    if n > cap:
-        raise ResourceCapError(f"n = {n} exceeds the exact enumeration cap {cap}")
-    return membership_many(instance, np.arange(1 << n))
+    _check_cap(instance.n, cap)
+    return membership_many(instance, np.arange(1 << instance.n))
+
+
+# Subset masks and their weights are int64 in the drivers and in the exact
+# weight tables, which would wrap silently.
+_WORD_BITS = 63
+
+
+def _check_int64(instance: Instance) -> None:
+    if instance.n > _WORD_BITS:
+        raise ResourceCapError(
+            f"n = {instance.n} exceeds the {_WORD_BITS}-element limit of the int64 "
+            "driver arrays"
+        )
+    if sum(instance.weights) >> _WORD_BITS:
+        raise ResourceCapError("total weight exceeds the int64 range of the driver arrays")
 
 
 def weight_of(instance: Instance, subset: int) -> int:
@@ -280,8 +293,10 @@ def weight_of(instance: Instance, subset: int) -> int:
 def exact_opt(instance: Instance, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     """Exhaustive minimum-weight solution; ties broken by size then mask.
 
-    Returns (subset mask, weight).  Raises ResourceCapError above `cap`.
+    Returns (subset mask, weight).  Raises ResourceCapError above `cap` or
+    past the int64 weight range.
     """
+    _check_int64(instance)
     table = membership_table(instance, cap)
     w = subset_sums(instance.weights, np.int64)
     pc = subset_sums([1] * instance.n, np.uint8)

@@ -7,6 +7,10 @@ window [k-d, k] are combined as a Cartesian product, each entry unioned with
 the cheap prefix W_k of all classes below the window.  The window width
 d = ceil((2/delta) * log2(2n/delta)) guarantees gamma^d >= 2n/delta, which is
 what makes the prefix negligible against any set touching class k.
+
+Covering families are combined as the budget-0 case: each class's covering
+sets enter as (T, 0) entries, so one routine partitions, lifts, combines and
+deduplicates for both builders.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from . import bounds, families
 from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _mask
@@ -118,8 +123,10 @@ def combine_blocks(
 # Small bounds: a solve with a fresh target factor never hits these caches,
 # so a large bound only grows the process by a few KB per solve.
 @lru_cache(maxsize=256)
-def _unweighted_covering_cached(n: int, alpha: float, cap: int) -> CoveringFamily:
-    return families.build_unweighted_covering(n, alpha, cap=cap)
+def _unweighted_covering_cached(n: int, alpha: float, cap: int) -> tuple:
+    """The covering family's sets as budget-0 entries."""
+    fam = families.build_unweighted_covering(n, alpha, cap=cap)
+    return tuple((t, 0) for t in fam.sets)
 
 
 @lru_cache(maxsize=256)
@@ -127,6 +134,28 @@ def _unweighted_extension_cached(
     n: int, alpha: float, c: float, beta: float, cap: int
 ) -> ExtensionFamily:
     return families.build_unweighted_extension(n, alpha, c, beta, cap=cap)
+
+
+def _combine_classes(weights, delta: float, zeta: float, inner, **setting):
+    """Partition by weight, lift each class's family, combine and deduplicate.
+
+    inner(m) gives the (T, ell) entries of the unweighted zeta-family on m
+    elements.  Returns the entries, in first-seen order over the occupied
+    indices, and the schedule: delta, zeta, d, gamma, the builder's
+    `setting` and each class's family size.
+    """
+    part = partition_by_weight(weights, delta)
+    per_class: dict[int, list[tuple[int, int]]] = {}
+    class_sizes: dict[int, int] = {}
+    for i in part.index_set:
+        elems = part.classes[i]
+        sub = inner(len(elems))
+        per_class[i] = [(_remap(t, elems), ell) for t, ell in sub]
+        class_sizes[i] = len(sub)
+    blocks = (combine_blocks(part, per_class, k) for k in part.index_set)
+    schedule = {"delta": delta, "inner": zeta, "d": part.d, "gamma": part.gamma}
+    schedule.update(setting, class_family_sizes=class_sizes)
+    return list(dict.fromkeys(chain.from_iterable(blocks))), schedule
 
 
 def _covering_schedule(alpha: float, n: int, mode: str) -> tuple[float, float]:
@@ -166,32 +195,14 @@ def build_weighted_covering(
         fam = CoveringFamily(universe_size=0, alpha=alpha, sets=[0])
         return WeightedFamilyReport(family=fam, schedule={"delta": 0.0, "inner": alpha})
     delta, beta = _covering_schedule(alpha, n, mode)
-    part = partition_by_weight(weights, delta)
-
-    per_class: dict[int, list[tuple[int, int]]] = {}
-    class_sizes: dict[int, int] = {}
-    for i in part.index_set:
-        elems = part.classes[i]
-        sub = _unweighted_covering_cached(len(elems), beta, cap)
-        per_class[i] = [(_remap(t, elems), 0) for t in sub.sets]
-        class_sizes[i] = len(sub.sets)
-
-    seen: set[int] = set()
-    sets: list[int] = []
-    for k in part.index_set:
-        for t, _ in combine_blocks(part, per_class, k):
-            if t not in seen:
-                seen.add(t)
-                sets.append(t)
-    fam = CoveringFamily(universe_size=n, alpha=alpha, sets=sets)
-    schedule = {
-        "delta": delta,
-        "inner": beta,
-        "d": part.d,
-        "gamma": part.gamma,
-        "mode": mode,
-        "class_family_sizes": class_sizes,
-    }
+    entries, schedule = _combine_classes(
+        weights,
+        delta,
+        beta,
+        lambda m: _unweighted_covering_cached(m, beta, cap),
+        mode=mode,
+    )
+    fam = CoveringFamily(universe_size=n, alpha=alpha, sets=[t for t, _ in entries])
     return WeightedFamilyReport(family=fam, schedule=schedule)
 
 
@@ -246,32 +257,14 @@ def build_weighted_extension(
         )
     zeta = _select_inner_beta(alpha, c, beta, eps)
     delta = beta / zeta - 1.0
-    part = partition_by_weight(weights, delta)
-
-    per_class: dict[int, list[tuple[int, int]]] = {}
-    class_sizes: dict[int, int] = {}
-    for i in part.index_set:
-        elems = part.classes[i]
-        sub = _unweighted_extension_cached(len(elems), alpha, c, zeta, cap)
-        per_class[i] = [(_remap(t, elems), ell) for t, ell in sub.entries]
-        class_sizes[i] = len(sub.entries)
-
-    seen: set[tuple[int, int]] = set()
-    entries: list[tuple[int, int]] = []
-    for k in part.index_set:
-        for entry in combine_blocks(part, per_class, k):
-            if entry not in seen:
-                seen.add(entry)
-                entries.append(entry)
+    entries, schedule = _combine_classes(
+        weights,
+        delta,
+        zeta,
+        lambda m: _unweighted_extension_cached(m, alpha, c, zeta, cap).entries,
+        eps=eps,
+    )
     fam = ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
-    schedule = {
-        "delta": delta,
-        "inner": zeta,
-        "d": part.d,
-        "gamma": part.gamma,
-        "eps": eps,
-        "class_family_sizes": class_sizes,
-    }
     return WeightedFamilyReport(
         family=fam, schedule=schedule, cost_log=families.family_cost(fam, c)
     )

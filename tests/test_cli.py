@@ -184,6 +184,20 @@ class TestSolveCommand:
         assert "ratio exceeded" in err
         assert json.loads(out)["problem"] == "wvc"
 
+    def test_tampered_weight_exit_code(self, capsys, vc_file, monkeypatch):
+        solve = driver.approximate_extension
+
+        def tampered(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            report.output_weight -= 1
+            return report
+
+        monkeypatch.setattr(driver, "approximate_extension", tampered)
+        code, out, err = run(capsys, "solve", vc_file, "--beta", "1.5")
+        assert code == 1
+        assert "weight mismatch" in err
+        assert json.loads(out)["problem"] == "wvc"
+
     def test_max_n_cap_exit_code(self, capsys, vc_file):
         code, _, err = run(capsys, "solve", vc_file, "--beta", "1.5", "--max-n", "4")
         assert code == 3

@@ -245,6 +245,17 @@ class TestVerifyRun:
         assert not verdict.ok
         assert verdict.reason == "ratio exceeded"
 
+    def test_doctored_weight(self):
+        inst = random_instance("wvc", 6, 0.5, seed=2)
+        report = approximate_extension(inst, oracle_for(inst, "exact"), 1.5)
+        assert verify_run(inst, report, 1.5).ok
+        report.output_weight -= 1
+        verdict = verify_run(inst, report, 1.5)
+        assert not verdict.ok
+        assert verdict.reason == "weight mismatch"
+        # The weight is checked above the OPT cap too.
+        assert verify_run(inst, report, 1.5, cap=4).reason == "weight mismatch"
+
     def test_cap_exceeded_skips_opt(self):
         inst = random_instance("wvc", 8, 0.3, seed=3)
         report = approximate_extension(inst, oracle_for(inst, "exact"), 1.5)

@@ -263,6 +263,67 @@ class TestVerifiers:
             verify_covering(fam, [1] * 22, cap=20)
 
 
+def _reference_verdict(n, weights, entries, holds):
+    """(ok, violating_set, checked) of a plain scan over every subset S;
+    holds(S, T, ell, w) gets w as a Python float subset-weight function."""
+
+    def w(mask):
+        total = 0.0
+        for i in range(n):
+            if mask >> i & 1:
+                total = total + weights[i]
+        return total
+
+    for s in range(1 << n):
+        if not any(holds(s, t, ell, w) for t, ell in entries):
+            return False, s, 1 << n
+    return True, None, 1 << n
+
+
+@st.composite
+def thinned_families(draw):
+    """A built family under random weights, with up to 3 entries dropped."""
+    n = draw(st.integers(0, 7))
+    top = draw(st.sampled_from([1, 3, 50]))
+    weights = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    beta = draw(st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+    if draw(st.booleans()):
+        fam = build_unweighted_covering(n, beta)
+        entries = fam.sets
+    else:
+        alpha = draw(st.sampled_from([1.0, 1.5, 2.0]))
+        fam = build_unweighted_extension(n, alpha, 2.0, beta)
+        entries = fam.entries
+    drop = draw(st.sets(st.integers(0, len(entries) - 1), max_size=3))
+    for i in sorted(drop, reverse=True):
+        del entries[i]
+    return fam, weights
+
+
+class TestVerifierReference:
+    """Both verifiers agree with a per-subset Python scan, failures included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=thinned_families())
+    def test_matches_subset_scan(self, case):
+        fam, weights = case
+        n = fam.universe_size
+        if isinstance(fam, CoveringFamily):
+            got = verify_covering(fam, weights)
+            want = _reference_verdict(
+                n, weights, [(t, 0) for t in fam.sets],
+                lambda s, t, ell, w: s & ~t == 0 and w(t) <= fam.alpha * w(s) + 1e-9,
+            )
+        else:
+            got = verify_extension(fam, weights)
+            want = _reference_verdict(
+                n, weights, fam.entries,
+                lambda s, t, ell, w: (s & ~t).bit_count() <= ell
+                and w(t) + fam.alpha * (w(s) - w(s & t)) <= fam.beta * w(s) + 1e-9,
+            )
+        assert (got.ok, got.violating_set, got.checked) == want
+
+
 class TestFamilyCost:
     def test_single_zero_budget_entry(self):
         fam = ExtensionFamily(universe_size=1, alpha=1.0, beta=1.5, entries=[(0, 0)])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wamls.families import ResourceCapError
+from wamls.oracles import exact_extension_oracle
 from wamls.problems import (
     ParseError,
     WeightedFVSInstance,
@@ -168,6 +169,18 @@ class TestExactOpt:
         inst = WeightedVCInstance(n=8, weights=(1,) * 8, edges=((0, 1),))
         with pytest.raises(ResourceCapError):
             exact_opt(inst, cap=6)
+
+    def test_int64_weight_guard(self):
+        # Subset weights of 2^63 would wrap the int64 weight table, so OPT
+        # and the exact oracle's answers would be wrong.
+        inst = WeightedVCInstance(n=2, weights=(1 << 62, 1 << 62), edges=((0, 1),))
+        with pytest.raises(ResourceCapError, match="total weight"):
+            exact_opt(inst)
+        with pytest.raises(ResourceCapError, match="total weight"):
+            exact_extension_oracle(inst)
+        fits = WeightedVCInstance(n=2, weights=(1 << 62, (1 << 62) - 1), edges=((0, 1),))
+        assert exact_opt(fits) == (0b10, (1 << 62) - 1)
+        assert exact_extension_oracle(fits)(0, 2) == 0b10
 
 
 class TestParsing:

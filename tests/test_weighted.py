@@ -1,13 +1,15 @@
 """Tests for weight-class rounding and the weighted family constructions."""
 
 import math
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wamls.families import verify_covering, verify_extension
+from wamls.families import dump_family, verify_covering, verify_extension
 from wamls.weighted import (
     build_weighted_covering,
     build_weighted_extension,
@@ -190,3 +192,45 @@ class TestWeightedExtension:
             build_weighted_extension([1], 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             build_weighted_extension([1], 1.0, 1.0, 1.5, eps=0.0)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_WEIGHT_RANGES = [3, 100, 10**6]
+GOLDEN_COVERING_ALPHAS = [1.5, 2.0]
+GOLDEN_EXTENSION_PARAMS = [(1.0, 2.0, 1.5), (1.5, 3.0, 2.0)]
+
+
+def _golden_weighted_blocks():
+    """dump_family of every golden build, its schedule (and cost_log) in the
+    comment line: seeded weights from 1..hi for each n in 0..10."""
+    blocks = []
+    for hi in GOLDEN_WEIGHT_RANGES:
+        for n in range(11):
+            rng = random.Random(100 * hi + n)
+            weights = [rng.randint(1, hi) for _ in range(n)]
+            reps = [
+                build_weighted_covering(weights, alpha, mode=mode)
+                for alpha in GOLDEN_COVERING_ALPHAS
+                for mode in ("fixed", "schedule")
+            ]
+            reps += [
+                build_weighted_extension(weights, alpha, c, beta)
+                for alpha, c, beta in GOLDEN_EXTENSION_PARAMS
+            ]
+            for rep in reps:
+                info = [f"{k}={v!r}" for k, v in rep.schedule.items()]
+                if rep.cost_log is not None:
+                    info.append(f"cost_log={rep.cost_log!r}")
+                blocks.append(dump_family(rep.family, schedule=" ".join(info)))
+    return blocks
+
+
+class TestWeightedGolden:
+    """tests/data/golden_weighted.txt was written before covering families
+    were built as budget-0 extension families; it pins the class combination,
+    its dedupe order and every schedule value."""
+
+    def test_golden_dumps(self):
+        text = (DATA / "golden_weighted.txt").read_text()
+        golden = [b for b in re.split(r"(?m)^(?=family )", text) if b]
+        assert _golden_weighted_blocks() == golden
