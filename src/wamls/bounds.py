@@ -16,6 +16,12 @@ Everything in g that depends on kappa alone is computed once per kappa by one
 kernel, ``_g_at``, which ``g_value``, ``g_star`` and ``shape_check`` all go
 through; its results are bit-identical to evaluating the formula anew at every
 (kappa, tau).
+
+Callers that only need a decision use a coarse search with a certificate
+instead: ``_coarse_amls`` bounds the base from both sides by secants of the
+convex (in tau) and concave (in kappa) levels, and ``_coarse_g_star`` returns a
+bracket that holds ``g_star``'s minimizer, because golden-section search at a
+smaller tolerance repeats the same steps and keeps going.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ __all__ = [
 _CLAMP_TOL = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Tolerance of the coarse saddle-point search, on both levels.
+_COARSE_TOL = 1e-4
 
 
 class BoundDomainError(ValueError):
@@ -194,15 +203,13 @@ def g_value(alpha: float, beta: float, c: float, kappa: float, tau: float) -> fl
     return _g_at(alpha, beta, c, kappa)[1](tau)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
-    """Minimize a convex f on [lo, hi]; returns (min value, argmin, value spread).
+def _golden_bracket(f, lo: float, hi: float, tol: float):
+    """Golden-section steps on a convex f until [lo, hi] is at most tol wide.
 
-    The spread is the largest difference between evaluations inside the final
-    bracket, an honest certificate of the remaining value uncertainty.
+    Returns the final bracket and its two probes, (lo, hi, (x1, f1), (x2, f2)),
+    with x1 < x2.  The steps do not depend on tol, so a smaller tol repeats
+    them and keeps going: its brackets nest inside this one.
     """
-    if hi - lo <= tol:
-        x = 0.5 * (lo + hi)
-        return f(x), x, 0.0
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
@@ -215,10 +222,34 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, floa
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = f(x2)
+    return lo, hi, (x1, f1), (x2, f2)
+
+
+def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
+    """Minimize a convex f on [lo, hi]; returns (min value, argmin, value spread).
+
+    The spread is the largest difference between evaluations inside the final
+    bracket, an honest certificate of the remaining value uncertainty.
+    """
+    if hi - lo <= tol:
+        x = 0.5 * (lo + hi)
+        return f(x), x, 0.0
+    lo, hi, (x1, f1), (x2, f2) = _golden_bracket(f, lo, hi, tol)
     x = 0.5 * (lo + hi)
     fx = f(x)
     best = min(f1, f2, fx)
     return best, x if fx == best else (x1 if f1 == best else x2), abs(max(f1, f2, fx) - best)
+
+
+def _inner(alpha: float, beta: float, c: float, kappa: float):
+    """(g, lo, hi): the inner objective at kappa and its feasible tau interval."""
+    lo, g = _g_at(alpha, beta, c, kappa)
+    hi = beta * kappa
+    if hi < lo - _CLAMP_TOL:
+        raise RuntimeError(
+            f"feasible tau interval collapsed: [{lo}, {hi}] at kappa = {kappa}"
+        )
+    return g, lo, max(hi, lo)
 
 
 def g_star(
@@ -228,16 +259,93 @@ def g_star(
 
     Golden-section search, justified by convexity of g in tau.
     """
-    lo, g = _g_at(alpha, beta, c, kappa)
-    hi = beta * kappa
-    if hi < lo - _CLAMP_TOL:
-        raise RuntimeError(
-            f"feasible tau interval collapsed: [{lo}, {hi}] at kappa = {kappa}"
-        )
-    hi = max(hi, lo)
+    g, lo, hi = _inner(alpha, beta, c, kappa)
     tol = max(1e-13, min(precision * 1e-2, 1e-6))
     value, tau, _ = _golden_min(g, lo, hi, tol)
     return value, tau
+
+
+def _coarse_search(f, lo: float, hi: float):
+    """Golden-section search for the minimum of a convex f, stopped at _COARSE_TOL.
+
+    Returns the final bracket (lo, hi) and three points (x, f(x)) in it, in
+    increasing x: the bracket's two probes and its midpoint, or the ends and
+    the midpoint when [lo, hi] is no wider than _COARSE_TOL.  A search with a
+    finer tolerance, as in g_star, takes the same steps for longer, so its
+    argmin lies in this bracket.
+    """
+    if hi - lo > _COARSE_TOL:
+        lo, hi, p1, p2 = _golden_bracket(f, lo, hi, _COARSE_TOL)
+    else:
+        p1, p2 = (lo, f(lo)), (hi, f(hi))
+    mid = 0.5 * (lo + hi)
+    return lo, hi, (p1, (mid, f(mid)), p2)
+
+
+def _coarse_g_star(alpha: float, beta: float, c: float, kappa: float):
+    """``_coarse_search`` of g over the feasible tau interval at kappa."""
+    return _coarse_search(*_inner(alpha, beta, c, kappa))
+
+
+def _convex_floor(lo: float, hi: float, pts, errs=(0.0, 0.0, 0.0)) -> float:
+    """Lower bound on the minimum over [lo, hi] of a convex f known at three points.
+
+    pts are (a, va), (m, vm), (b, vb) with lo <= a < m < b <= hi, and each
+    f(x) lies in [v, v + err] for its entry of errs.  On each of the four
+    gaps, f lies above the secant through the two points on one side,
+    extended across the gap; the errors make each secant as steep as they
+    allow.  -inf when the points coincide.
+    """
+    (a, fa), (m, fm), (b, fb) = pts
+    ea, em, eb = errs
+    if lo == hi:
+        return fm
+    if not a < m < b:
+        return -math.inf
+    left, right = m - a, b - m
+    return min(
+        fa - (a - lo) * max(0.0, fm + em - fa) / left,
+        fm - left * max(0.0, fb + eb - fm) / right,
+        fm - right * max(0.0, fa + ea - fm) / left,
+        fb - (hi - b) * max(0.0, fm + em - fb) / right,
+    )
+
+
+def _coarse_amls(alpha: float, c: float, beta: float) -> tuple[float, float]:
+    """amls(alpha, c, beta) from a search to _COARSE_TOL on both levels: (value, err).
+
+    The exact base lies within err of value when g is convex in tau and its
+    minimum G concave in kappa, by secant bounds:
+
+    - A golden step on a convex f discards a region beyond the secant
+      through its two probes, at most phi times their distance away, so f
+      there stays above the kept probe's value less phi times its error.
+      Within the final bracket, ``_convex_floor`` bounds the minimum.
+    - At each outer probe the inner search's least value is an upper bound
+      on G and the floor of its bracket a lower bound (inner values are
+      exact, so no discarded region goes below the kept probe).
+    - The outer search runs on -G, known within those bounds, so G stays
+      below the best probe plus 2 e (e the widest bound gap) wherever a
+      step discarded, and below the secants of the final bracket within it.
+    - kappa = 0 gives g = 0, a lower bound on the maximum.
+    """
+    probes: dict[float, tuple[float, float]] = {}  # kappa -> (upper, lower) on G
+
+    def neg_inner(kappa: float) -> float:
+        lo, hi, pts = _coarse_g_star(alpha, beta, c, kappa)
+        upper = min(v for _, v in pts)
+        probes[kappa] = (upper, _convex_floor(lo, hi, pts))
+        return -upper
+
+    lo, hi, pts = _coarse_search(neg_inner, 0.0, 1.0 / beta)
+    best = -min(v for _, v in pts)
+    errs = [probes[k][0] - probes[k][1] for k, _ in pts]
+    discarded = best + 2.0 * max(u - l for u, l in probes.values())
+    top = max(-_convex_floor(lo, hi, pts, errs), discarded, 0.0)
+    bottom = max(0.0, *(l for _, l in probes.values()))
+    value = math.exp(max(best, 0.0))
+    above = math.exp(top) - value if top < 709.0 else math.inf  # exp overflows past 709.78
+    return value, max(above, value - math.exp(bottom))
 
 
 def amls_bound(params: BoundParams) -> SaddlePoint:

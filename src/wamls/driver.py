@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +37,10 @@ __all__ = [
     "approximate_extension",
     "verify_run",
 ]
+
+
+# Absolute slack of the ratio test in verify_run.
+_RATIO_SLACK = Fraction(1e-9)
 
 
 class OracleMismatchError(ValueError):
@@ -214,7 +219,8 @@ def verify_run(
         ratio = report.output_weight / opt
     report.opt_weight = opt
     report.achieved_ratio = ratio
-    if report.output_weight > target_factor * opt + 1e-9:
+    # Exact rationals: a float product loses the low bits of weights above 2^53.
+    if report.output_weight > Fraction(target_factor) * opt + _RATIO_SLACK:
         return RunVerdict(
             ok=False, reason="ratio exceeded", opt_weight=opt, achieved_ratio=ratio
         )

@@ -239,13 +239,19 @@ def _extension_layer_shape(
     inequality hold by construction for any S the layer covers.  It is
     capped at n, the largest budget an entry may carry: a smaller budget
     covers fewer S and keeps the inequality for those it covers.
+
+    t = round(tau* n) is read off a coarse bracket that holds g_star's tau*
+    when both ends round alike; only otherwise does g_star search on.
     """
     if s == 0:
         return 0, 0
     kappa = s / n
     if kappa <= 1.0 / beta:
-        _, tau = bounds.g_star(alpha, beta, c, kappa)
-        t = round(tau * n)
+        lo, hi, _ = bounds._coarse_g_star(alpha, beta, c, kappa)
+        t = round(lo * n)
+        if round(hi * n) != t:
+            _, tau = bounds.g_star(alpha, beta, c, kappa)
+            t = round(tau * n)
     else:
         t = s
     t = max(0, min(t, math.floor(beta * s), n))

@@ -206,32 +206,50 @@ def build_weighted_covering(
     return WeightedFamilyReport(family=fam, schedule=schedule)
 
 
+# Slack of a coarse decision for the full-precision values' own error.
+_TIE = 2 * bounds.BoundParams.precision
+
+
+def _amls(alpha: float, c: float, beta: float) -> float:
+    return bounds.amls_bound(bounds.BoundParams(alpha=alpha, c=c, beta=beta)).value
+
+
+@lru_cache(maxsize=4096)
 def _select_inner_beta(alpha: float, c: float, beta: float, eps: float) -> float:
     """Inner target zeta' in (1, beta) with amls within eps/2 of the target bound.
 
     Probes zeta'_j = 1 + (beta - 1) * 2^-j walk geometrically from beta toward
     1; the deepest probe still within eps/2 (and leaving delta = beta/zeta' - 1
     below 1) wins, since a deeper probe means a wider rounding slack and a
-    narrower combination window.  Falls back to the midpoint (1 + beta)/2.
+    narrower combination window.  The fallback, when no probe is within eps/2,
+    is the first probe, the midpoint (1 + beta)/2.
+
+    Each test amls(zeta'_j) <= amls(beta) + eps/2 is settled from coarse
+    values when their margin exceeds both certificates plus _TIE; nearer a
+    tie, the full-precision values decide it, so the choice is the one they
+    alone would make.
     """
-    target = _amls_cached(alpha, c, beta) + eps / 2.0
+    base, base_err = bounds._coarse_amls(alpha, c, beta)
+
+    def within(zeta: float) -> bool:
+        value, err = bounds._coarse_amls(alpha, c, zeta)
+        margin = base + eps / 2.0 - value
+        if abs(margin) > base_err + err + _TIE:
+            return margin > 0
+        return _amls(alpha, c, zeta) <= _amls(alpha, c, beta) + eps / 2.0
+
     chosen = None
     for j in range(1, 21):
         zeta = 1.0 + (beta - 1.0) * 2.0**-j
         if zeta <= beta / 2.0 or zeta <= 1.0:
             break
-        if _amls_cached(alpha, c, zeta) <= target:
+        if within(zeta):
             chosen = zeta
         else:
             break
     if chosen is None:
         chosen = (1.0 + beta) / 2.0
     return chosen
-
-
-@lru_cache(maxsize=65536)
-def _amls_cached(alpha: float, c: float, beta: float) -> float:
-    return bounds.amls_bound(bounds.BoundParams(alpha=alpha, c=c, beta=beta)).value
 
 
 def build_weighted_extension(

@@ -245,6 +245,48 @@ class TestVerifyRun:
         assert not verdict.ok
         assert verdict.reason == "ratio exceeded"
 
+    @staticmethod
+    def _edge_run(weights, output_set):
+        """An n = 2 vertex cover of one edge and a report that outputs output_set."""
+        inst = WeightedVCInstance(n=2, weights=weights, edges=((0, 1),))
+        report = RunReport(
+            problem="wvc",
+            n=2,
+            alpha=1.0,
+            c=2.0,
+            beta=1.5,
+            eps=0.05,
+            output_set=output_set,
+            output_weight=weight_of(inst, output_set),
+            family_size=1,
+            cost_log=0.0,
+        )
+        return inst, report
+
+    def test_ratio_exact_above_two_to_the_53(self):
+        # OPT = 2^61 + 1 and 1.5 * OPT = 3 * 2^60 + 1.5: the output 3 * 2^60 + 1
+        # is within the ratio, though a float product rounds the bound to 3 * 2^60.
+        inst, report = self._edge_run((2**61 + 1, 3 * 2**60 + 1), 0b10)
+        verdict = verify_run(inst, report, 1.5)
+        assert verdict.ok, verdict.reason
+        assert verdict.opt_weight == 2**61 + 1
+
+    def test_ratio_one_unit_over_at_two_to_the_61(self):
+        # OPT = 2^61 and 1.5 * OPT = 3 * 2^60 exactly; one unit more exceeds it.
+        inst, report = self._edge_run((2**61, 3 * 2**60 + 1), 0b10)
+        verdict = verify_run(inst, report, 1.5)
+        assert not verdict.ok
+        assert verdict.reason == "ratio exceeded"
+        inst, report = self._edge_run((2**61, 3 * 2**60), 0b10)
+        assert verify_run(inst, report, 1.5).ok
+
+    def test_ratio_keeps_absolute_slack(self):
+        # Fraction(1.2) * 5 is just below 6; the 1e-9 slack keeps this run passing.
+        inst, report = self._edge_run((5, 6), 0b10)
+        assert verify_run(inst, report, 1.2).ok
+        inst, report = self._edge_run((5, 7), 0b10)
+        assert verify_run(inst, report, 1.2).reason == "ratio exceeded"
+
     def test_doctored_weight(self):
         inst = random_instance("wvc", 6, 0.5, seed=2)
         report = approximate_extension(inst, oracle_for(inst, "exact"), 1.5)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wamls import families
+from wamls import bounds, families
 from wamls.families import (
     CoveringFamily,
     ExtensionFamily,
@@ -177,6 +177,58 @@ class TestGreedyKernel:
         with mock.patch.object(families, "_CHUNK_PAIRS", 7):
             small = dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
         assert small == dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
+
+
+def _full_layer_shape(n, s, alpha, beta, c):
+    """(t, ell) of layer s from g_star's full-precision tau alone."""
+    if s == 0:
+        return 0, 0
+    kappa = s / n
+    if kappa <= 1.0 / beta:
+        _, tau = bounds.g_star(alpha, beta, c, kappa)
+        t = round(tau * n)
+    else:
+        t = s
+    t = max(0, min(t, math.floor(beta * s), n))
+    return t, min(math.floor((beta * s - t) / alpha), n)
+
+
+class TestLayerShape:
+    """Layer sizes are read off a coarse tau bracket when its ends round alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        alpha=st.floats(1.0, 4.0),
+        c=st.floats(1.0, 8.0),
+        beta=st.one_of(st.floats(1.000001, 3.0), st.sampled_from([1.15, 1.2, 1.5])),
+    )
+    def test_matches_full_search(self, n, alpha, c, beta):
+        for s in range(n + 1):
+            kappa = s / n
+            if 0 < kappa <= 1.0 / beta:
+                lo, hi, _ = bounds._coarse_g_star(alpha, beta, c, kappa)
+                _, tau = bounds.g_star(alpha, beta, c, kappa)
+                assert lo <= tau <= hi
+            want = _full_layer_shape(n, s, alpha, beta, c)
+            assert families._extension_layer_shape(n, s, alpha, beta, c) == want
+
+    def test_ambiguous_rounding_searches_on(self):
+        # At (alpha, c, beta) = (1, 1, 1.15), n = 5, s = 2 the bracket spans
+        # tau * n = 0.5: its ends round to 0 and 1, and g_star's tau gives 1.
+        n, s, alpha, c, beta = 5, 2, 1.0, 1.0, 1.15
+        lo, hi, _ = bounds._coarse_g_star(alpha, beta, c, s / n)
+        assert (round(lo * n), round(hi * n)) == (0, 1)
+        with mock.patch.object(bounds, "g_star", wraps=bounds.g_star) as full:
+            shape = families._extension_layer_shape(n, s, alpha, beta, c)
+        assert full.call_count == 1
+        assert shape == _full_layer_shape(n, s, alpha, beta, c) == (1, 1)
+
+    def test_decided_rounding_skips_full_search(self):
+        with mock.patch.object(bounds, "g_star", wraps=bounds.g_star) as full:
+            shape = families._extension_layer_shape(10, 4, 1.0, 1.5, 2.0)
+        assert full.call_count == 0
+        assert shape == _full_layer_shape(10, 4, 1.0, 1.5, 2.0)
 
 
 class TestSubsetSums:

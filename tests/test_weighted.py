@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wamls import bounds, weighted
 from wamls.families import dump_family, verify_covering, verify_extension
 from wamls.weighted import (
     build_weighted_covering,
@@ -192,6 +193,99 @@ class TestWeightedExtension:
             build_weighted_extension([1], 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             build_weighted_extension([1], 1.0, 1.0, 1.5, eps=0.0)
+
+
+_AMLS_BOUND = bounds.amls_bound  # unpatched, for the reference selection
+
+
+def _fine_amls(alpha, c, beta):
+    return _AMLS_BOUND(bounds.BoundParams(alpha=alpha, c=c, beta=beta)).value
+
+
+def _reference_inner_beta(alpha, c, beta, eps):
+    """The inner target chosen from full-precision amls_bound values alone."""
+    target = _fine_amls(alpha, c, beta) + eps / 2.0
+    chosen = None
+    for j in range(1, 21):
+        zeta = 1.0 + (beta - 1.0) * 2.0**-j
+        if zeta <= beta / 2.0 or zeta <= 1.0:
+            break
+        if _fine_amls(alpha, c, zeta) <= target:
+            chosen = zeta
+        else:
+            break
+    return (1.0 + beta) / 2.0 if chosen is None else chosen
+
+
+# (alpha, c) the oracles declare: exact, branching on d = 2 and 3, local ratio.
+ORACLE_FACTORS = [(1.0, 2.0), (1.0, 3.0), (2.0, 1.0), (3.0, 1.0)]
+
+
+def _selection_cases():
+    """1000 (alpha, c, beta, eps): the weighted-mix grid (beta in 1.2, 1.5,
+    1.9) and a unit-fresh grid of betas in [1.2, 1.9] for the oracles'
+    factors, then seeded draws with beta down to 1 + 1e-6."""
+    cases = []
+    for alpha, c in ORACLE_FACTORS:
+        cases += [(alpha, c, beta, 0.05) for beta in (1.2, 1.5, 1.9)]
+        cases += [(alpha, c, 1.2 + 0.7 * i / 40, 0.05) for i in range(41)]
+    rng = random.Random(8)
+    while len(cases) < 1000:
+        alpha = rng.choice([1.0, 2.0, 3.0, rng.uniform(1.0, 4.0)])
+        c = rng.choice([1.0, 2.0, 3.0, rng.uniform(1.0, 8.0)])
+        if rng.random() < 0.1:
+            beta = 1.0 + 10 ** rng.uniform(-6.0, -2.0)
+        else:
+            beta = rng.uniform(1.01, 2.5)
+        eps = rng.choice([0.05, 0.05, 0.05, rng.uniform(1e-3, 0.2)])
+        cases.append((alpha, c, beta, eps))
+    return cases
+
+
+class TestInnerBetaSelection:
+    """Coarse certificates settle the selection unless a test is near a tie."""
+
+    def test_matches_fine_only_reference(self):
+        weighted._select_inner_beta.cache_clear()
+        for alpha, c, beta, eps in _selection_cases():
+            want = _reference_inner_beta(alpha, c, beta, eps)
+            assert weighted._select_inner_beta(alpha, c, beta, eps) == want, (alpha, c, beta, eps)
+
+    def test_near_tie_refines(self, monkeypatch):
+        # eps puts the second probe, zeta = 1.125, on the edge of the test
+        # amls(zeta) <= amls(beta) + eps/2; the first probe, 1.25, clears it.
+        alpha, c, beta = 1.0, 2.0, 1.5
+        tie = _fine_amls(alpha, c, 1.125)
+        eps = 2.0 * (tie - _fine_amls(alpha, c, beta))
+        calls = []
+
+        def counting(params):
+            calls.append(params.beta)
+            return _AMLS_BOUND(params)
+
+        monkeypatch.setattr(bounds, "amls_bound", counting)
+        chosen = {}
+        for k in (-4, -1, 0, 1, 4):
+            e = eps + k * math.ulp(tie)
+            weighted._select_inner_beta.cache_clear()
+            calls.clear()
+            chosen[k] = weighted._select_inner_beta(alpha, c, beta, e)
+            assert 1.125 in calls  # the full-precision values decided the tie
+            assert chosen[k] == _reference_inner_beta(alpha, c, beta, e)
+        assert chosen[-4] == 1.25 and chosen[4] == 1.125
+
+    def test_clear_margin_needs_no_full_precision(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bounds, "amls_bound", lambda p: calls.append(p) or _AMLS_BOUND(p))
+        weighted._select_inner_beta.cache_clear()
+        assert weighted._select_inner_beta(1.0, 2.0, 1.5, 0.05) == 1.25
+        assert calls == []
+
+    def test_selection_is_cached(self, monkeypatch):
+        weighted._select_inner_beta.cache_clear()
+        weighted._select_inner_beta(1.0, 2.0, 1.7, 0.05)
+        monkeypatch.setattr(bounds, "_coarse_amls", None)  # a second search would fail
+        assert weighted._select_inner_beta(1.0, 2.0, 1.7, 0.05) == 1.35
 
 
 DATA = pathlib.Path(__file__).parent / "data"
