@@ -9,11 +9,11 @@ equals the family cost exactly.
 Both drivers collect their candidates into one int64 array, so they refuse
 n > 63 and total weights of 2^63 or more.  They check and rank the array in
 one pass: problems.membership_many tests every candidate, and a lexsort over
-per-byte weight and popcount tables picks the weight -> cardinality ->
-bitmask minimum.  The extension driver's oracle
-contract check thus runs after the last query: when it names the first
-output in family order that is not a solution, every entry has already been
-queried.
+the weights and sizes of problems.weigh_many picks the weight ->
+cardinality -> bitmask minimum.  The exhaustive membership driver reads the
+cached problems.membership_table instead.  The extension driver's oracle
+contract check runs after the last query: when it names the first output in
+family order that is not a solution, every entry has already been queried.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import problems, weighted
-from .families import DEFAULT_CAP, _check_cap, subset_sums
+from .families import DEFAULT_CAP
 from .oracles import ExtensionOracleHandle
 from .problems import Instance, _check_int64, membership_check, membership_many
+from .problems import membership_table, weigh_many
 
 __all__ = [
     "RunReport",
@@ -49,13 +50,7 @@ class OracleMismatchError(ValueError):
 
 def _cheapest(instance: Instance, sets: np.ndarray) -> tuple[int, int]:
     """(mask, weight) of the weight -> cardinality -> bitmask minimum of `sets`."""
-    weight = np.zeros(sets.size, dtype=np.int64)
-    size = np.zeros(sets.size, dtype=np.int64)
-    popcount = subset_sums([1] * 8, np.int64)
-    for lo in range(0, instance.n, 8):
-        octet = sets >> lo & 0xFF
-        weight += subset_sums(instance.weights[lo : lo + 8], np.int64)[octet]
-        size += popcount[octet]
+    weight, size = weigh_many(instance, sets)
     best = np.lexsort((sets, size, weight))[0]
     return int(sets[best]), int(weight[best])
 
@@ -111,22 +106,21 @@ def approximate_membership(
     mode "exhaustive" scans all 2^n subsets (the exact degenerate case);
     "fixed"/"schedule" select the weight-rounding split accordingly.
     """
-    n = instance.n
     _check_int64(instance)
     if mode == "exhaustive":
-        _check_cap(n, cap)
-        sets = np.arange(1 << n, dtype=np.int64)
+        ok = membership_table(instance, cap)
+        family_size, solutions = ok.size, np.flatnonzero(ok)
     else:
         report = weighted.build_weighted_covering(
             list(instance.weights), alpha, mode=mode, cap=cap
         )
         sets = np.array(report.family.sets, dtype=np.int64)
-    family_size = sets.size
+        family_size, solutions = sets.size, sets[membership_many(instance, sets)]
     # U is in every covering family and every system, so a solution exists.
-    best, best_weight = _cheapest(instance, sets[membership_many(instance, sets)])
+    best, best_weight = _cheapest(instance, solutions)
     return RunReport(
         problem=instance.kind,
-        n=n,
+        n=instance.n,
         alpha=alpha,
         c=None,
         beta=None,

@@ -330,20 +330,25 @@ def log_cost(entries, c: float) -> float:
     return m + math.log(sum(math.exp(t - m) for t in terms))
 
 
+def _factor(x: float) -> str:
+    """x as {:g} when that reads back as x, else its round-tripping repr."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
 def dump_family(
     family: CoveringFamily | ExtensionFamily, schedule: str | None = None
 ) -> str:
     """Line-oriented dump: header, optional schedule comment, one entry per line."""
     lines = []
     if isinstance(family, CoveringFamily):
-        lines.append(f"family covering n={family.universe_size} alpha={family.alpha:g}")
+        lines.append(f"family covering n={family.universe_size} alpha={_factor(family.alpha)}")
         if schedule:
             lines.append(f"# schedule {schedule}")
         lines.extend(f"{t:#x}" for t in family.sets)
     else:
         lines.append(
             f"family extension n={family.universe_size} "
-            f"alpha={family.alpha:g} beta={family.beta:g}"
+            f"alpha={_factor(family.alpha)} beta={_factor(family.beta)}"
         )
         if schedule:
             lines.append(f"# schedule {schedule}")
@@ -361,16 +366,15 @@ def parse_family(text: str) -> CoveringFamily | ExtensionFamily:
         raise ValueError(f"bad family header: {lines[0]!r}")
     kind = head[1]
     kv = dict(part.split("=", 1) for part in head[2:])
-    n = int(kv["n"])
-    alpha = float(kv["alpha"])
+    try:
+        n, alpha = int(kv["n"]), float(kv["alpha"])
+        beta = float(kv["beta"]) if kind == "extension" else None
+    except KeyError as exc:
+        raise ValueError(f"family header lacks {exc.args[0]}=: {lines[0]!r}") from None
     if kind == "covering":
         sets = [int(ln, 16) for ln in lines[1:]]
         return CoveringFamily(universe_size=n, alpha=alpha, sets=sets)
     if kind == "extension":
-        beta = float(kv["beta"])
-        entries = []
-        for ln in lines[1:]:
-            t_str, ell_str = ln.split()
-            entries.append((int(t_str, 16), int(ell_str)))
+        entries = [(int(t, 16), int(ell)) for t, ell in map(str.split, lines[1:])]
         return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
     raise ValueError(f"unknown family kind {kind!r}")

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import DEFAULT_CAP, _mask, log_cost, subset_sums
+from .families import DEFAULT_CAP, _mask, log_cost
 from .problems import (
     Instance,
     WeightedFVSInstance,
@@ -36,6 +36,7 @@ from .problems import (
     WeightedVCInstance,
     _check_int64,
     membership_table,
+    weigh_many,
 )
 
 __all__ = [
@@ -99,8 +100,7 @@ def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> Oracle
     table = membership_table(instance, cap)
     n = instance.n
     subsets = np.arange(1 << n)
-    w = subset_sums(instance.weights, np.int64)
-    pc = subset_sums([1] * n, np.uint8)
+    w, pc = weigh_many(instance, subsets)
     full = (1 << n) - 1
 
     def extend(subset: int, ell: int) -> int:

@@ -4,14 +4,18 @@ Each instance exposes a monotone membership predicate over vertex subsets
 (bitmask encoded) and an exhaustive exact optimizer used as the test oracle.
 Partial Vertex Cover ships as a membership predicate only.
 
-Vertex Cover is served as 2-Hitting Set: VC, HS and PVC instances store
-their edges or sets once as int constraint masks, and S hits a constraint
-m iff S & m.  The scalar FVS check runs union-find.
+Each instance fact is stated once.  _SCHEMA gives every kind its class,
+constraint field and header numbers, for both parse_instance and
+emit_instance.  All kinds share one weights check, and VC, PVC and FVS one
+edge normaliser.  VC, HS and PVC store their constraints once as int masks,
+and S hits a constraint m iff S & m, so Vertex Cover is 2-Hitting Set.
 
-membership_many is the same predicate over an int64 array of masks (so
-n <= 63): one `arr & m != 0` test per constraint mask, and for FVS a forest
-peel that shares no code with the oracles' 2-core peel.  membership_check
-stays the independent scalar reference.
+membership_many is the predicate over an int64 array of masks (so n <= 63):
+one `arr & m != 0` test per constraint mask, and for FVS a forest peel that
+shares no code with the oracles' 2-core peel; membership_table caches it over
+all 2^n masks.  weigh_many is the one kernel that weighs and counts masks.
+membership_check (union-find for FVS) and weight_of stay the independent
+scalar references.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "membership_table",
     "exact_opt",
     "weight_of",
+    "weigh_many",
     "parse_instance",
     "emit_instance",
     "random_instance",
@@ -49,10 +54,29 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _validate_weights(weights) -> None:
-    for w in weights:
+def _check_weights(instance) -> None:
+    for w in instance.weights:
         if not isinstance(w, int) or w < 1:
             raise ValueError(f"weights must be integers >= 1, got {w!r}")
+    if len(instance.weights) != instance.n:
+        raise ValueError("need exactly n weights")
+
+
+def _set_edges(instance, simple: bool) -> None:
+    """Store range-checked edges as sorted (min, max) pairs.  A simple graph
+    also rejects self-loops, drops repeats and stores its constraint masks."""
+    n = instance.n
+    norm = []
+    for u, v in instance.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        if simple and u == v:
+            raise ValueError(f"self-loop at {u} not allowed in {instance.kind}")
+        norm.append((min(u, v), max(u, v)))
+    edges = tuple(sorted(set(norm) if simple else norm))
+    object.__setattr__(instance, "edges", edges)
+    if simple:
+        object.__setattr__(instance, "masks", tuple(map(_mask, edges)))
 
 
 # Constraint masks live on the instance, out of eq, hash and repr.  A cache
@@ -72,18 +96,8 @@ class WeightedVCInstance:
     masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
-        _validate_weights(self.weights)
-        if len(self.weights) != self.n:
-            raise ValueError("need exactly n weights")
-        norm = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at {u} not allowed in vertex cover")
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        object.__setattr__(self, "masks", tuple(map(_mask, self.edges)))
+        _check_weights(self)
+        _set_edges(self, simple=True)
 
     kind = "wvc"
     d = 2
@@ -98,9 +112,7 @@ class WeightedHSInstance:
     masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
-        _validate_weights(self.weights)
-        if len(self.weights) != self.n:
-            raise ValueError("need exactly n weights")
+        _check_weights(self)
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
         norm = set()
@@ -128,15 +140,8 @@ class WeightedFVSInstance:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _validate_weights(self.weights)
-        if len(self.weights) != self.n:
-            raise ValueError("need exactly n weights")
-        norm = []
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            norm.append((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        _check_weights(self)
+        _set_edges(self, simple=False)
 
     kind = "wfvs"
 
@@ -152,20 +157,10 @@ class WeightedPVCInstance:
     masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
-        _validate_weights(self.weights)
-        if len(self.weights) != self.n:
-            raise ValueError("need exactly n weights")
+        _check_weights(self)
         if self.t < 0:
             raise ValueError("threshold t must be >= 0")
-        norm = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at {u} not allowed")
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        object.__setattr__(self, "masks", tuple(map(_mask, self.edges)))
+        _set_edges(self, simple=True)
         if self.t > len(self.edges):
             raise ValueError("threshold t exceeds the number of edges")
 
@@ -290,6 +285,19 @@ def weight_of(instance: Instance, subset: int) -> int:
     return sum(w for i, w in enumerate(instance.weights) if subset >> i & 1)
 
 
+def weigh_many(instance: Instance, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(int64 weights, uint8 sizes) of an int64 array of subset masks (n <= 63),
+    by one lookup per mask byte in 256-entry weight and popcount tables."""
+    weight = np.zeros(subsets.shape, dtype=np.int64)
+    size = np.zeros(subsets.shape, dtype=np.uint8)
+    popcount = subset_sums([1] * 8, np.uint8)
+    for lo in range(0, instance.n, 8):
+        octet = subsets >> lo & 0xFF
+        weight += subset_sums(instance.weights[lo : lo + 8], np.int64)[octet]
+        size += popcount[octet]
+    return weight, size
+
+
 def exact_opt(instance: Instance, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     """Exhaustive minimum-weight solution; ties broken by size then mask.
 
@@ -297,13 +305,10 @@ def exact_opt(instance: Instance, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     past the int64 weight range.
     """
     _check_int64(instance)
-    table = membership_table(instance, cap)
-    w = subset_sums(instance.weights, np.int64)
-    pc = subset_sums([1] * instance.n, np.uint8)
-    sols = np.flatnonzero(table)
-    order = np.lexsort((sols, pc[sols], w[sols]))
-    best = int(sols[order[0]])
-    return best, int(w[best])
+    sols = np.flatnonzero(membership_table(instance, cap))
+    w, pc = weigh_many(instance, sols)
+    best = np.lexsort((sols, pc, w))[0]
+    return int(sols[best]), int(w[best])
 
 
 # --- instance grammar -------------------------------------------------------
@@ -312,12 +317,20 @@ def exact_opt(instance: Instance, cap: int = DEFAULT_CAP) -> tuple[int, int]:
 #   w <vertex 1-based> <weight >= 1>     (exactly n lines)
 #   e <u> <v>  or  s <k> <e1> ... <ek>   (exactly m lines)
 
+# kind -> (class, constraint field, header numbers after n and m).  Edges
+# are written as e lines, sets as s lines.
+_SCHEMA = {
+    "wvc": (WeightedVCInstance, "edges", ()),
+    "whs": (WeightedHSInstance, "sets", ("d",)),
+    "wfvs": (WeightedFVSInstance, "edges", ()),
+    "wpvc": (WeightedPVCInstance, "edges", ("t",)),
+}
+
 
 def parse_instance(text: str) -> Instance:
     header = None
     weights: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    sets: list[tuple[int, ...]] = []
+    rows: dict[str, list] = {"edges": [], "sets": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -328,7 +341,13 @@ def parse_instance(text: str) -> Instance:
             if tag == "p":
                 if header is not None:
                     raise ParseError("duplicate problem line", lineno)
-                header = (parts[1], [int(x) for x in parts[2:]])
+                kind, nums = parts[1], [int(x) for x in parts[2:]]
+                if kind not in _SCHEMA:
+                    raise ParseError(f"unknown problem kind {kind!r}", lineno)
+                arity = 2 + len(_SCHEMA[kind][2])
+                if len(nums) != arity:
+                    raise ParseError(f"p {kind} takes {arity} numbers, got {len(nums)}", lineno)
+                header = kind, nums
             elif tag == "w":
                 v, w = int(parts[1]), int(parts[2])
                 if w < 1:
@@ -337,13 +356,13 @@ def parse_instance(text: str) -> Instance:
                     raise ParseError(f"duplicate weight for vertex {v}", lineno)
                 weights[v] = w
             elif tag == "e":
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+                rows["edges"].append((int(parts[1]) - 1, int(parts[2]) - 1))
             elif tag == "s":
                 k = int(parts[1])
                 elems = [int(x) - 1 for x in parts[2:]]
                 if len(elems) != k:
                     raise ParseError(f"set line declares {k} elements, has {len(elems)}", lineno)
-                sets.append(tuple(elems))
+                rows["sets"].append(tuple(elems))
             else:
                 raise ParseError(f"unknown line tag {tag!r}", lineno)
         except (IndexError, ValueError) as exc:
@@ -352,53 +371,31 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"malformed line: {raw!r}", lineno) from exc
     if header is None:
         raise ParseError("missing problem line")
-    kind, nums = header
-    if kind not in ("wvc", "whs", "wfvs", "wpvc"):
-        raise ParseError(f"unknown problem kind {kind!r}")
-    n, m = nums[0], nums[1]
+    kind, (n, m, *extra_values) = header
+    cls, constraints, extra = _SCHEMA[kind]
     if sorted(weights) != list(range(1, n + 1)):
         raise ParseError(f"need weight lines for exactly vertices 1..{n}")
-    wt = tuple(weights[v] for v in range(1, n + 1))
+    for name, got in rows.items():
+        want = m if name == constraints else 0
+        if len(got) != want:
+            raise ParseError(f"expected {want} {name}, got {len(got)}")
+    fields = dict(zip(extra, extra_values), n=n, weights=tuple(weights[v] for v in range(1, n + 1)))
+    fields[constraints] = tuple(rows[constraints])
     try:
-        if kind == "wvc":
-            if len(edges) != m:
-                raise ParseError(f"expected {m} edges, got {len(edges)}")
-            return WeightedVCInstance(n=n, weights=wt, edges=tuple(edges))
-        if kind == "wfvs":
-            if len(edges) != m:
-                raise ParseError(f"expected {m} edges, got {len(edges)}")
-            return WeightedFVSInstance(n=n, weights=wt, edges=tuple(edges))
-        if kind == "whs":
-            d = nums[2]
-            if len(sets) != m:
-                raise ParseError(f"expected {m} sets, got {len(sets)}")
-            return WeightedHSInstance(n=n, weights=wt, d=d, sets=tuple(sets))
-        t = nums[2]
-        if len(edges) != m:
-            raise ParseError(f"expected {m} edges, got {len(edges)}")
-        return WeightedPVCInstance(n=n, weights=wt, edges=tuple(edges), t=t)
+        return cls(**fields)
     except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(str(exc)) from exc
 
 
 def emit_instance(instance: Instance) -> str:
-    lines = []
-    if isinstance(instance, WeightedHSInstance):
-        lines.append(f"p whs {instance.n} {len(instance.sets)} {instance.d}")
-    elif isinstance(instance, WeightedPVCInstance):
-        lines.append(f"p wpvc {instance.n} {len(instance.edges)} {instance.t}")
-    else:
-        lines.append(f"p {instance.kind} {instance.n} {len(instance.edges)}")
-    for v, w in enumerate(instance.weights, start=1):
-        lines.append(f"w {v} {w}")
-    if isinstance(instance, WeightedHSInstance):
-        for s in instance.sets:
-            lines.append(f"s {len(s)} " + " ".join(str(e + 1) for e in s))
-    else:
-        for u, v in instance.edges:
-            lines.append(f"e {u + 1} {v + 1}")
+    _, constraints, extra = _SCHEMA[instance.kind]
+    rows = getattr(instance, constraints)
+    head = ["p", instance.kind, instance.n, len(rows), *(getattr(instance, f) for f in extra)]
+    lines = [" ".join(map(str, head))]
+    lines += [f"w {v} {w}" for v, w in enumerate(instance.weights, start=1)]
+    for row in rows:
+        elems = " ".join(str(e + 1) for e in row)
+        lines.append(f"s {len(row)} {elems}" if constraints == "sets" else f"e {elems}")
     return "\n".join(lines) + "\n"
 
 
@@ -423,8 +420,7 @@ def random_instance(
             for v in range(u + 1, n)
             if rng.random() < density
         )
-        cls = WeightedVCInstance if kind == "wvc" else WeightedFVSInstance
-        return cls(n=n, weights=weights, edges=edges)
+        return _SCHEMA[kind][0](n=n, weights=weights, edges=edges)
     if kind == "whs":
         n_sets = max(1, round(density * n * 2)) if n else 0
         sets = []

@@ -107,6 +107,15 @@ class TestFamilyCommand:
         )
         assert code == 2
 
+    def test_dump_header_missing_key_exit_code(self, capsys, tmp_path):
+        dump = tmp_path / "fam.txt"
+        dump.write_text("family extension n=2 alpha=1\n0x3 0\n")
+        code, _, err = run(
+            capsys, "family", "verify", "extension", "--n", "2", "--dump", str(dump)
+        )
+        assert code == 2
+        assert "lacks beta=" in err
+
     def test_extension_build_verifies(self, capsys, tmp_path):
         inst = tmp_path / "i.wvc"
         inst.write_text(emit_instance(random_instance("wvc", 7, 0.3, seed=5)))
@@ -266,3 +275,17 @@ class TestHelpGolden:
         out = capsys.readouterr().out
         golden = (DATA / name).read_text()
         assert out == golden
+
+
+@pytest.mark.parametrize("header", ["p whs 2 1", "p wvc 2", "p wvc 2 1 5"])
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "{}"), ("family", "build", "covering", "--instance", "{}", "--alpha", "2")],
+)
+def test_wrong_header_arity_exit_code(capsys, tmp_path, header, argv):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\nw 1 1\nw 2 1\ne 1 2\n")
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "line 1: p " in err

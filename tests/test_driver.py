@@ -21,6 +21,7 @@ from wamls.problems import (
     WeightedVCInstance,
     exact_opt,
     membership_check,
+    membership_table,
     random_instance,
     weight_of,
 )
@@ -83,6 +84,14 @@ class TestMembershipDriver:
             mask, weight = exact_opt(inst)
             assert report.output_weight == weight
             assert report.output_set == mask
+
+    def test_exhaustive_run_and_verify_share_one_membership_table(self):
+        inst = random_instance("wfvs", 9, 0.4, seed=3)
+        membership_table.cache_clear()
+        report = approximate_membership(inst, 2.0, mode="exhaustive")
+        assert verify_run(inst, report, 2.0).ok
+        info = membership_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_edgeless_returns_empty(self):
         inst = WeightedVCInstance(n=4, weights=(1, 2, 3, 4), edges=())

@@ -399,8 +399,8 @@ class TestFamilyCost:
         assert family_cost(fam, 2.0) == pytest.approx(math.log(naive), rel=1e-9)
 
 
-# Factors with at most five significant digits survive the dump's {:g}.
-_factors = st.integers(1000, 99999).map(lambda k: k / 1000)
+# Any finite factor in [1, 100): the dump writes digits {:g} would drop.
+_factors = st.floats(1, 100, exclude_max=True)
 
 
 @st.composite
@@ -446,6 +446,29 @@ class TestDumpParse:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             parse_family("not a family\n0x0\n")
+
+    @pytest.mark.parametrize(
+        "header, key",
+        [
+            ("family covering alpha=2", "n"),
+            ("family covering n=3", "alpha"),
+            ("family extension n=3 beta=1.5", "alpha"),
+            ("family extension n=3 alpha=1", "beta"),
+        ],
+    )
+    def test_header_missing_key_named(self, header, key):
+        with pytest.raises(ValueError, match=f"lacks {key}="):
+            parse_family(header + "\n0x0 0\n")
+
+    @pytest.mark.parametrize(
+        "factor, written",
+        [(1.2345649, "1.2345649"), (1.0000004, "1.0000004"), (1.5, "1.5"), (2.0, "2")],
+    )
+    def test_factor_digits_survive(self, factor, written):
+        fam = ExtensionFamily(universe_size=1, alpha=factor, beta=factor, entries=[(1, 0)])
+        text = dump_family(fam)
+        assert text.startswith(f"family extension n=1 alpha={written} beta={written}\n")
+        assert parse_family(text) == fam
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from wamls.problems import (
     membership_table,
     parse_instance,
     random_instance,
+    weigh_many,
     weight_of,
 )
 
@@ -241,6 +242,35 @@ class TestParsing:
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
             parse_instance("p graph 1 0\nw 1 1\n")
+
+    @pytest.mark.parametrize(
+        "header", ["p whs 2 1", "p wpvc 2 1", "p wvc 2", "p wfvs 2", "p wvc 2 1 5", "p whs 2 1 2 9"]
+    )
+    def test_wrong_header_arity_rejected_with_line(self, header):
+        with pytest.raises(ParseError, match="numbers") as exc:
+            parse_instance(f"# comment\n{header}\nw 1 1\nw 2 1\ne 1 2\n")
+        assert exc.value.line == 2
+
+    def test_lines_of_the_other_constraint_kind_rejected(self):
+        with pytest.raises(ParseError, match="expected 0 sets"):
+            parse_instance("p wvc 2 1\nw 1 1\nw 2 1\ne 1 2\ns 1 1\n")
+        with pytest.raises(ParseError, match="expected 0 edges"):
+            parse_instance("p whs 2 1 2\nw 1 1\nw 2 1\ns 1 1\ne 1 2\n")
+
+
+class TestWeighMany:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.one_of(st.just(63), st.integers(0, 62)))
+    def test_matches_weight_of_and_bit_count(self, data, n):
+        # Weights up to the int64 guard: the full set weighs less than 2^63.
+        top = ((1 << 63) - 1) // max(n, 1)
+        weights = data.draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+        inst = WeightedFVSInstance(n=n, weights=tuple(weights), edges=())
+        full = (1 << n) - 1
+        masks = [full, 0] + data.draw(st.lists(st.integers(0, full), max_size=20))
+        weight, size = weigh_many(inst, np.array(masks, dtype=np.int64))
+        assert weight.tolist() == [weight_of(inst, m) for m in masks]
+        assert size.tolist() == [m.bit_count() for m in masks]
 
 
 class TestRandomInstance:
