@@ -381,9 +381,8 @@ def bound_table(rows: list[BoundParams], fmt: str = "csv") -> str:
         raise BoundDomainError("bound_table requires at least one row")
     if fmt not in ("csv", "jsonl"):
         raise BoundDomainError(f"unknown table format {fmt!r}")
-    out = []
-    if fmt == "csv":
-        out.append("alpha,c,beta,brute,amls,kappa_star,tau_star,err_bound")
+    names = ("alpha", "c", "beta", "brute", "amls", "kappa_star", "tau_star", "err_bound")
+    out = [",".join(names)] if fmt == "csv" else []
     for p in rows:
         sp = amls_bound(p)
         br = brute_bound(p.beta)
@@ -391,10 +390,7 @@ def bound_table(rows: list[BoundParams], fmt: str = "csv") -> str:
         if fmt == "csv":
             out.append(",".join(f"{v:.6g}" for v in vals))
         else:
-            names = ("alpha", "c", "beta", "brute", "amls", "kappa_star", "tau_star", "err_bound")
-            out.append(
-                "{" + ", ".join(f'"{n}": {v:.6g}' for n, v in zip(names, vals)) + "}"
-            )
+            out.append("{" + ", ".join(f'"{n}": {v:.6g}' for n, v in zip(names, vals)) + "}")
     return "\n".join(out) + "\n"
 
 

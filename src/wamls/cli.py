@@ -37,12 +37,9 @@ PRESETS = {
 
 
 def _max_n(args_cap: int | None) -> int:
-    env = os.environ.get("WAMLS_MAX_N")
     if args_cap is not None:
         return args_cap
-    if env is not None:
-        return int(env)
-    return families.DEFAULT_CAP
+    return int(os.environ.get("WAMLS_MAX_N", families.DEFAULT_CAP))
 
 
 def cmd_bound(args) -> int:
@@ -88,6 +85,8 @@ def _load_weights(args) -> list[int]:
         return list(inst.weights)
     if args.n is None:
         raise BoundDomainError("need --instance or --n (uniform weights)")
+    if args.n < 0:
+        raise ValueError(f"n must be >= 0, got {args.n}")
     return [1] * args.n
 
 

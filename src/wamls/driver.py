@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import problems, weighted
-from .families import DEFAULT_CAP
+from .families import DEFAULT_CAP, _check_factors
 from .oracles import ExtensionOracleHandle
 from .problems import Instance, _check_int64, membership_check, membership_many
 from .problems import membership_table, weigh_many
@@ -106,6 +106,8 @@ def approximate_membership(
     mode "exhaustive" scans all 2^n subsets (the exact degenerate case);
     "fixed"/"schedule" select the weight-rounding split accordingly.
     """
+    _check_factors(alpha=alpha)
+    _check_factors(0.0, strict=True, eps=eps)
     _check_int64(instance)
     if mode == "exhaustive":
         ok = membership_table(instance, cap)
@@ -148,6 +150,8 @@ def approximate_extension(
     the guarantee still holds then, but the configuration usually signals a
     mistake.
     """
+    _check_factors(strict=True, beta=beta)
+    _check_factors(0.0, strict=True, eps=eps)
     _check_int64(instance)
     alpha, c = oracle.declared_alpha, oracle.declared_c
     if alpha > beta and not force:

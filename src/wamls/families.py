@@ -14,17 +14,22 @@ Constructions here are layered greedy covers, one layer per cardinality s of
 the covered set S; validity is certified by the exhaustive verifiers, which
 are deliberately independent of the construction code.
 
-Both builders share one greedy kernel.  A layer holds its s-subsets and its
-t-set candidates as int64 mask arrays; a candidate T covers S iff
-|S & T| >= need (need = s for covering), with popcounts read from a 2^n
-lookup table.  The kernel keeps an exact gain vector: every candidate starts
-with the same gain, which depends only on (n, s, t, need), and each pick
-subtracts from every candidate the subsets that pick newly covers.  So each
-subset is tested against all candidates once, and np.argmax picks the first
-best candidate in combinations order.  The candidate x subset cover test runs
-in chunks of _CHUNK_PAIRS pairs (or one candidate row, if longer), about 10
-bytes of temporaries per pair: under 1 MB, and under 2 MB at n = 20 where a
-row holds up to C(20, 10) subsets.  The lookup table adds 2^n bytes.
+Both builders share one greedy set-cover kernel, _greedy_cover: Chvatal's
+(1979) greedy with exact incremental gains over int64 arrays of row and
+column masks.  covers(R, C) is the blockwise rows x columns cover test, and
+the caller supplies each row's start gain, the number of columns it covers.
+Each pick subtracts from every row the columns that pick newly covers, so
+each column is tested against all rows once, and np.argmax picks the first
+best row.  The test runs in chunks of _CHUNK_PAIRS pairs (or one row, if
+longer), about 9 bytes of temporaries per pair: under 1 MB, and under 2 MB
+at n = 20 where a row holds up to C(20, 10) columns.
+
+A layer's rows are its t-sets in combinations order, and its columns its
+s-subsets.  T covers S iff |S \\ T| <= ell, read from a 2^n bool table of
+popcount <= ell (2^n bytes, as is the popcount table).  Every t-set misses
+j elements of exactly C(n - t, j) * C(t, s - j) s-subsets, so every row
+starts with the same gain, the sum of these over j <= min(ell, s).  A layer
+whose start gain is 0 falls back before it lists any candidates.
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ __all__ = [
 
 DEFAULT_CAP = 20
 
-# Candidate x subset pairs per chunk of the greedy cover test; each pair
-# costs about 10 bytes of temporaries (int64 AND, uint8 popcount, bool test).
+# Row x column pairs per chunk of the greedy cover test; each pair costs
+# about 9 bytes of temporaries (int64 AND, bool lookup).
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -76,13 +81,25 @@ def _mask(elems) -> int:
     return m
 
 
+def _check_factors(low: float = 1.0, strict: bool = False, **factors: float) -> None:
+    """ValueError naming the first factor that is not finite or is below `low`
+    (or at it, when `strict`)."""
+    for name, x in factors.items():
+        if not (math.isfinite(x) and (x > low if strict else x >= low)):
+            op = ">" if strict else ">="
+            raise ValueError(f"{name} must be finite and {op} {low:g}, got {x!r}")
+
+
 def _check_entries(n: int, sets, budgets, keys: list, duplicate: str) -> None:
-    """Reject entry i when sets[i] leaves the universe, budgets[i] is out of
-    range or keys[i] repeats; the error names the first bad entry.
+    """Reject a negative n, and entry i when sets[i] leaves the universe,
+    budgets[i] is out of range or keys[i] repeats; the error names the first
+    bad entry.
 
     set(keys) hashes every key in C; the Python loop hashes keys itself only
     when that set is short, to name the first repeat.
     """
+    if n < 0:
+        raise ValueError(f"universe_size must be >= 0, got {n}")
     repeats = len(set(keys)) < len(keys)
     outside = ~((1 << n) - 1)
     seen = set()
@@ -104,6 +121,7 @@ class CoveringFamily:
     sets: list[int]
 
     def __post_init__(self) -> None:
+        _check_factors(alpha=self.alpha)
         _check_entries(
             self.universe_size, self.sets, repeat(0), self.sets, "duplicate set {t:#x}"
         )
@@ -117,6 +135,7 @@ class ExtensionFamily:
     entries: list[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        _check_factors(alpha=self.alpha, beta=self.beta)
         _check_entries(
             self.universe_size,
             [t for t, _ in self.entries],
@@ -148,44 +167,43 @@ def subset_sums(values, dtype) -> np.ndarray:
     return sums
 
 
-def _cover_counts(
-    cands: np.ndarray, subsets: np.ndarray, need: int, popcount: np.ndarray
-) -> np.ndarray:
-    """For each candidate T, how many of `subsets` have |S & T| >= need."""
-    counts = np.empty(len(cands), dtype=np.int64)
-    step = max(1, _CHUNK_PAIRS // len(subsets))
-    for i in range(0, len(cands), step):
-        inter = cands[i : i + step, None] & subsets[None, :]
-        counts[i : i + step] = np.count_nonzero(popcount[inter] >= need, axis=1)
-    return counts
+def _greedy_cover(rows: np.ndarray, cols: np.ndarray, covers, gains: np.ndarray):
+    """Indices of the greedy rows that cover every column, in pick order.
 
-
-def _greedy_layer(
-    n: int, s: int, t: int, need: int, popcount: np.ndarray
-) -> list[int] | None:
-    """Greedy t-sets until every s-subset S has a pick T with |S & T| >= need.
-
-    Picks follow the module docstring's incremental-gain kernel.  Returns
-    None when no candidate covers a remaining subset.
+    See the module docstring.  gains[j] must be the number of columns row j
+    covers; it is updated in place.  Returns None when columns remain that
+    no row covers.  There must be at least one row.
     """
-    cands = np.array([_mask(c) for c in combinations(range(n), t)], dtype=np.int64)
-    uncovered = np.flatnonzero(popcount == s)
-    # Every t-set meets the same number of s-subsets in >= need elements.
-    start = sum(
-        math.comb(t, k) * math.comb(n - t, s - k)
-        for k in range(max(need, 0), min(s, t) + 1)
-    )
-    gains = np.full(len(cands), start, dtype=np.int64)
     picks: list[int] = []
-    while len(uncovered):
+    while len(cols):
         j = int(np.argmax(gains))
         if gains[j] <= 0:
             return None
-        hit = popcount[uncovered & cands[j]] >= need
-        gains -= _cover_counts(cands, uncovered[hit], need, popcount)
-        uncovered = uncovered[~hit]
-        picks.append(int(cands[j]))
+        hit = covers(rows[j : j + 1], cols)[0]
+        newly = cols[hit]
+        step = max(1, _CHUNK_PAIRS // len(newly))
+        for i in range(0, len(rows), step):
+            gains[i : i + step] -= covers(rows[i : i + step], newly).sum(axis=1)
+        cols = cols[~hit]
+        picks.append(j)
     return picks
+
+
+def _greedy_layer(n: int, s: int, t: int, ell: int, popcount: np.ndarray) -> list[int] | None:
+    """Greedy t-sets until every s-subset S has a pick T with |S \\ T| <= ell;
+    None when some s-subset has no such t-set."""
+    start = sum(math.comb(n - t, j) * math.comb(t, s - j) for j in range(min(ell, s) + 1))
+    if start == 0:
+        return None
+    rows = np.array([_mask(c) for c in combinations(range(n), t)], dtype=np.int64)
+    within = popcount <= ell  # T covers S iff within[S & ~T]
+    picks = _greedy_cover(
+        rows,
+        np.flatnonzero(popcount == s),
+        lambda r, c: within[c & ~r[:, None]],
+        np.full(len(rows), start, dtype=np.int64),
+    )
+    return None if picks is None else rows[picks].tolist()
 
 
 def _layered(n: int, shape, cap: int) -> list[tuple[int, int]]:
@@ -202,16 +220,11 @@ def _layered(n: int, shape, cap: int) -> list[tuple[int, int]]:
     popcount = subset_sums([1] * n, np.uint8)
     entries: dict[tuple[int, int], None] = {}
     for s in range(n + 1):
-        t_size, ell = shape(s)
-        need = s - ell  # a pick T covers S iff |S & T| >= need
-        picks = None
-        if t_size >= need and not (ell == 0 and t_size == s):
-            picks = _greedy_layer(n, s, t_size, need, popcount)
+        t, ell = shape(s)
+        picks = None if (t, ell) == (s, 0) else _greedy_layer(n, s, t, ell, popcount)
         if picks is None:
-            layer = [(u, 0) for u in np.flatnonzero(popcount == s).tolist()]
-        else:
-            layer = [(t, ell) for t in picks]
-        entries.update(dict.fromkeys(layer))
+            picks, ell = np.flatnonzero(popcount == s).tolist(), 0
+        entries.update(dict.fromkeys((pick, ell) for pick in picks))
     return list(entries)
 
 
@@ -223,8 +236,7 @@ def build_unweighted_covering(
     The budget-0 extension family whose layer s covers all s-subsets by sets
     of size min(n, floor(alpha * s)).
     """
-    if alpha <= 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_factors(strict=True, alpha=alpha)
     entries = _layered(n, lambda s: (min(n, math.floor(alpha * s)), 0), cap)
     return CoveringFamily(universe_size=n, alpha=alpha, sets=[t for t, _ in entries])
 
@@ -263,10 +275,8 @@ def build_unweighted_extension(
     n: int, alpha: float, c: float, beta: float, cap: int = DEFAULT_CAP
 ) -> ExtensionFamily:
     """Greedy layered (alpha, beta)-extension family under uniform weights."""
-    if alpha < 1 or c < 1:
-        raise ValueError("alpha and c must be >= 1")
-    if beta <= 1:
-        raise ValueError(f"beta must be > 1, got {beta}")
+    _check_factors(alpha=alpha, c=c)
+    _check_factors(strict=True, beta=beta)
     entries = _layered(n, lambda s: _extension_layer_shape(n, s, alpha, beta, c), cap)
     return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
 
@@ -315,8 +325,7 @@ def verify_extension(
 
 def family_cost(family: ExtensionFamily, c: float) -> float:
     """ln of the c-cost sum(c^ell) over entries, via log-sum-exp."""
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
+    _check_factors(c=c)
     return log_cost(family.entries, c)
 
 
@@ -339,20 +348,14 @@ def dump_family(
     family: CoveringFamily | ExtensionFamily, schedule: str | None = None
 ) -> str:
     """Line-oriented dump: header, optional schedule comment, one entry per line."""
-    lines = []
+    head = f"n={family.universe_size} alpha={_factor(family.alpha)}"
     if isinstance(family, CoveringFamily):
-        lines.append(f"family covering n={family.universe_size} alpha={_factor(family.alpha)}")
-        if schedule:
-            lines.append(f"# schedule {schedule}")
-        lines.extend(f"{t:#x}" for t in family.sets)
+        lines = [f"family covering {head}"] + [f"{t:#x}" for t in family.sets]
     else:
-        lines.append(
-            f"family extension n={family.universe_size} "
-            f"alpha={_factor(family.alpha)} beta={_factor(family.beta)}"
-        )
-        if schedule:
-            lines.append(f"# schedule {schedule}")
-        lines.extend(f"{t:#x} {ell}" for t, ell in family.entries)
+        lines = [f"family extension {head} beta={_factor(family.beta)}"]
+        lines += [f"{t:#x} {ell}" for t, ell in family.entries]
+    if schedule:
+        lines.insert(1, f"# schedule {schedule}")
     return "\n".join(lines) + "\n"
 
 

@@ -285,16 +285,29 @@ def weight_of(instance: Instance, subset: int) -> int:
     return sum(w for i, w in enumerate(instance.weights) if subset >> i & 1)
 
 
+_POPCOUNT8 = subset_sums([1] * 8, np.uint8)
+
+
+@lru_cache(maxsize=64)
+def _byte_weights(weights: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The int64 subset-sum table of each 8-element slice of `weights`, indexed
+    by a mask byte: at most 8 tables of up to 2 KB (n <= 63), read-only since
+    every caller shares them."""
+    tables = [subset_sums(weights[lo : lo + 8], np.int64) for lo in range(0, len(weights), 8)]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
 def weigh_many(instance: Instance, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int64 weights, uint8 sizes) of an int64 array of subset masks (n <= 63),
     by one lookup per mask byte in 256-entry weight and popcount tables."""
     weight = np.zeros(subsets.shape, dtype=np.int64)
     size = np.zeros(subsets.shape, dtype=np.uint8)
-    popcount = subset_sums([1] * 8, np.uint8)
-    for lo in range(0, instance.n, 8):
+    for lo, table in zip(range(0, instance.n, 8), _byte_weights(tuple(instance.weights))):
         octet = subsets >> lo & 0xFF
-        weight += subset_sums(instance.weights[lo : lo + 8], np.int64)[octet]
-        size += popcount[octet]
+        weight += table[octet]
+        size += _POPCOUNT8[octet]
     return weight, size
 
 

@@ -54,35 +54,25 @@ def _bounds_suite(trials: int, seed: int) -> tuple[bool, list[str]]:
 
 def _families_suite(max_n: int, trials: int, seed: int) -> tuple[bool, list[str]]:
     rng = random.Random(seed)
-    lines = []
-    ok = True
     fails = 0
     for _ in range(trials):
         n = rng.randint(1, min(max_n, 9))
         weights = [rng.randint(1, 100) for _ in range(n)]
         alpha = rng.choice([1.5, 2.0, 3.0])
         rep = weighted.build_weighted_covering(weights, alpha)
-        if not families.verify_covering(rep.family, weights):
-            ok = False
-            fails += 1
+        fails += not families.verify_covering(rep.family, weights)
         beta = rng.choice([1.3, 1.7, 2.0])
         a = rng.choice([1.0, min(2.0, beta)])
         c = rng.choice([1.0, 2.0])
         rep = weighted.build_weighted_extension(weights, a, c, beta)
-        if not families.verify_extension(rep.family, weights):
-            ok = False
-            fails += 1
-    lines.append(
-        f"  {trials} covering + {trials} extension builds verified, {fails} failures"
-    )
-    return ok, lines
+        fails += not families.verify_extension(rep.family, weights)
+    line = f"  {trials} covering + {trials} extension builds verified, {fails} failures"
+    return fails == 0, [line]
 
 
 def _end_to_end_suite(max_n: int, trials: int, seed: int) -> tuple[bool, list[str]]:
     rng = random.Random(seed)
     lines = []
-    ok = True
-    fails = 0
     for i in range(trials):
         n = rng.randint(2, min(max_n, 10))
         inst = problems.random_instance("wvc", n, 0.3, seed=seed * 100003 + i)
@@ -91,11 +81,10 @@ def _end_to_end_suite(max_n: int, trials: int, seed: int) -> tuple[bool, list[st
         report = driver.approximate_extension(inst, handle, beta, seed=i)
         verdict = driver.verify_run(inst, report, beta)
         if not verdict.ok:
-            ok = False
-            fails += 1
             lines.append(f"  trial {i}: {verdict.reason}")
+    fails = len(lines)
     lines.append(f"  {trials} driver runs checked against OPT, {fails} failures")
-    return ok, lines
+    return fails == 0, lines
 
 
 # Smallest max_n each suite can draw a universe size from.

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import bounds, families
-from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _mask
+from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _check_factors, _mask
 
 __all__ = [
     "WeightClassPartition",
@@ -88,11 +88,7 @@ def partition_by_weight(weights, delta: float) -> WeightClassPartition:
 
 def _remap(local_mask: int, elems: tuple[int, ...]) -> int:
     """Translate a mask over {0..len(elems)-1} into global element ids."""
-    out = 0
-    for j, e in enumerate(elems):
-        if local_mask >> j & 1:
-            out |= 1 << e
-    return out
+    return _mask(e for j, e in enumerate(elems) if local_mask >> j & 1)
 
 
 def combine_blocks(
@@ -188,8 +184,7 @@ def build_weighted_covering(
     Inner unweighted families target beta with (1 + delta) * beta = alpha, so
     the rounding slack of the weight classes is exactly absorbed.
     """
-    if alpha <= 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_factors(strict=True, alpha=alpha)
     n = len(weights)
     if n == 0:
         fam = CoveringFamily(universe_size=0, alpha=alpha, sets=[0])
@@ -261,12 +256,9 @@ def build_weighted_extension(
     cap: int = DEFAULT_CAP,
 ) -> WeightedFamilyReport:
     """(alpha, beta)-extension family of an arbitrarily weighted universe."""
-    if alpha < 1 or c < 1:
-        raise ValueError("alpha and c must be >= 1")
-    if beta <= 1:
-        raise ValueError(f"beta must be > 1, got {beta}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    _check_factors(alpha=alpha, c=c)
+    _check_factors(strict=True, beta=beta)
+    _check_factors(0.0, strict=True, eps=eps)
     n = len(weights)
     if n == 0:
         fam = ExtensionFamily(universe_size=0, alpha=alpha, beta=beta, entries=[(0, 0)])

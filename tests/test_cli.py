@@ -231,6 +231,52 @@ class TestSolveCommand:
         assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--beta", "nan"], "beta"),
+        (["--beta", "nan", "--oracle", "branching"], "beta"),
+        (["--beta", "inf"], "beta"),
+        (["--eps", "nan"], "eps"),
+        (["--model", "membership", "--mode", "exhaustive", "--alpha", "0.5"], "alpha"),
+        (["--model", "membership", "--alpha", "inf"], "alpha"),
+    ],
+)
+def test_solve_bad_factor_exit_code(capsys, tmp_path, argv, name):
+    path = tmp_path / "i.wvc"
+    path.write_text(emit_instance(random_instance("wvc", 6, 0.4, seed=1)))
+    code, out, err = run(capsys, "solve", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be")
+
+
+@pytest.mark.parametrize(
+    "header, name",
+    [
+        ("family covering n=3 alpha=nan", "alpha"),
+        ("family covering n=3 alpha=inf", "alpha"),
+        ("family extension n=3 alpha=1 beta=nan", "beta"),
+        ("family extension n=-1 alpha=1 beta=1.5", "universe_size"),
+    ],
+)
+def test_verify_bad_dump_header_exit_code(capsys, tmp_path, header, name):
+    dump = tmp_path / "fam.txt"
+    dump.write_text(header + "\n0x0 0\n" if "extension" in header else header + "\n0x0\n")
+    kind = header.split()[1]
+    code, out, err = run(capsys, "family", "verify", kind, "--n", "3", "--dump", str(dump))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be")
+
+
+def test_family_build_negative_n_exit_code(capsys):
+    code, out, err = run(capsys, "family", "build", "covering", "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: n must be >= 0")
+
+
 class TestVerifyCommand:
     def test_bounds_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bounds", "--trials", "3")

@@ -57,6 +57,31 @@ class TestBuildCovering:
             build_unweighted_covering(4, 1.0)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build, args, name",
+    [
+        (build_unweighted_covering, (4, NAN), "alpha"),
+        (build_unweighted_covering, (4, INF), "alpha"),
+        (build_unweighted_extension, (4, NAN, 2.0, 1.5), "alpha"),
+        (build_unweighted_extension, (4, 1.0, NAN, 1.5), "c"),
+        (build_unweighted_extension, (4, 1.0, 2.0, NAN), "beta"),
+        (build_unweighted_extension, (4, 1.0, 2.0, INF), "beta"),
+        (CoveringFamily, (3, NAN, [7]), "alpha"),
+        (CoveringFamily, (3, INF, [7]), "alpha"),
+        (ExtensionFamily, (3, 1.0, NAN, [(7, 0)]), "beta"),
+        (ExtensionFamily, (3, 0.5, 1.5, [(7, 0)]), "alpha"),
+        (CoveringFamily, (-1, 2.0, [0]), "universe_size"),
+        (ExtensionFamily, (-1, 1.0, 1.5, [(0, 0)]), "universe_size"),
+    ],
+)
+def test_bad_factor_named(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build(*args)
+
+
 class TestBuildExtension:
     def test_empty_universe(self):
         fam = build_unweighted_extension(0, 1.0, 2.0, 1.5)
@@ -114,19 +139,46 @@ def _golden_blocks(name):
     return [b for b in re.split(r"(?m)^(?=family )", text) if b]
 
 
-def _reference_layer(n, s, t, need, popcount):
+def _reference_layer(n, s, t, ell, popcount):
     """Per-pick rescan of every candidate against every uncovered subset."""
     uncovered = {m for m in range(1 << n) if m.bit_count() == s}
     cands = [sum(1 << e for e in co) for co in combinations(range(n), t)]
     picks = []
     while uncovered:
-        gains = [sum((u & c).bit_count() >= need for u in uncovered) for c in cands]
+        gains = [sum((u & ~c).bit_count() <= ell for u in uncovered) for c in cands]
         if max(gains) <= 0:
             return None
         pick = cands[gains.index(max(gains))]
         picks.append(pick)
-        uncovered = {u for u in uncovered if (u & pick).bit_count() < need}
+        uncovered = {u for u in uncovered if (u & ~pick).bit_count() > ell}
     return picks
+
+
+def _naive_greedy(matrix, n_cols):
+    """First-best greedy cover of the columns of a boolean matrix, row by row."""
+    uncovered = set(range(n_cols))
+    picks = []
+    while uncovered:
+        gains = [sum(row[j] for j in uncovered) for row in matrix]
+        if max(gains) <= 0:
+            return None
+        i = gains.index(max(gains))
+        picks.append(i)
+        uncovered -= {j for j in uncovered if matrix[i][j]}
+    return picks
+
+
+@st.composite
+def cover_matrices(draw):
+    """A boolean rows x columns matrix, sometimes with a column no row covers."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(0, 12))
+    row = st.lists(st.booleans(), min_size=n_cols, max_size=n_cols)
+    matrix = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n_cols))
+        matrix = [r[:j] + [False] + r[j:] for r in matrix]
+        n_cols += 1
+    return matrix, n_cols
 
 
 def _dump_or_error(build, *args):
@@ -177,6 +229,22 @@ class TestGreedyKernel:
         with mock.patch.object(families, "_CHUNK_PAIRS", 7):
             small = dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
         assert small == dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=cover_matrices(), chunk=st.integers(1, 5))
+    def test_kernel_matches_naive_greedy(self, drawn, chunk):
+        matrix, n_cols = drawn
+        table = np.array(matrix, dtype=bool).reshape(len(matrix), n_cols)
+        rows = np.arange(len(matrix), dtype=np.int64)
+        with mock.patch.object(families, "_CHUNK_PAIRS", chunk):
+            picks = families._greedy_cover(
+                rows,
+                np.arange(n_cols, dtype=np.int64),
+                lambda r, c: table[r[:, None], c[None, :]],
+                table.sum(axis=1).astype(np.int64),
+            )
+        assert picks == _naive_greedy(matrix, n_cols)
+        assert (picks is None) == (not table.any(axis=0).all())
 
 
 def _full_layer_shape(n, s, alpha, beta, c):

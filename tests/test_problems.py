@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wamls import problems
 from wamls.families import ResourceCapError
 from wamls.oracles import exact_extension_oracle
 from wamls.problems import (
@@ -271,6 +272,20 @@ class TestWeighMany:
         weight, size = weigh_many(inst, np.array(masks, dtype=np.int64))
         assert weight.tolist() == [weight_of(inst, m) for m in masks]
         assert size.tolist() == [m.bit_count() for m in masks]
+
+    def test_byte_tables_built_once_per_weights(self):
+        inst = random_instance("wvc", 12, 0.3, seed=3)
+        twin = WeightedVCInstance(n=12, weights=inst.weights, edges=())
+        problems._byte_weights.cache_clear()
+        masks = np.arange(1 << 12, dtype=np.int64)
+        first = weigh_many(inst, masks)
+        second = weigh_many(twin, masks[::-1])
+        info = problems._byte_weights.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert second[0].tolist() == first[0].tolist()[::-1]
+        tables = problems._byte_weights(inst.weights)
+        assert [t.shape for t in tables] == [(256,), (16,)]  # bytes of 8 and 4 elements
+        assert not any(t.flags.writeable for t in tables)
 
 
 class TestRandomInstance:

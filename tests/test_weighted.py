@@ -141,6 +141,22 @@ class TestWeightedCovering:
             build_weighted_covering([1, 2], 1.0)
 
 
+@pytest.mark.parametrize(
+    "build, args, name",
+    [
+        (build_weighted_covering, ([1, 2], math.nan), "alpha"),
+        (build_weighted_extension, ([1, 2], math.nan, 2.0, 1.5), "alpha"),
+        (build_weighted_extension, ([1, 2], 1.0, math.nan, 1.5), "c"),
+        (build_weighted_extension, ([1, 2], 1.0, 2.0, math.nan), "beta"),
+        (build_weighted_extension, ([1, 2], 1.0, 2.0, 1.5, math.nan), "eps"),
+        (build_weighted_extension, ([1, 2], 1.0, 2.0, math.inf), "beta"),
+    ],
+)
+def test_non_finite_factor_named(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(*args)
+
+
 class TestWeightedExtension:
     def test_empty_universe(self):
         rep = build_weighted_extension([], 1.0, 2.0, 1.5)
