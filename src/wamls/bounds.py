@@ -10,18 +10,22 @@ approximate monotone local search: the exponential of
 
 where g is an entropy expression parameterized by (alpha, beta, c).  The inner
 objective is convex in tau and the inner minimum is concave in kappa, so both
-levels are solved by golden-section search.
+levels are solved by one golden-section search, ``_golden``.  It returns its
+final bracket and three points in it: the two probes and the midpoint, or the
+ends and the midpoint when the interval starts no wider than the tolerance.
+``g_star`` and ``amls_bound`` read the least of those points.
 
-Everything in g that depends on kappa alone is computed once per kappa by one
-kernel, ``_g_at``, which ``g_value``, ``g_star`` and ``shape_check`` all go
-through; its results are bit-identical to evaluating the formula anew at every
-(kappa, tau).
+Everything in g that depends on kappa alone, the feasible tau interval
+included, is computed once per kappa by one kernel, ``_g_at``, which
+``g_value``, ``g_star`` and ``shape_check`` all go through; its results are
+bit-identical to evaluating the formula anew at every (kappa, tau).
 
-Callers that only need a decision use a coarse search with a certificate
-instead: ``_coarse_amls`` bounds the base from both sides by secants of the
-convex (in tau) and concave (in kappa) levels, and ``_coarse_g_star`` returns a
-bracket that holds ``g_star``'s minimizer, because golden-section search at a
-smaller tolerance repeats the same steps and keeps going.
+Callers that only need a decision stop the same search at ``_COARSE_TOL`` and
+use a certificate instead: ``_coarse_amls`` bounds the base from both sides by
+secants of the convex (in tau) and concave (in kappa) levels, and
+``_coarse_g_star`` returns a bracket that holds ``g_star``'s minimizer,
+because the search at a smaller tolerance repeats the same steps and keeps
+going.
 """
 
 from __future__ import annotations
@@ -57,6 +61,15 @@ class BoundDomainError(ValueError):
     """Raised when an argument lies outside the mathematical domain."""
 
 
+def _check_factors(low: float = 1.0, strict: bool = False, **factors: float) -> None:
+    """BoundDomainError naming the first factor that is not finite or is below
+    `low` (or at it, when `strict`)."""
+    for name, x in factors.items():
+        if not (math.isfinite(x) and (x > low if strict else x >= low)):
+            op = ">" if strict else ">="
+            raise BoundDomainError(f"{name} must be finite and {op} {low:g}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """The triple (alpha, c, beta) plus the absolute precision target."""
@@ -67,17 +80,8 @@ class BoundParams:
     precision: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "c", "beta", "precision"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise BoundDomainError(f"{name} must be finite, got {v!r}")
-        if self.alpha < 1 or self.c < 1 or self.beta < 1:
-            raise BoundDomainError(
-                f"alpha, c, beta must all be >= 1 "
-                f"(got {self.alpha}, {self.c}, {self.beta})"
-            )
-        if self.precision <= 0:
-            raise BoundDomainError(f"precision must be > 0, got {self.precision}")
+        _check_factors(alpha=self.alpha, c=self.c, beta=self.beta)
+        _check_factors(0.0, strict=True, precision=self.precision)
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class SaddlePoint:
 
 def entropy(x: float) -> float:
     """Natural-log entropy -x ln x - (1-x) ln(1-x), with 0 ln 0 = 0."""
-    if x < -_CLAMP_TOL or x > 1 + _CLAMP_TOL:
+    if not -_CLAMP_TOL <= x <= 1 + _CLAMP_TOL:
         raise BoundDomainError(f"entropy argument must be in [0, 1], got {x}")
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -101,8 +105,7 @@ def entropy(x: float) -> float:
 
 def brute_bound(alpha: float) -> float:
     """Base of the alpha-approximate exhaustive search: 1 + e^(-alpha H(1/alpha))."""
-    if alpha < 1:
-        raise BoundDomainError(f"alpha must be >= 1, got {alpha}")
+    _check_factors(alpha=alpha)
     return 1.0 + math.exp(-alpha * entropy(1.0 / alpha))
 
 
@@ -112,9 +115,9 @@ def m_lower(alpha: float, beta: float, kappa: float) -> float:
     Piecewise: (beta-alpha)*kappa/(1-alpha*kappa) if alpha < beta, 0 if
     alpha == beta, and (alpha-beta)*kappa/(alpha-1) if alpha > beta.
     """
-    if alpha < 1 or beta < 1:
+    if not (1.0 <= alpha < math.inf and 1.0 <= beta < math.inf):
         raise BoundDomainError("alpha and beta must be >= 1")
-    if kappa < -_CLAMP_TOL or kappa > 1.0 / beta + _CLAMP_TOL:
+    if not -_CLAMP_TOL <= kappa <= 1.0 / beta + _CLAMP_TOL:
         raise BoundDomainError(f"kappa must be in [0, 1/beta], got {kappa}")
     kappa = min(max(kappa, 0.0), 1.0 / beta)
     if alpha == beta:
@@ -131,15 +134,22 @@ def m_lower(alpha: float, beta: float, kappa: float) -> float:
 
 
 def _g_at(alpha: float, beta: float, c: float, kappa: float):
-    """The inner objective g(tau) at a fixed kappa, returned as (M(kappa), g).
+    """The inner objective g(tau) at a fixed kappa and its feasible tau
+    interval, returned as (g, M(kappa), max(beta*kappa, M(kappa))).
 
-    Everything that depends on kappa alone (kappa's domain check, M(kappa),
+    Everything that depends on kappa alone (the domain checks, M(kappa),
     beta*kappa, H(kappa), ln c, 1 - beta/alpha and 1/alpha) is computed once
     here; g repeats the per-call float operations of the formula in the same
     order, so its results are bit-identical to evaluating everything anew.
     """
     lo = m_lower(alpha, beta, kappa)
+    if not 1.0 <= c < math.inf:
+        _check_factors(c=c)  # raises, naming c
     hi = beta * kappa
+    if hi < lo - _CLAMP_TOL:
+        raise RuntimeError(
+            f"feasible tau interval collapsed: [{lo}, {hi}] at kappa = {kappa}"
+        )
     h_kappa = entropy(kappa)
     ln_c = math.log(c)
     ratio = 1.0 - beta / alpha
@@ -150,11 +160,11 @@ def _g_at(alpha: float, beta: float, c: float, kappa: float):
     log = math.log
 
     def g(tau: float) -> float:
-        if tau < lo_slack or tau > hi_slack:
+        if not lo_slack <= tau <= hi_slack:
             raise BoundDomainError(
                 f"tau = {tau} infeasible for kappa = {kappa} (interval [{lo}, {hi}])"
             )
-        # min(max(tau, lo), hi), spelled out: the same float, NaN included.
+        # min(max(tau, lo), hi), spelled out: the same float.
         if lo > tau:
             tau = lo
         if hi < tau:
@@ -191,7 +201,7 @@ def _g_at(alpha: float, beta: float, c: float, kappa: float):
             h_delta = -delta * log(delta) - (1.0 - delta) * log(1.0 - delta)
         return ((hi - tau) / alpha) * ln_c - tau * h_gamma - (1.0 - tau) * h_delta + h_kappa
 
-    return lo, g
+    return g, lo, max(hi, lo)
 
 
 def g_value(alpha: float, beta: float, c: float, kappa: float, tau: float) -> float:
@@ -200,56 +210,57 @@ def g_value(alpha: float, beta: float, c: float, kappa: float, tau: float) -> fl
     delta and gamma take their stated special-case value 1/alpha at tau = 1
     and tau = 0 respectively; elsewhere the rational formulas apply.
     """
-    return _g_at(alpha, beta, c, kappa)[1](tau)
+    return _g_at(alpha, beta, c, kappa)[0](tau)
 
 
-def _golden_bracket(f, lo: float, hi: float, tol: float):
-    """Golden-section steps on a convex f until [lo, hi] is at most tol wide.
+def _tol(precision: float) -> float:
+    """Golden-section tolerance of a search asked for `precision` in value."""
+    return max(1e-13, min(precision * 1e-2, 1e-6))
 
-    Returns the final bracket and its two probes, (lo, hi, (x1, f1), (x2, f2)),
-    with x1 < x2.  The steps do not depend on tol, so a smaller tol repeats
-    them and keeps going: its brackets nest inside this one.
+
+def _golden(f, lo: float, hi: float, tol: float):
+    """Golden-section search for the minimum of a convex f on [lo, hi].
+
+    Returns the final bracket, at most tol wide, and three points (x, f(x))
+    in it, in increasing x: the bracket's two probes and its midpoint, or the
+    ends and the midpoint when [lo, hi] starts no wider than tol.  The steps
+    do not depend on tol, so a smaller tol repeats them and keeps going: its
+    brackets nest inside this one, and its argmin lies in it.
     """
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-    return lo, hi, (x1, f1), (x2, f2)
+    if hi - lo <= tol:
+        p1, p2 = (lo, f(lo)), (hi, f(hi))
+    else:
+        x1 = hi - _INV_PHI * (hi - lo)
+        x2 = lo + _INV_PHI * (hi - lo)
+        f1, f2 = f(x1), f(x2)
+        while hi - lo > tol:
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _INV_PHI * (hi - lo)
+                f1 = f(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _INV_PHI * (hi - lo)
+                f2 = f(x2)
+        p1, p2 = (x1, f1), (x2, f2)
+    mid = 0.5 * (lo + hi)
+    return lo, hi, (p1, (mid, f(mid)), p2)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
     """Minimize a convex f on [lo, hi]; returns (min value, argmin, value spread).
 
-    The spread is the largest difference between evaluations inside the final
-    bracket, an honest certificate of the remaining value uncertainty.
+    The least of ``_golden``'s points, ties going to the midpoint, then the
+    left probe; an interval that starts no wider than tol is read at its
+    midpoint alone.  The spread is the largest difference between the
+    points' values, an honest certificate of the remaining value uncertainty.
     """
     if hi - lo <= tol:
         x = 0.5 * (lo + hi)
         return f(x), x, 0.0
-    lo, hi, (x1, f1), (x2, f2) = _golden_bracket(f, lo, hi, tol)
-    x = 0.5 * (lo + hi)
-    fx = f(x)
+    _, _, ((x1, f1), (x, fx), (x2, f2)) = _golden(f, lo, hi, tol)
     best = min(f1, f2, fx)
     return best, x if fx == best else (x1 if f1 == best else x2), abs(max(f1, f2, fx) - best)
-
-
-def _inner(alpha: float, beta: float, c: float, kappa: float):
-    """(g, lo, hi): the inner objective at kappa and its feasible tau interval."""
-    lo, g = _g_at(alpha, beta, c, kappa)
-    hi = beta * kappa
-    if hi < lo - _CLAMP_TOL:
-        raise RuntimeError(
-            f"feasible tau interval collapsed: [{lo}, {hi}] at kappa = {kappa}"
-        )
-    return g, lo, max(hi, lo)
 
 
 def g_star(
@@ -259,32 +270,14 @@ def g_star(
 
     Golden-section search, justified by convexity of g in tau.
     """
-    g, lo, hi = _inner(alpha, beta, c, kappa)
-    tol = max(1e-13, min(precision * 1e-2, 1e-6))
-    value, tau, _ = _golden_min(g, lo, hi, tol)
+    g, lo, hi = _g_at(alpha, beta, c, kappa)
+    value, tau, _ = _golden_min(g, lo, hi, _tol(precision))
     return value, tau
 
 
-def _coarse_search(f, lo: float, hi: float):
-    """Golden-section search for the minimum of a convex f, stopped at _COARSE_TOL.
-
-    Returns the final bracket (lo, hi) and three points (x, f(x)) in it, in
-    increasing x: the bracket's two probes and its midpoint, or the ends and
-    the midpoint when [lo, hi] is no wider than _COARSE_TOL.  A search with a
-    finer tolerance, as in g_star, takes the same steps for longer, so its
-    argmin lies in this bracket.
-    """
-    if hi - lo > _COARSE_TOL:
-        lo, hi, p1, p2 = _golden_bracket(f, lo, hi, _COARSE_TOL)
-    else:
-        p1, p2 = (lo, f(lo)), (hi, f(hi))
-    mid = 0.5 * (lo + hi)
-    return lo, hi, (p1, (mid, f(mid)), p2)
-
-
 def _coarse_g_star(alpha: float, beta: float, c: float, kappa: float):
-    """``_coarse_search`` of g over the feasible tau interval at kappa."""
-    return _coarse_search(*_inner(alpha, beta, c, kappa))
+    """``_golden`` of g over the feasible tau interval at kappa, to _COARSE_TOL."""
+    return _golden(*_g_at(alpha, beta, c, kappa), _COARSE_TOL)
 
 
 def _convex_floor(lo: float, hi: float, pts, errs=(0.0, 0.0, 0.0)) -> float:
@@ -337,7 +330,7 @@ def _coarse_amls(alpha: float, c: float, beta: float) -> tuple[float, float]:
         probes[kappa] = (upper, _convex_floor(lo, hi, pts))
         return -upper
 
-    lo, hi, pts = _coarse_search(neg_inner, 0.0, 1.0 / beta)
+    lo, hi, pts = _golden(neg_inner, 0.0, 1.0 / beta, _COARSE_TOL)
     best = -min(v for _, v in pts)
     errs = [probes[k][0] - probes[k][1] for k, _ in pts]
     discarded = best + 2.0 * max(u - l for u, l in probes.values())
@@ -359,7 +352,7 @@ def amls_bound(params: BoundParams) -> SaddlePoint:
     """
     a, b, c = params.alpha, params.beta, params.c
     half = params.precision / 2.0
-    tol = max(1e-13, min(half * 1e-2, 1e-6))
+    tol = _tol(half)
 
     probes: dict[float, tuple[float, float]] = {}
 
@@ -416,8 +409,7 @@ def shape_check(params: BoundParams, grid_resolution: int = 200) -> ShapeReport:
     worst_convex = 0.0  # most negative second difference of g in tau, negated
     for frac in (0.25, 0.5, 0.75, 1.0):
         k = frac / b
-        lo, g = _g_at(a, b, c, k)
-        hi = b * k
+        g, lo, hi = _g_at(a, b, c, k)
         if hi - lo <= 0:
             continue
         gs = [g(lo + (hi - lo) * i / m) for i in range(m + 1)]

@@ -8,12 +8,12 @@ equals the family cost exactly.
 
 Both drivers collect their candidates into one int64 array, so they refuse
 n > 63 and total weights of 2^63 or more.  They check and rank the array in
-one pass: problems.membership_many tests every candidate, and a lexsort over
-the weights and sizes of problems.weigh_many picks the weight ->
-cardinality -> bitmask minimum.  The exhaustive membership driver reads the
-cached problems.membership_table instead.  The extension driver's oracle
-contract check runs after the last query: when it names the first output in
-family order that is not a solution, every entry has already been queried.
+one pass: problems.membership_many tests every candidate, and
+problems.rank_subsets puts the weight -> cardinality -> bitmask minimum
+first.  The exhaustive membership driver reads the cached
+problems.membership_table instead.  The extension driver's oracle contract
+check runs after the last query: when it names the first output in family
+order that is not a solution, every entry has already been queried.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import problems, weighted
-from .families import DEFAULT_CAP, _check_factors
+from .bounds import _check_factors
+from .families import DEFAULT_CAP
 from .oracles import ExtensionOracleHandle
 from .problems import Instance, _check_int64, membership_check, membership_many
-from .problems import membership_table, weigh_many
+from .problems import membership_table, rank_subsets
 
 __all__ = [
     "RunReport",
@@ -46,13 +47,6 @@ _RATIO_SLACK = Fraction(1e-9)
 
 class OracleMismatchError(ValueError):
     """Declared oracle factor exceeds the requested target and force is off."""
-
-
-def _cheapest(instance: Instance, sets: np.ndarray) -> tuple[int, int]:
-    """(mask, weight) of the weight -> cardinality -> bitmask minimum of `sets`."""
-    weight, size = weigh_many(instance, sets)
-    best = np.lexsort((sets, size, weight))[0]
-    return int(sets[best]), int(weight[best])
 
 
 @dataclass
@@ -119,7 +113,7 @@ def approximate_membership(
         sets = np.array(report.family.sets, dtype=np.int64)
         family_size, solutions = sets.size, sets[membership_many(instance, sets)]
     # U is in every covering family and every system, so a solution exists.
-    best, best_weight = _cheapest(instance, solutions)
+    ranked, weight, _ = rank_subsets(instance, solutions)
     return RunReport(
         problem=instance.kind,
         n=instance.n,
@@ -127,8 +121,8 @@ def approximate_membership(
         c=None,
         beta=None,
         eps=eps,
-        output_set=best,
-        output_weight=best_weight,
+        output_set=int(ranked[0]),
+        output_weight=int(weight[0]),
         family_size=family_size,
         cost_log=math.log(family_size) if family_size else None,
         seed=seed,
@@ -172,7 +166,7 @@ def approximate_extension(
     if not ok.all():
         bad = int(outs[np.argmin(ok)])
         raise RuntimeError(f"oracle contract violation: {bad:#x} is not a solution")
-    best, best_weight = _cheapest(instance, outs)  # the family is never empty
+    ranked, weight, _ = rank_subsets(instance, outs)  # the family is never empty
     return RunReport(
         problem=instance.kind,
         n=instance.n,
@@ -180,8 +174,8 @@ def approximate_extension(
         c=c,
         beta=beta,
         eps=eps,
-        output_set=best,
-        output_weight=best_weight,
+        output_set=int(ranked[0]),
+        output_weight=int(weight[0]),
         family_size=len(fam.entries),
         cost_log=report.cost_log,
         seed=seed,

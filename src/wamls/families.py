@@ -41,6 +41,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from . import bounds
+from .bounds import _check_factors
 
 __all__ = [
     "CoveringFamily",
@@ -79,15 +80,6 @@ def _mask(elems) -> int:
     for e in elems:
         m |= 1 << e
     return m
-
-
-def _check_factors(low: float = 1.0, strict: bool = False, **factors: float) -> None:
-    """ValueError naming the first factor that is not finite or is below `low`
-    (or at it, when `strict`)."""
-    for name, x in factors.items():
-        if not (math.isfinite(x) and (x > low if strict else x >= low)):
-            op = ">" if strict else ">="
-            raise ValueError(f"{name} must be finite and {op} {low:g}, got {x!r}")
 
 
 def _check_entries(n: int, sets, budgets, keys: list, duplicate: str) -> None:

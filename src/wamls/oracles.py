@@ -36,7 +36,7 @@ from .problems import (
     WeightedVCInstance,
     _check_int64,
     membership_table,
-    weigh_many,
+    rank_subsets,
 )
 
 __all__ = [
@@ -94,24 +94,22 @@ def wrap_with_ledger(
 def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> OracleFn:
     """Minimum-weight extension by exhaustive scan (alpha = 1).
 
-    Raises ResourceCapError above `cap` or past the int64 weight range.
+    All 2^n subsets are ranked once; a query returns the first ranked X
+    disjoint from S with |X| <= ell and S | X a solution.  Raises
+    ResourceCapError above `cap` or past the int64 weight range.
     """
     _check_int64(instance)
     table = membership_table(instance, cap)
     n = instance.n
-    subsets = np.arange(1 << n)
-    w, pc = weigh_many(instance, subsets)
+    ranked, _, size = rank_subsets(instance, np.arange(1 << n))
     full = (1 << n) - 1
 
     def extend(subset: int, ell: int) -> int:
         if ell == 0:
             return 0 if table[subset] else full & ~subset
-        free = subsets & subset == 0
-        feasible = np.flatnonzero(free & (pc <= ell) & table[subsets | subset])
-        if feasible.size == 0:
-            return full & ~subset
-        order = np.lexsort((feasible, pc[feasible], w[feasible]))
-        return int(feasible[order[0]])
+        ok = (ranked & subset == 0) & (size <= ell) & table[ranked | subset]
+        first = ok.argmax()
+        return int(ranked[first]) if ok[first] else full & ~subset
 
     return extend
 

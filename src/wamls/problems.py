@@ -13,7 +13,8 @@ and S hits a constraint m iff S & m, so Vertex Cover is 2-Hitting Set.
 membership_many is the predicate over an int64 array of masks (so n <= 63):
 one `arr & m != 0` test per constraint mask, and for FVS a forest peel that
 shares no code with the oracles' 2-core peel; membership_table caches it over
-all 2^n masks.  weigh_many is the one kernel that weighs and counts masks.
+all 2^n masks.  weigh_many is the one kernel that weighs and counts masks,
+and rank_subsets the one weight -> cardinality -> bitmask ranking.
 membership_check (union-find for FVS) and weight_of stay the independent
 scalar references.
 """
@@ -40,6 +41,7 @@ __all__ = [
     "exact_opt",
     "weight_of",
     "weigh_many",
+    "rank_subsets",
     "parse_instance",
     "emit_instance",
     "random_instance",
@@ -311,6 +313,14 @@ def weigh_many(instance: Instance, subsets: np.ndarray) -> tuple[np.ndarray, np.
     return weight, size
 
 
+def rank_subsets(instance: Instance, subsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """An int64 array of subset masks sorted by weight, then cardinality, then
+    mask, the tie-break of every exact answer: (masks, weights, sizes)."""
+    weight, size = weigh_many(instance, subsets)
+    order = np.lexsort((subsets, size, weight))
+    return subsets[order], weight[order], size[order]
+
+
 def exact_opt(instance: Instance, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     """Exhaustive minimum-weight solution; ties broken by size then mask.
 
@@ -318,10 +328,8 @@ def exact_opt(instance: Instance, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     past the int64 weight range.
     """
     _check_int64(instance)
-    sols = np.flatnonzero(membership_table(instance, cap))
-    w, pc = weigh_many(instance, sols)
-    best = np.lexsort((sols, pc, w))[0]
-    return int(sols[best]), int(w[best])
+    sols, w, _ = rank_subsets(instance, np.flatnonzero(membership_table(instance, cap)))
+    return int(sols[0]), int(w[0])
 
 
 # --- instance grammar -------------------------------------------------------

@@ -21,7 +21,8 @@ from functools import lru_cache
 from itertools import chain
 
 from . import bounds, families
-from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _check_factors, _mask
+from .bounds import _check_factors
+from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _mask
 
 __all__ = [
     "WeightClassPartition",

@@ -188,6 +188,33 @@ class TestGValue:
         assert str(exc.value) == message
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (brute_bound, (NAN,)),
+        (brute_bound, (INF,)),
+        (entropy, (NAN,)),
+        (m_lower, (NAN, 1.5, 0.3)),
+        (m_lower, (1.0, INF, 0.0)),
+        (m_lower, (1.0, 1.5, NAN)),
+        (g_value, (1.0, 1.5, NAN, 0.3, 0.3)),
+        (g_value, (1.0, 1.5, 2.0, 0.3, NAN)),
+        (g_value, (1.0, 1.5, 2.0, NAN, 0.3)),
+        (g_value, (1.0, 1.5, 0.5, 0.3, 0.3)),
+        (g_star, (NAN, 1.5, 2.0, 0.3)),
+        (g_star, (1.0, NAN, 2.0, 0.3)),
+        (g_star, (1.0, 1.5, INF, 0.3)),
+        (g_star, (1.0, 1.5, NAN, 0.3)),
+    ],
+)
+def test_nan_and_inf_rejected(fn, args):
+    with pytest.raises(BoundDomainError):
+        fn(*args)
+
+
 class TestGStar:
     def test_degenerate_interval(self):
         value, tau = g_star(1.0, 1.5, 2.0, 0.0)
@@ -266,6 +293,23 @@ class TestAmlsBound:
         for c in (1.5, 2.0, 3.0):
             v = amls_bound(BoundParams(alpha=1.0, c=c, beta=1.0)).value
             assert v == pytest.approx(2.0 - 1.0 / c, abs=5e-3)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"alpha": 0.5}, "alpha"),
+            ({"alpha": math.inf}, "alpha"),
+            ({"c": 0.5}, "c"),
+            ({"c": math.nan}, "c"),
+            ({"beta": math.nan}, "beta"),
+            ({"beta": 0.9}, "beta"),
+            ({"precision": 0.0}, "precision"),
+            ({"precision": math.inf}, "precision"),
+        ],
+    )
+    def test_invalid_param_named(self, kwargs, name):
+        with pytest.raises(BoundDomainError, match=f"^{name} must be finite"):
+            BoundParams(**{"alpha": 1.0, "c": 1.0, "beta": 1.5, **kwargs})
 
     def test_invalid_params(self):
         with pytest.raises(BoundDomainError):

@@ -32,6 +32,21 @@ class TestBoundCommand:
         assert code == 0
         assert "brute(1) = 2.000000" in out
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--alpha", "0.5", "--beta", "1.5"], "alpha"),
+            (["--alpha", "1", "--c", "0.5", "--beta", "1.5"], "c"),
+            (["--alpha", "1", "--beta", "nan"], "beta"),
+            (["--alpha", "1", "--beta", "1.5", "--precision", "0"], "precision"),
+        ],
+    )
+    def test_bad_factor_named(self, capsys, argv, name):
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} must be")
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "bound", "--alpha", "0.5", "--beta", "1.5")
         assert code == 2

@@ -106,15 +106,14 @@ class TestBuildExtension:
         assert verify_extension(fam, [1] * n).ok
 
     def test_budget_formula_per_layer(self):
-        n, alpha, beta = 8, 1.0, 1.5
-        fam = build_unweighted_extension(n, alpha, 2.0, beta)
-        by_size = {}
-        for t, ell in fam.entries:
-            by_size.setdefault(t.bit_count(), set()).add(ell)
-        # Within a greedy layer of t-sets, ell = floor((beta*s - t)/alpha)
-        # for the layer's s; entries from fallback layers carry ell = 0.
-        for size, ells in by_size.items():
-            assert all(0 <= e <= n for e in ells)
+        n, alpha, c, beta = 8, 1.0, 2.0, 1.5
+        fam = build_unweighted_extension(n, alpha, c, beta)
+        # A greedy layer's entry is a t-set with ell = floor((beta*s - t)/alpha)
+        # for the layer's s; a fallback layer's entry is an s-set with ell = 0.
+        shapes = {_full_layer_shape(n, s, alpha, beta, c) for s in range(n + 1)}
+        fallbacks = {(s, 0) for s in range(n + 1)}
+        assert {(t.bit_count(), ell) for t, ell in fam.entries} <= shapes | fallbacks
+        assert any(ell > 0 for _, ell in fam.entries)
 
     @pytest.mark.parametrize("n,alpha,c,beta", [(7, 1.0, 1.0, 3.0), (5, 1.0, 1.0, 4.0)])
     def test_budget_capped_at_n(self, n, alpha, c, beta):

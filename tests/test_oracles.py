@@ -59,6 +59,24 @@ class TestExactOracle:
         extend = exact_extension_oracle(inst)
         assert extend(0, 0) == 0b111  # no size-0 cover exists
 
+    @pytest.mark.parametrize("kind", ["wvc", "whs", "wfvs"])
+    def test_matches_scalar_reference(self, kind):
+        # Weights 1..2 make ties, so the cardinality and mask tie-breaks count.
+        inst = random_instance(kind, 6, 0.4, weight_range=(1, 2), seed=1)
+        extend = exact_extension_oracle(inst)
+        masks = range(1 << inst.n)
+
+        def rank(x):
+            return weight_of(inst, x), x.bit_count(), x
+
+        for s in masks:
+            for ell in range(inst.n + 1):
+                fits = [
+                    x for x in masks
+                    if not x & s and x.bit_count() <= ell and membership_check(inst, s | x)
+                ]
+                assert extend(s, ell) == min(fits, key=rank, default=masks[-1] & ~s)
+
     def test_deterministic(self):
         inst = random_instance("wvc", 8, 0.4, seed=12)
         extend = exact_extension_oracle(inst)

@@ -23,6 +23,7 @@ from wamls.problems import (
     membership_table,
     parse_instance,
     random_instance,
+    rank_subsets,
     weigh_many,
     weight_of,
 )
@@ -286,6 +287,17 @@ class TestWeighMany:
         tables = problems._byte_weights(inst.weights)
         assert [t.shape for t in tables] == [(256,), (16,)]  # bytes of 8 and 4 elements
         assert not any(t.flags.writeable for t in tables)
+
+
+def test_rank_subsets_by_weight_size_mask():
+    # Weights 1..3 make ties, so the cardinality and mask tie-breaks count.
+    inst = random_instance("wvc", 7, 0.3, weight_range=(1, 3), seed=2)
+    masks = random.Random(1).sample(range(1 << 7), 60)
+    ranked, weight, size = rank_subsets(inst, np.array(masks, dtype=np.int64))
+    want = sorted(masks, key=lambda m: (weight_of(inst, m), m.bit_count(), m))
+    assert ranked.tolist() == want
+    assert weight.tolist() == [weight_of(inst, m) for m in want]
+    assert size.tolist() == [m.bit_count() for m in want]
 
 
 class TestRandomInstance:
