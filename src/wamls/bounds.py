@@ -215,6 +215,8 @@ def g_value(alpha: float, beta: float, c: float, kappa: float, tau: float) -> fl
 
 def _tol(precision: float) -> float:
     """Golden-section tolerance of a search asked for `precision` in value."""
+    if not 0 < precision < math.inf:  # NaN fails both comparisons
+        raise BoundDomainError(f"precision must be finite and > 0, got {precision!r}")
     return max(1e-13, min(precision * 1e-2, 1e-6))
 
 

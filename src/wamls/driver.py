@@ -7,20 +7,21 @@ keeps the cheapest T | X.  There is no early exit, so the recorded query cost
 equals the family cost exactly.
 
 Both drivers collect their candidates into one int64 array, so they refuse
-n > 63 and total weights of 2^63 or more.  They check and rank the array in
-one pass: problems.membership_many tests every candidate, and
-problems.rank_subsets puts the weight -> cardinality -> bitmask minimum
-first.  The exhaustive membership driver reads the cached
-problems.membership_table instead.  The extension driver's oracle contract
-check runs after the last query: when it names the first output in family
-order that is not a solution, every entry has already been queried.
+n > 63 and total weights of 2^63 or more.  problems.membership_many tests
+every candidate in one pass; the exhaustive membership driver reads the
+cached problems.membership_table instead.  The extension driver's oracle
+contract check runs after the last query: when it names the first output in
+family order that is not a solution, every entry has already been queried.
+Both drivers then hand their solutions to one report step, which ranks them
+with problems.rank_subsets (weight -> cardinality -> bitmask) and fills the
+output fields of the RunReport.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,25 +67,22 @@ class RunReport:
     seed: int | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "problem": self.problem,
-            "n": self.n,
-            "alpha": self.alpha,
-            "c": self.c,
-            "beta": self.beta,
-            "eps": self.eps,
-            "output_set": sorted(
-                i for i in range(self.n) if self.output_set >> i & 1
-            ),
-            "output_weight": self.output_weight,
-            "opt_weight": self.opt_weight,
-            "ratio": self.achieved_ratio,
-            "family_size": self.family_size,
-            "cost_log": None if self.cost_log is None or math.isinf(self.cost_log)
-            else self.cost_log,
-            "seed": self.seed,
-        }
+        payload = asdict(self)
+        mask = self.output_set
+        payload["output_set"] = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        payload["ratio"] = payload.pop("achieved_ratio")
+        if self.cost_log is not None and not math.isfinite(self.cost_log):
+            payload["cost_log"] = None
         return json.dumps(payload, sort_keys=True)
+
+
+def _report(instance: Instance, solutions: np.ndarray, **run) -> RunReport:
+    """RunReport of the cheapest of a non-empty int64 array of solutions."""
+    ranked, weight, _ = rank_subsets(instance, solutions)
+    return RunReport(
+        problem=instance.kind, n=instance.n,
+        output_set=int(ranked[0]), output_weight=int(weight[0]), **run,
+    )
 
 
 def approximate_membership(
@@ -113,19 +111,9 @@ def approximate_membership(
         sets = np.array(report.family.sets, dtype=np.int64)
         family_size, solutions = sets.size, sets[membership_many(instance, sets)]
     # U is in every covering family and every system, so a solution exists.
-    ranked, weight, _ = rank_subsets(instance, solutions)
-    return RunReport(
-        problem=instance.kind,
-        n=instance.n,
-        alpha=alpha,
-        c=None,
-        beta=None,
-        eps=eps,
-        output_set=int(ranked[0]),
-        output_weight=int(weight[0]),
-        family_size=family_size,
-        cost_log=math.log(family_size) if family_size else None,
-        seed=seed,
+    return _report(
+        instance, solutions, alpha=alpha, c=None, beta=None, eps=eps,
+        family_size=family_size, cost_log=math.log(family_size), seed=seed,
     )
 
 
@@ -166,19 +154,9 @@ def approximate_extension(
     if not ok.all():
         bad = int(outs[np.argmin(ok)])
         raise RuntimeError(f"oracle contract violation: {bad:#x} is not a solution")
-    ranked, weight, _ = rank_subsets(instance, outs)  # the family is never empty
-    return RunReport(
-        problem=instance.kind,
-        n=instance.n,
-        alpha=alpha,
-        c=c,
-        beta=beta,
-        eps=eps,
-        output_set=int(ranked[0]),
-        output_weight=int(weight[0]),
-        family_size=len(fam.entries),
-        cost_log=report.cost_log,
-        seed=seed,
+    return _report(  # the family is never empty
+        instance, outs, alpha=alpha, c=c, beta=beta, eps=eps,
+        family_size=len(fam.entries), cost_log=report.cost_log, seed=seed,
     )
 
 

@@ -273,11 +273,19 @@ def build_unweighted_extension(
     return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
 
 
+def _check_weights(weights) -> None:
+    """ValueError naming the first weight that is not finite and >= 1."""
+    for w in weights:
+        if not 1 <= w < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"weights must be finite and >= 1, got {w!r}")
+
+
 def _verify(n: int, weights, entries, alpha: float, beta: float, cap: int) -> Verdict:
     """Exhaustive check that every S has an entry (T, ell) with |S \\ T| <= ell
     and w(T) + alpha * w(S \\ T) <= beta * w(S)."""
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
+    _check_weights(weights)
     _check_cap(n, cap)
     size = 1 << n
     w = subset_sums(weights, np.float64)
@@ -357,7 +365,7 @@ def parse_family(text: str) -> CoveringFamily | ExtensionFamily:
     if not lines:
         raise ValueError("empty family dump")
     head = lines[0].split()
-    if len(head) < 3 or head[0] != "family":
+    if len(head) < 3 or head[0] != "family" or not all("=" in part for part in head[2:]):
         raise ValueError(f"bad family header: {lines[0]!r}")
     kind = head[1]
     kv = dict(part.split("=", 1) for part in head[2:])

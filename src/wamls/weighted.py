@@ -22,7 +22,7 @@ from itertools import chain
 
 from . import bounds, families
 from .bounds import _check_factors
-from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _mask
+from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _check_weights, _mask
 
 __all__ = [
     "WeightClassPartition",
@@ -65,9 +65,7 @@ def partition_by_weight(weights, delta: float) -> WeightClassPartition:
     """Bucket elements into geometric weight classes with gamma = 1 + delta/2."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    for w in weights:
-        if w < 1:
-            raise ValueError(f"weights must be >= 1, got {w}")
+    _check_weights(weights)
     gamma = 1.0 + delta / 2.0
     n = len(weights)
     classes: dict[int, list[int]] = {}

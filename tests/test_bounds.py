@@ -240,6 +240,11 @@ class TestGStar:
                 )
                 assert value == pytest.approx(grid_min, abs=1e-4)
 
+    @pytest.mark.parametrize("precision", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_precision_named(self, precision):
+        with pytest.raises(BoundDomainError, match="^precision must be finite"):
+            g_star(1.0, 1.5, 2.0, 0.3, precision)
+
 
 class TestAmlsBound:
     @pytest.mark.parametrize(

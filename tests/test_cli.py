@@ -131,6 +131,16 @@ class TestFamilyCommand:
         assert code == 2
         assert "lacks beta=" in err
 
+    def test_dump_header_token_without_value_exit_code(self, capsys, tmp_path):
+        dump = tmp_path / "fam.txt"
+        dump.write_text("family extension n=2 alpha=1 beta\n0x1 0\n")
+        code, out, err = run(
+            capsys, "family", "verify", "extension", "--n", "2", "--dump", str(dump)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad family header: 'family extension n=2 alpha=1 beta'\n"
+
     def test_extension_build_verifies(self, capsys, tmp_path):
         inst = tmp_path / "i.wvc"
         inst.write_text(emit_instance(random_instance("wvc", 7, 0.3, seed=5)))

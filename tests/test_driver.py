@@ -339,6 +339,17 @@ class TestReportSerialization:
         assert payload["problem"] == "wvc"
         assert payload["seed"] == 1
 
+    @pytest.mark.parametrize("cost_log", [-math.inf, math.inf, math.nan])
+    def test_non_finite_cost_log_is_null(self, cost_log):
+        report = RunReport(
+            problem="wvc", n=3, alpha=2.0, c=None, beta=None, eps=1e-3,
+            output_set=0b101, output_weight=2, family_size=0, cost_log=cost_log,
+        )
+        payload = json.loads(report.to_json())
+        assert payload["cost_log"] is None
+        assert payload["output_set"] == [0, 2]
+        assert payload["ratio"] is None and "achieved_ratio" not in payload
+
 
 class TestGoldenReports:
     def test_reports_match_golden(self):

@@ -341,6 +341,14 @@ class TestVerifiers:
         assert not verdict.ok
         assert verdict.violating_set == 7
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, 0.5])
+    def test_bad_weight_rejected(self, w):
+        cover = CoveringFamily(universe_size=2, alpha=2.0, sets=[0, 3])
+        ext = ExtensionFamily(universe_size=2, alpha=1.0, beta=1.5, entries=[(0, 2)])
+        for verify, fam in ((verify_covering, cover), (verify_extension, ext)):
+            with pytest.raises(ValueError, match="^weights must be finite and >= 1"):
+                verify(fam, [1, w])
+
     def test_extension_power_set_with_zero_budgets(self):
         n = 4
         fam = ExtensionFamily(
@@ -513,6 +521,8 @@ class TestDumpParse:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             parse_family("not a family\n0x0\n")
+        with pytest.raises(ValueError, match="^bad family header: 'family extension"):
+            parse_family("family extension n=2 alpha=1 beta\n0x1 0\n")
 
     @pytest.mark.parametrize(
         "header, key",

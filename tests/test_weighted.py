@@ -39,6 +39,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_by_weight([1, 0, 2], 0.5)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match="^weights must be finite and >= 1, got"):
+            partition_by_weight([1, w], 0.5)
+
     def test_delta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             partition_by_weight([1, 2], 1.0)
