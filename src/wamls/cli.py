@@ -118,12 +118,15 @@ def cmd_family(args) -> int:
         print(f"built {args.kind} family: {size} entries", file=sys.stderr)
         return EXIT_OK
 
+    if args.dump is None:
+        raise ValueError("family verify needs --dump")
     with open(args.dump) as fh:
         fam = families.parse_family(fh.read())
-    if isinstance(fam, families.CoveringFamily):
-        verdict = families.verify_covering(fam, weights, cap=cap)
-    else:
-        verdict = families.verify_extension(fam, weights, cap=cap)
+    kind = "covering" if isinstance(fam, families.CoveringFamily) else "extension"
+    if kind != args.kind:
+        raise ValueError(f"{args.dump} holds a {kind} family, not {args.kind}")
+    verify = families.verify_covering if kind == "covering" else families.verify_extension
+    verdict = verify(fam, weights, cap=cap)
     if verdict.ok:
         print(f"pass ({verdict.checked} subsets checked)")
         return EXIT_OK
@@ -143,13 +146,7 @@ def cmd_solve(args) -> int:
     else:
         handle = oracles.oracle_for(inst, args.oracle, cap=cap)
         report = driver.approximate_extension(
-            inst,
-            handle,
-            args.beta,
-            eps=args.eps,
-            cap=cap,
-            force=args.force,
-            seed=args.seed,
+            inst, handle, args.beta, eps=args.eps, cap=cap, force=args.force, seed=args.seed
         )
         target = args.beta
     verdict = driver.verify_run(inst, report, target, cap=cap)

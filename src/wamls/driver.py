@@ -31,7 +31,7 @@ from .bounds import _check_factors
 from .families import DEFAULT_CAP
 from .oracles import ExtensionOracleHandle
 from .problems import Instance, _check_int64, membership_check, membership_many
-from .problems import membership_table, rank_subsets
+from .problems import membership_table, rank_subsets, weight_of
 
 __all__ = [
     "RunReport",
@@ -67,12 +67,14 @@ class RunReport:
     seed: int | None = None
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        """The fields as strict JSON: a non-finite float becomes null."""
+        payload = {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in asdict(self).items()
+        }
         mask = self.output_set
         payload["output_set"] = [i for i in range(mask.bit_length()) if mask >> i & 1]
         payload["ratio"] = payload.pop("achieved_ratio")
-        if self.cost_log is not None and not math.isfinite(self.cost_log):
-            payload["cost_log"] = None
         return json.dumps(payload, sort_keys=True)
 
 
@@ -178,7 +180,7 @@ def verify_run(
     """
     if not membership_check(instance, report.output_set):
         return RunVerdict(ok=False, reason="not a solution")
-    if problems.weight_of(instance, report.output_set) != report.output_weight:
+    if weight_of(instance, report.output_set) != report.output_weight:
         return RunVerdict(ok=False, reason="weight mismatch")
     if instance.n > cap:
         return RunVerdict(ok=True, reason="opt omitted (cap exceeded)")

@@ -206,8 +206,6 @@ def _layered(n: int, shape, cap: int) -> list[tuple[int, int]]:
     that cannot make progress, or whose only choice is T = S, falls back to
     the always-valid {(S, 0) : |S| = s}.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     _check_cap(n, cap)
     popcount = subset_sums([1] * n, np.uint8)
     entries: dict[tuple[int, int], None] = {}

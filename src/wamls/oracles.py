@@ -8,7 +8,9 @@ bitmask itself, so every oracle is deterministic.
 
 Vertex Cover is served as 2-Hitting Set: the branching and local-ratio
 oracles work on the instance's constraint masks, so VC gets c = d = 2
-branching and alpha = d = 2 local ratio from the same code as d-HS.
+branching and alpha = d = 2 local ratio from the same code as d-HS.  Both
+read one residual, unhit(S): the constraints S leaves unhit, by one table
+lookup per byte of S.  Branching splits on the lowest unhit constraint.
 
 The local-ratio oracles ignore the budget, and their answer depends only on
 the residual instance: the constraints S leaves unhit, or the 2-core of
@@ -124,25 +126,47 @@ def _elements(mask: int) -> list[int]:
     return out
 
 
+def _residual(instance: WeightedHSInstance | WeightedVCInstance):
+    """(elements, unhit): each constraint's sorted elements, and unhit(S), the
+    index bits of the constraints S leaves unhit."""
+    n = instance.n
+    masks = instance.masks
+    # hit[k][b]: the constraints (index bits) hit by byte b of S at bit 8k.
+    hit = []
+    for k in range(0, n, 8):
+        table = [0]
+        for v in range(k, min(k + 8, n)):
+            h = _mask(i for i, m in enumerate(masks) if m >> v & 1)
+            table += [t | h for t in table]
+        hit.append(table)
+    every = (1 << len(masks)) - 1
+
+    def unhit(subset: int) -> int:
+        out = every
+        for table in hit:
+            out &= ~table[subset & 255]
+            subset >>= 8
+        return out
+
+    return [_elements(m) for m in masks], unhit
+
+
 def branching_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> OracleFn:
     """d-way branching on the lowest-indexed unhit set (alpha=1, c=d).
 
     Exact among extensions of size <= ell.  Branches follow the sorted
-    elements of the first unhit constraint mask; VC is the d = 2 case.
+    elements of the constraint at the lowest unhit bit; VC is the d = 2 case.
     """
     full = (1 << instance.n) - 1
     weights = instance.weights
-    constraints = [(m, _elements(m)) for m in instance.masks]
+    elements, unhit = _residual(instance)
 
     def extend(subset: int, ell: int) -> int:
         best: list[tuple[int, int, int] | None] = [None]
 
         def rec(chosen: int, chosen_w: int, depth: int) -> None:
-            cur = subset | chosen
-            for m, unhit in constraints:
-                if not cur & m:
-                    break
-            else:
+            left = unhit(subset | chosen)
+            if not left:
                 key = (chosen_w, chosen.bit_count(), chosen)
                 if best[0] is None or key < best[0]:
                     best[0] = key
@@ -151,13 +175,11 @@ def branching_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> Or
                 return
             if best[0] is not None and chosen_w >= best[0][0]:
                 return  # any completion only adds weight
-            for v in unhit:
+            for v in elements[(left & -left).bit_length() - 1]:
                 rec(chosen | 1 << v, chosen_w + weights[v], depth + 1)
 
         rec(0, 0, 0)
-        if best[0] is None:
-            return full & ~subset
-        return best[0][2]
+        return full & ~subset if best[0] is None else best[0][2]
 
     return extend
 
@@ -190,29 +212,11 @@ def local_ratio_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> 
     """
     n = instance.n
     weights = instance.weights
-    masks = instance.masks
-    elements = [_elements(m) for m in masks]
-    # hit[k][b]: the constraints (index bits) hit by byte b of S at bit 8k.
-    hit = []
-    for k in range(0, n, 8):
-        table = [0]
-        for v in range(k, min(k + 8, n)):
-            h = _mask(i for i, m in enumerate(masks) if m >> v & 1)
-            table += [t | h for t in table]
-        hit.append(table)
-    every = (1 << len(masks)) - 1
-
-    def unhit(subset: int) -> int:
-        out = every
-        for table in hit:
-            out &= ~table[subset & 255]
-            subset >>= 8
-        return out
+    elements, unhit = _residual(instance)
 
     def solve(unhit_bits: int) -> int:
-        residual = _elements(unhit_bits)
         res = list(weights)
-        for i in residual:
+        for i in _elements(unhit_bits):
             elems = elements[i]
             low = min([res[e] for e in elems])
             if low > 0:
@@ -322,13 +326,10 @@ def oracle_for(
             f"wpvc has no {name} extension oracle; solve it with --model membership"
             " (or --oracle exact)"
         )
-    hitting_set = isinstance(instance, (WeightedVCInstance, WeightedHSInstance))
+    if isinstance(instance, WeightedFVSInstance):
+        if name == "branching":
+            raise ValueError(f"no branching oracle for {instance.kind}")
+        return wrap_with_ledger(local_ratio_fvs_oracle(instance), c=1.0, alpha=2.0)
     if name == "branching":
-        if hitting_set:
-            return wrap_with_ledger(branching_hs_oracle(instance), c=float(instance.d))
-        raise ValueError(f"no branching oracle for {instance.kind}")
-    if hitting_set:
-        return wrap_with_ledger(
-            local_ratio_hs_oracle(instance), c=1.0, alpha=float(instance.d)
-        )
-    return wrap_with_ledger(local_ratio_fvs_oracle(instance), c=1.0, alpha=2.0)
+        return wrap_with_ledger(branching_hs_oracle(instance), c=float(instance.d))
+    return wrap_with_ledger(local_ratio_hs_oracle(instance), c=1.0, alpha=float(instance.d))

@@ -58,7 +58,7 @@ class ParseError(ValueError):
 
 def _check_weights(instance) -> None:
     for w in instance.weights:
-        if not isinstance(w, int) or w < 1:
+        if type(w) is not int or w < 1:
             raise ValueError(f"weights must be integers >= 1, got {w!r}")
     if len(instance.weights) != instance.n:
         raise ValueError("need exactly n weights")
@@ -370,14 +370,15 @@ def parse_instance(text: str) -> Instance:
                     raise ParseError(f"p {kind} takes {arity} numbers, got {len(nums)}", lineno)
                 header = kind, nums
             elif tag == "w":
-                v, w = int(parts[1]), int(parts[2])
+                v, w = map(int, parts[1:])
                 if w < 1:
                     raise ParseError("weights must be >= 1", lineno)
                 if v in weights:
                     raise ParseError(f"duplicate weight for vertex {v}", lineno)
                 weights[v] = w
             elif tag == "e":
-                rows["edges"].append((int(parts[1]) - 1, int(parts[2]) - 1))
+                u, v = map(int, parts[1:])
+                rows["edges"].append((u - 1, v - 1))
             elif tag == "s":
                 k = int(parts[1])
                 elems = [int(x) - 1 for x in parts[2:]]
@@ -446,8 +447,7 @@ def random_instance(
         n_sets = max(1, round(density * n * 2)) if n else 0
         sets = []
         for _ in range(n_sets):
-            size = rng.randint(1, min(d, n)) if n else 0
-            if size:
-                sets.append(tuple(sorted(rng.sample(range(n), size))))
+            size = rng.randint(1, min(d, n))
+            sets.append(tuple(sorted(rng.sample(range(n), size))))
         return WeightedHSInstance(n=n, weights=weights, d=d, sets=tuple(sets))
     raise ValueError(f"unknown instance kind {kind!r}")

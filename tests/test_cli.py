@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from wamls import driver
+from wamls import driver, verify
 from wamls.cli import main
 from wamls.problems import emit_instance, random_instance
 
@@ -155,6 +155,46 @@ class TestFamilyCommand:
             "--dump", str(dump),
         )
         assert code == 0
+
+
+    @pytest.mark.parametrize("kind", ["covering", "extension"])
+    def test_verify_without_dump_is_usage_error(self, capsys, kind):
+        code, out, err = run(capsys, "family", "verify", kind, "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: family verify needs --dump\n"
+
+    @pytest.mark.parametrize("built,declared", [("covering", "extension"), ("extension", "covering")])
+    def test_verify_kind_mismatch_is_usage_error(self, capsys, tmp_path, built, declared):
+        dump = tmp_path / "fam.txt"
+        assert run(capsys, "family", "build", built, "--n", "3", "--out", str(dump))[0] == 0
+        code, out, err = run(
+            capsys, "family", "verify", declared, "--n", "3", "--dump", str(dump)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {dump} holds a {built} family, not {declared}\n"
+
+    def test_build_needs_instance_or_n(self, capsys):
+        code, out, err = run(capsys, "family", "build", "covering")
+        assert code == 2
+        assert out == ""
+        assert err == "error: need --instance or --n (uniform weights)\n"
+
+    def test_build_writes_dump_to_stdout(self, capsys):
+        code, out, err = run(capsys, "family", "build", "covering", "--n", "2", "--alpha", "2")
+        assert code == 0
+        assert out.startswith("family covering n=2 alpha=2\n# schedule ")
+        assert err.startswith("built covering family: ")
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing-dir" / "fam.txt"
+        code, out, err = run(
+            capsys, "family", "build", "covering", "--n", "2", "--out", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("i/o error: ")
 
 
 class TestSolveCommand:
@@ -328,6 +368,10 @@ class TestVerifyCommand:
         assert code == 2
         assert "pass" not in out
         assert f"max_n for suite {suite} must be >=" in err
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ValueError, match="unknown suite 'oracles'"):
+            verify.run_suite("oracles")
 
 
 class TestHelpGolden:

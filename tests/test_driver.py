@@ -315,6 +315,15 @@ class TestVerifyRun:
         assert verdict.opt_weight is None
 
 
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants Infinity, -Infinity and NaN."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestReportSerialization:
     def test_deterministic_json(self):
         inst = random_instance("wvc", 8, 0.3, seed=77)
@@ -338,6 +347,30 @@ class TestReportSerialization:
             assert key in payload
         assert payload["problem"] == "wvc"
         assert payload["seed"] == 1
+
+    def test_infinite_ratio_is_strict_json_null(self):
+        # OPT = 0 and the output weighs 1, so verify_run sets an infinite ratio.
+        inst = WeightedVCInstance(n=1, weights=(1,), edges=())
+        report = RunReport(
+            problem="wvc", n=1, alpha=2.0, c=None, beta=None, eps=1e-3,
+            output_set=0b1, output_weight=1, family_size=1, cost_log=0.0,
+        )
+        verdict = verify_run(inst, report, 2.0)
+        assert verdict.achieved_ratio == math.inf and not verdict.ok
+        payload = strict_json(report.to_json())
+        assert payload["ratio"] is None
+        assert payload["opt_weight"] == 0 and payload["cost_log"] == 0.0
+
+    @pytest.mark.parametrize("field", ["alpha", "c", "beta", "eps", "achieved_ratio"])
+    @pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
+    def test_every_non_finite_float_is_null(self, field, value):
+        report = RunReport(
+            problem="wvc", n=1, alpha=2.0, c=1.0, beta=1.5, eps=1e-3,
+            output_set=0, output_weight=0, family_size=1, cost_log=0.0,
+        )
+        setattr(report, field, value)
+        payload = strict_json(report.to_json())
+        assert payload["ratio" if field == "achieved_ratio" else field] is None
 
     @pytest.mark.parametrize("cost_log", [-math.inf, math.inf, math.nan])
     def test_non_finite_cost_log_is_null(self, cost_log):

@@ -552,3 +552,43 @@ class TestDumpParse:
             ExtensionFamily(
                 universe_size=2, alpha=1.0, beta=1.5, entries=[(1, 0), (1, 0)]
             )
+
+
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: CoveringFamily(universe_size=2, alpha=2.0, sets=[0b100]), "not contained"),
+        (lambda: ExtensionFamily(2, 1.0, 1.5, [(0b1000, 0)]), "not contained"),
+        (lambda: ExtensionFamily(2, 1.0, 1.5, [(0b1, 3)]), "budget 3 out of range"),
+        (lambda: ExtensionFamily(2, 1.0, 1.5, [(0b1, -1)]), "budget -1 out of range"),
+        (lambda: CoveringFamily(universe_size=-1, alpha=2.0, sets=[]), "universe_size"),
+        (lambda: build_unweighted_covering(-1, 2.0), "universe_size must be >= 0"),
+        (lambda: build_unweighted_extension(-1, 1.0, 1.0, 1.5), "universe_size must be >= 0"),
+        (lambda: parse_family(""), "empty family dump"),
+        (lambda: parse_family("# schedule only\n\n"), "empty family dump"),
+        (lambda: parse_family("family packing n=2 alpha=2\n0x3\n"), "unknown family kind"),
+    ],
+    ids=[
+        "set-outside", "entry-outside", "budget-above-n", "negative-budget",
+        "negative-universe", "covering-n-negative", "extension-n-negative",
+        "empty-dump", "comment-only-dump", "unknown-kind",
+    ],
+)
+def test_bad_family_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+class TestZeroStartGain:
+    """A layer with t < s - ell has no t-set within ell of any s-subset."""
+
+    def test_greedy_layer_gives_up(self):
+        popcount = subset_sums([1] * 4, np.uint8)
+        assert families._greedy_layer(4, 3, 1, 1, popcount) is None
+
+    def test_layered_falls_back_to_the_layer_itself(self):
+        # Every layer s >= 1 asks for the empty set with budget 0.
+        entries = families._layered(3, lambda s: (0, 0), cap=20)
+        popcount = [m.bit_count() for m in range(8)]
+        want = [(m, 0) for s in range(4) for m in range(8) if popcount[m] == s]
+        assert entries == want

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from wamls import oracles
 from wamls.oracles import (
     QueryLedger,
     branching_hs_oracle,
@@ -121,6 +122,19 @@ class TestBranchingOracles:
                     assert weight_of(inst, branch(s, ell)) == weight_of(
                         inst, exact(s, ell)
                     )
+
+    @pytest.mark.parametrize("kind", ["wvc", "whs"])
+    @pytest.mark.parametrize("weight_range", [(1, 100), (1, 2)])
+    def test_same_answer_as_exact(self, kind, weight_range):
+        # The same X, not just the same weight: both break ties by weight,
+        # then cardinality, then mask.  Weights 1..2 make many ties.
+        for seed in range(8):
+            inst = random_instance(kind, 7, 0.4, weight_range=weight_range, seed=seed, d=3)
+            branch = branching_hs_oracle(inst)
+            exact = exact_extension_oracle(inst)
+            for s in range(1 << inst.n):
+                for ell in range(inst.n + 1):
+                    assert branch(s, ell) == exact(s, ell), (seed, s, ell)
 
     def test_single_set_budget_one(self):
         inst = WeightedHSInstance(n=3, weights=(5, 1, 9), d=3, sets=((0, 1, 2),))
@@ -266,6 +280,19 @@ class TestVCAsTwoHittingSet:
         for name, factors in (("branching", (1.0, 2.0)), ("local-ratio", (2.0, 1.0))):
             handle = oracle_for(vc, name)
             assert (handle.declared_alpha, handle.declared_c) == factors
+
+
+class TestResidualKernel:
+    @pytest.mark.parametrize("kind,n", [("wvc", 11), ("whs", 11), ("whs", 8), ("wvc", 0)])
+    def test_unhit_and_elements(self, kind, n):
+        # n = 11 reads two byte tables, n = 8 exactly one.
+        inst = random_instance(kind, n, 0.3, seed=n, d=4)
+        elements, unhit = oracles._residual(inst)
+        assert [sum(1 << e for e in elems) for elems in elements] == list(inst.masks)
+        assert all(elems == sorted(elems) for elems in elements)
+        for s in range(1 << n):
+            want = sum(1 << i for i, m in enumerate(inst.masks) if not s & m)
+            assert unhit(s) == want
 
 
 class TestLedger:

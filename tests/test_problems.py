@@ -253,6 +253,30 @@ class TestParsing:
             parse_instance(f"# comment\n{header}\nw 1 1\nw 2 1\ne 1 2\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "weights,edge,lineno",
+        [("w 1 1 9", "e 1 2", 2), ("w 1", "e 1 2", 2), ("w 1 1", "e 1 2 3", 4), ("w 1 1", "e 1", 4)],
+    )
+    def test_wrong_token_count_rejected_with_line(self, weights, edge, lineno):
+        with pytest.raises(ParseError, match="malformed line") as exc:
+            parse_instance(f"p wvc 2 1\n{weights}\nw 2 1\n{edge}\n")
+        assert exc.value.line == lineno
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("p wvc 1 0\np wvc 1 0\nw 1 1\n", "duplicate problem line"),
+            ("p wvc 1 0\nw 1 1\nw 1 2\n", "duplicate weight"),
+            ("p whs 2 1 2\nw 1 1\nw 2 1\ns 2 1\n", "declares 2 elements, has 1"),
+            ("p wvc 1 0\nw 1 1\nx 1\n", "unknown line tag 'x'"),
+            ("p wvc 1 0\nw one 1\n", "malformed line"),
+            ("w 1 1\n", "missing problem line"),
+        ],
+    )
+    def test_malformed_text_rejected(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_instance(text)
+
     def test_lines_of_the_other_constraint_kind_rejected(self):
         with pytest.raises(ParseError, match="expected 0 sets"):
             parse_instance("p wvc 2 1\nw 1 1\nw 2 1\ne 1 2\ns 1 1\n")
@@ -300,6 +324,41 @@ def test_rank_subsets_by_weight_size_mask():
     assert size.tolist() == [m.bit_count() for m in want]
 
 
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: WeightedVCInstance(n=1, weights=(True,), edges=()), "integers >= 1"),
+        (lambda: WeightedVCInstance(n=1, weights=(1.0,), edges=()), "integers >= 1"),
+        (lambda: WeightedVCInstance(n=1, weights=(0,), edges=()), "integers >= 1"),
+        (lambda: WeightedVCInstance(n=2, weights=(1,), edges=()), "exactly n weights"),
+        (lambda: WeightedVCInstance(n=2, weights=(1, 1), edges=((0, 2),)), "out of range"),
+        (lambda: WeightedFVSInstance(n=2, weights=(1, 1), edges=((-1, 0),)), "out of range"),
+        (lambda: WeightedHSInstance(n=2, weights=(1, 1), d=1, sets=()), "d must be >= 2"),
+        (lambda: WeightedHSInstance(n=2, weights=(1, 1), d=2, sets=((),)), "empty hyperedge"),
+        (lambda: WeightedHSInstance(n=3, weights=(1,) * 3, d=2, sets=((0, 1, 2),)), "larger"),
+        (lambda: WeightedHSInstance(n=2, weights=(1, 1), d=2, sets=((1, 2),)), "out of range"),
+        (lambda: WeightedPVCInstance(n=2, weights=(1, 1), edges=((0, 1),), t=-1), ">= 0"),
+        (lambda: WeightedPVCInstance(n=2, weights=(1, 1), edges=((0, 1),), t=2), "exceeds"),
+    ],
+    ids=[
+        "bool-weight", "float-weight", "zero-weight", "weight-count", "edge-range",
+        "fvs-edge-range", "d-below-2", "empty-set", "oversized-set", "set-range",
+        "negative-t", "t-above-m",
+    ],
+)
+def test_instance_checks(build, match):
+    """Each instance check; a bool weight would be emitted as "w 1 True"."""
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("subset", [0b100, -1])
+def test_membership_check_rejects_out_of_range_subset(subset):
+    inst = WeightedVCInstance(n=2, weights=(1, 1), edges=((0, 1),))
+    with pytest.raises(ValueError, match="out-of-range"):
+        membership_check(inst, subset)
+
+
 class TestRandomInstance:
     def test_density_zero_is_edgeless(self):
         inst = random_instance("wvc", 6, 0.0, seed=1)
@@ -315,6 +374,26 @@ class TestRandomInstance:
         mask, weight = exact_opt(inst)
         assert exact_opt(inst) == (mask, weight)
         assert membership_check(inst, mask)
+
+    def test_hitting_set_stream_pinned(self):
+        inst = random_instance("whs", 5, 0.4, weight_range=(1, 9), seed=3)
+        assert emit_instance(inst) == (
+            "p whs 5 3 3\nw 1 4\nw 2 9\nw 3 3\nw 4 6\nw 5 8\ns 3 1 3 5\ns 2 2 5\ns 1 4\n"
+        )
+        assert random_instance("whs", 0, 0.5, seed=3).sets == ()
+
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            (("wvc", -1, 0.5), "n >= 0"),
+            (("wvc", 3, 1.5), "density"),
+            (("whs", 3, -0.1), "density"),
+            (("wpvc", 3, 0.5), "unknown instance kind 'wpvc'"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            random_instance(*args)
 
     def test_weight_of(self):
         inst = random_instance("wvc", 5, 0.5, seed=3)

@@ -141,6 +141,10 @@ class TestWeightedCovering:
         delta, inner = rep.schedule["delta"], rep.schedule["inner"]
         assert (1 + delta) * inner == pytest.approx(2.0, abs=1e-9)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'greedy'"):
+            build_weighted_covering([1, 2, 3], 2.0, mode="greedy")
+
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ValueError):
             build_weighted_covering([1, 2], 1.0)
