@@ -1,10 +1,11 @@
 """Approximation drivers over the weighted family constructions.
 
 The membership driver scans an alpha-covering family and keeps the cheapest
-member that is a solution.  The extension driver queries the oracle once per
-(T, ell) entry of an (alpha, beta)-extension family, in family order, and
-keeps the cheapest T | X.  There is no early exit, so the recorded query cost
-equals the family cost exactly.
+member that is a solution.  The extension driver asks the oracle every
+(T, ell) entry of an (alpha, beta)-extension family in one batched call,
+extend_many over the family's T and ell arrays, and keeps the cheapest
+T | X.  The ledger records one query per entry, in family order, and there
+is no early exit, so the recorded query cost equals the family cost exactly.
 
 Both drivers collect their candidates into one int64 array, so they refuse
 n > 63 and total weights of 2^63 or more.  problems.membership_many tests
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import problems, weighted
 from .bounds import _check_factors
-from .families import DEFAULT_CAP
+from .families import DEFAULT_CAP, _entry_arrays
 from .oracles import ExtensionOracleHandle
 from .problems import Instance, _check_int64, membership_check, membership_many
 from .problems import membership_table, rank_subsets, weight_of
@@ -146,12 +147,8 @@ def approximate_extension(
         list(instance.weights), alpha, c, beta, eps=eps, cap=cap
     )
     fam = report.family
-
-    outs = np.fromiter(
-        (t | oracle.extend(t, ell) for t, ell in fam.entries),
-        dtype=np.int64,
-        count=len(fam.entries),
-    )
+    ts, ells = _entry_arrays(fam.entries)
+    outs = ts | oracle.extend_many(ts, ells)
     ok = membership_many(instance, outs)
     if not ok.all():
         bad = int(outs[np.argmin(ok)])

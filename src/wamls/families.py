@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -73,6 +73,18 @@ class ResourceCapError(RuntimeError):
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ResourceCapError(f"universe size {n} exceeds enumeration cap {cap}")
+
+
+# Subset masks are int64 in the drivers, the oracle batches and the weighted
+# class combination.
+_WORD_BITS = 63
+
+
+def _check_word(n: int) -> None:
+    if n > _WORD_BITS:
+        raise ResourceCapError(
+            f"n = {n} exceeds the {_WORD_BITS}-element limit of int64 subset masks"
+        )
 
 
 def _mask(elems) -> int:
@@ -157,6 +169,37 @@ def subset_sums(values, dtype) -> np.ndarray:
     for i, v in enumerate(values):
         sums[1 << i : 2 << i] = sums[: 1 << i] + v
     return sums
+
+
+def _entry_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The T and ell columns of a list of (T, ell) pairs, as read-only int64
+    arrays (the weighted family caches share theirs)."""
+    pairs = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=2 * len(entries))
+    pairs.flags.writeable = False
+    return pairs[0::2], pairs[1::2]
+
+
+def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of equal-length 1-D columns: the index of each one's
+    first occurrence, in first-seen order, and for every row the position of
+    its distinct row in that order.
+
+    A stable np.lexsort brings equal rows together in index order, so the
+    head of each run is its first occurrence.
+    """
+    order = np.lexsort(columns)
+    head = np.zeros(order.size, dtype=bool)
+    head[:1] = True
+    for col in columns:
+        col = col[order]
+        head[1:] |= col[1:] != col[:-1]
+    firsts = order[head]
+    seen = np.argsort(firsts, kind="stable")
+    position = np.empty_like(seen)
+    position[seen] = np.arange(seen.size)
+    inverse = np.empty_like(order)
+    inverse[order] = position[np.cumsum(head) - 1]
+    return firsts[seen], inverse
 
 
 def _greedy_cover(rows: np.ndarray, cols: np.ndarray, covers, gains: np.ndarray):

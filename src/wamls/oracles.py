@@ -1,23 +1,42 @@
 """Extension oracles: exact enumeration, bounded branching, and local ratio.
 
-An oracle is a callable (S, ell) -> X with X | S a solution, where w(X) is
-within the oracle's declared factor alpha of the best extension of size at
-most ell (if none exists the weight bound is vacuous and the oracle returns
-the full complement).  Ties are broken by weight, then cardinality, then the
-bitmask itself, so every oracle is deterministic.
+An oracle answers a batch of queries at once: int64 arrays of subsets S and
+budgets ell in, one int64 extension X per query out, with X | S a solution.
+A single query (S, ell) is a batch of one.  Every oracle answers X = 0, the
+empty set, when S is already a solution.  The exact and branching oracles
+return the cheapest X with |X| <= ell, or the full complement of S when no
+such X exists, so the ell = 0 queries of a batch take one vectorised test
+of S.  The local-ratio oracles ignore ell and return their answer on the
+residual instance, within alpha of the best extension of any size.  Ties
+are broken by weight, then cardinality, then the bitmask itself, so every
+oracle is deterministic.
+
+ExtensionOracleHandle.extend_many answers a batch and records every query
+in the handle's ledger, (|S|, ell) in batch order, under one timer and with
+one bulk append.  wrap_with_ledger turns a user's scalar (S, ell) -> X
+function into a batch function with a plain loop.
+
+The exact oracle ranks the 2^n subsets once and sorts that ranking stably
+by size, so the candidates of size at most ell are one prefix of it, shared
+by every query with that budget.  A query takes the best-ranked candidate
+of its prefix that is disjoint from S and completes it.
 
 Vertex Cover is served as 2-Hitting Set: the branching and local-ratio
 oracles work on the instance's constraint masks, so VC gets c = d = 2
 branching and alpha = d = 2 local ratio from the same code as d-HS.  Both
-read one residual, unhit(S): the constraints S leaves unhit, by one table
-lookup per byte of S.  Branching splits on the lowest unhit constraint.
+read one residual, unhit(S): the constraints S leaves unhit, as int64 words
+of 63 constraints each, from one table lookup per byte of S.  Since
+unhit(S | X) = unhit(S) & unhit(X), an answer depends on S only through
+unhit(S) (and ell, for branching), and each distinct residual of a batch is
+solved once.  Branching splits on the lowest unhit constraint.  Local ratio
+runs Bar-Yehuda-Even and the reverse delete over all distinct residuals of
+a batch together, one array step per constraint and per element.  The FVS
+local-ratio oracle keys each query by the 2-core of G - S, taken for the
+whole batch by problems' chunked peel, and solves each distinct core once.
 
-The local-ratio oracles ignore the budget, and their answer depends only on
-the residual instance: the constraints S leaves unhit, or the 2-core of
-G - S for FVS.  Each oracle keys its queries by that residual, computed with
-int bitmask operations, and solves each distinct residual once; the memo
-belongs to the oracle and goes with it.  The ledger above the oracle still
-records every query.
+Subsets are int64 masks, and the local-ratio residual weights int64, so
+every oracle refuses n > 63 and total weights of 2^63 or more, as the
+drivers do.
 """
 
 from __future__ import annotations
@@ -29,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import DEFAULT_CAP, _mask, log_cost
+from .families import _WORD_BITS, DEFAULT_CAP, _first_seen, _mask, log_cost
 from .problems import (
     Instance,
     WeightedFVSInstance,
@@ -37,6 +56,9 @@ from .problems import (
     WeightedPVCInstance,
     WeightedVCInstance,
     _check_int64,
+    _fvs_cores,
+    _pack_rows,
+    _popcount,
     membership_table,
     rank_subsets,
 )
@@ -44,6 +66,7 @@ from .problems import (
 __all__ = [
     "QueryLedger",
     "ExtensionOracleHandle",
+    "BatchOracle",
     "exact_extension_oracle",
     "branching_vc_oracle",
     "local_ratio_vc_oracle",
@@ -55,6 +78,29 @@ __all__ = [
 ]
 
 OracleFn = Callable[[int, int], int]
+BatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# Query x candidate pairs per chunk of the exact oracle's scan; each pair
+# costs about 27 bytes of temporaries.
+_CHUNK_PAIRS = 1 << 14
+_WORD = (1 << _WORD_BITS) - 1
+
+
+def _one(many: BatchFn, subset: int, ell: int) -> int:
+    """Answer one query as a batch of one."""
+    batch = many(np.array([subset], dtype=np.int64), np.array([ell], dtype=np.int64))
+    return int(batch[0])
+
+
+@dataclass(frozen=True)
+class BatchOracle:
+    """A built-in oracle: many(subsets, budgets) answers a batch, and calling
+    the oracle answers one query (S, ell)."""
+
+    many: BatchFn
+
+    def __call__(self, subset: int, ell: int) -> int:
+        return _one(self.many, subset, ell)
 
 
 @dataclass
@@ -69,51 +115,85 @@ class QueryLedger:
 
 @dataclass
 class ExtensionOracleHandle:
-    extend: OracleFn
+    """An oracle batch function with its declared (alpha, c) and query ledger."""
+
+    oracle: BatchFn
     declared_alpha: float
     declared_c: float
     ledger: QueryLedger
 
-
-def wrap_with_ledger(
-    oracle: OracleFn, c: float, alpha: float = 1.0
-) -> ExtensionOracleHandle:
-    """Attach a fresh query ledger to a bare oracle function."""
-    ledger = QueryLedger()
-
-    def extend(subset: int, ell: int) -> int:
+    def extend_many(self, subsets, budgets) -> np.ndarray:
+        """The answers to (subsets[i], budgets[i]) for every i, as int64; the
+        ledger records each query, in order."""
+        subsets = np.asarray(subsets, dtype=np.int64)
+        budgets = np.asarray(budgets, dtype=np.int64)
         t0 = time.perf_counter()
-        out = oracle(subset, ell)
-        ledger.wall_time += time.perf_counter() - t0
-        ledger.queries.append((subset.bit_count(), ell))
+        out = self.oracle(subsets, budgets)
+        self.ledger.wall_time += time.perf_counter() - t0
+        self.ledger.queries.extend(zip(_popcount(subsets).tolist(), budgets.tolist()))
         return out
 
+    def extend(self, subset: int, ell: int) -> int:
+        return _one(self.extend_many, subset, ell)
+
+
+def wrap_with_ledger(
+    oracle: BatchOracle | OracleFn, c: float, alpha: float = 1.0
+) -> ExtensionOracleHandle:
+    """Attach a fresh query ledger to an oracle.  A BatchOracle answers each
+    batch in one call; any other (S, ell) -> X function is asked once per
+    query."""
+    if isinstance(oracle, BatchOracle):
+        many = oracle.many
+    else:
+
+        def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+            answers = map(oracle, subsets.tolist(), budgets.tolist())
+            return np.fromiter(answers, dtype=np.int64, count=subsets.size)
+
     return ExtensionOracleHandle(
-        extend=extend, declared_alpha=alpha, declared_c=c, ledger=ledger
+        oracle=many, declared_alpha=alpha, declared_c=c, ledger=QueryLedger()
     )
 
 
-def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> OracleFn:
+def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> BatchOracle:
     """Minimum-weight extension by exhaustive scan (alpha = 1).
 
-    All 2^n subsets are ranked once; a query returns the first ranked X
-    disjoint from S with |X| <= ell and S | X a solution.  Raises
-    ResourceCapError above `cap` or past the int64 weight range.
+    All 2^n subsets are ranked once, then sorted stably by size, so the
+    candidates X with |X| <= ell are one prefix, each with its rank.  The
+    queries with ell > 0 whose S is not a solution scan their prefix in
+    chunks: the answer is the best-ranked X disjoint from S with S | X a
+    solution.  Raises ResourceCapError above `cap` or past the int64 weight
+    range.
     """
     _check_int64(instance)
     table = membership_table(instance, cap)
     n = instance.n
     ranked, _, size = rank_subsets(instance, np.arange(1 << n))
+    rank = np.argsort(size, kind="stable")
+    cands = ranked[rank]
+    ends = np.cumsum(np.bincount(size, minlength=n + 1))
     full = (1 << n) - 1
 
-    def extend(subset: int, ell: int) -> int:
-        if ell == 0:
-            return 0 if table[subset] else full & ~subset
-        ok = (ranked & subset == 0) & (size <= ell) & table[ranked | subset]
-        first = ok.argmax()
-        return int(ranked[first]) if ok[first] else full & ~subset
+    def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+        solved = table[subsets]
+        out = np.where(solved, 0, full & ~subsets)
+        todo = np.flatnonzero((budgets > 0) & ~solved)
+        for ell in np.flatnonzero(np.bincount(budgets[todo])).tolist():
+            rows = todo[budgets[todo] == ell]
+            end = int(ends[min(ell, n)])
+            pool, pool_rank = cands[:end], rank[:end]
+            step = max(1, _CHUNK_PAIRS // end)
+            for lo in range(0, rows.size, step):
+                chunk = rows[lo : lo + step]
+                s = subsets[chunk, None]
+                ok = (pool & s == 0) & table[pool | s]
+                best = np.where(ok, pool_rank, rank.size).argmin(axis=1)
+                found = ok[np.arange(chunk.size), best]
+                out[chunk[found]] = pool[best[found]]
+        return out
 
-    return extend
+    return BatchOracle(many)
 
 
 def _elements(mask: int) -> list[int]:
@@ -127,123 +207,137 @@ def _elements(mask: int) -> list[int]:
 
 
 def _residual(instance: WeightedHSInstance | WeightedVCInstance):
-    """(elements, unhit): each constraint's sorted elements, and unhit(S), the
-    index bits of the constraints S leaves unhit."""
-    n = instance.n
-    masks = instance.masks
-    # hit[k][b]: the constraints (index bits) hit by byte b of S at bit 8k.
-    hit = []
-    for k in range(0, n, 8):
-        table = [0]
-        for v in range(k, min(k + 8, n)):
-            h = _mask(i for i, m in enumerate(masks) if m >> v & 1)
-            table += [t | h for t in table]
-        hit.append(table)
-    every = (1 << len(masks)) - 1
+    """(elements, hits, unhit): each constraint's sorted elements; hits[v],
+    the index bits of the constraints holding element v; and unhit(subsets),
+    the constraints each int64 subset mask leaves unhit, as an int64 array
+    with one column per 63 constraints (bit j of column k is constraint
+    63k + j)."""
+    n, masks = instance.n, instance.masks
+    hits = [_mask(i for i, m in enumerate(masks) if m >> v & 1) for v in range(n)]
+    width = max(1, -(-len(masks) // _WORD_BITS))
 
-    def unhit(subset: int) -> int:
-        out = every
-        for table in hit:
-            out &= ~table[subset & 255]
-            subset >>= 8
+    def words(bits: int) -> list[int]:
+        return [bits >> _WORD_BITS * k & _WORD for k in range(width)]
+
+    every = np.array(words((1 << len(masks)) - 1), dtype=np.int64)
+    hit_words = np.array([words(h) for h in hits], dtype=np.int64).reshape(n, width)
+    # tables[k][b]: the constraints that byte b of S, at bit 8k, leaves unhit.
+    tables = []
+    for lo in range(0, n, 8):
+        hit = np.zeros((1 << min(8, n - lo), width), dtype=np.int64)
+        for i in range(min(8, n - lo)):
+            hit[1 << i : 2 << i] = hit[: 1 << i] | hit_words[lo + i]
+        tables.append(every & ~hit)
+
+    def unhit(subsets: np.ndarray) -> np.ndarray:
+        out = np.tile(every, (subsets.size, 1))
+        for k, table in enumerate(tables):
+            out &= table[subsets >> 8 * k & 0xFF]
         return out
 
-    return [_elements(m) for m in masks], unhit
+    return [_elements(m) for m in masks], hits, unhit
 
 
-def branching_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> OracleFn:
+def _join(words: list[int]) -> int:
+    """The constraint index bits of one row of unhit words."""
+    return sum(w << _WORD_BITS * k for k, w in enumerate(words))
+
+
+def branching_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> BatchOracle:
     """d-way branching on the lowest-indexed unhit set (alpha=1, c=d).
 
     Exact among extensions of size <= ell.  Branches follow the sorted
-    elements of the constraint at the lowest unhit bit; VC is the d = 2 case.
+    elements of the constraint at the lowest unhit bit; VC is the d = 2
+    case.  A batch searches each distinct (unhit(S), ell) with ell > 0 and S
+    not a solution once.
     """
+    _check_int64(instance)
     full = (1 << instance.n) - 1
     weights = instance.weights
-    elements, unhit = _residual(instance)
+    elements, hits, unhit = _residual(instance)
 
-    def extend(subset: int, ell: int) -> int:
-        best: list[tuple[int, int, int] | None] = [None]
+    def search(left: int, ell: int) -> int:
+        """The best X of size <= ell hitting every constraint in `left`, or -1."""
+        best: tuple[int, int, int] | None = None
 
-        def rec(chosen: int, chosen_w: int, depth: int) -> None:
-            left = unhit(subset | chosen)
+        def rec(chosen: int, left: int, chosen_w: int, depth: int) -> None:
+            nonlocal best
             if not left:
                 key = (chosen_w, chosen.bit_count(), chosen)
-                if best[0] is None or key < best[0]:
-                    best[0] = key
+                if best is None or key < best:
+                    best = key
                 return
             if depth >= ell:
                 return
-            if best[0] is not None and chosen_w >= best[0][0]:
+            if best is not None and chosen_w >= best[0]:
                 return  # any completion only adds weight
             for v in elements[(left & -left).bit_length() - 1]:
-                rec(chosen | 1 << v, chosen_w + weights[v], depth + 1)
+                rec(chosen | 1 << v, left & ~hits[v], chosen_w + weights[v], depth + 1)
 
-        rec(0, 0, 0)
-        return full & ~subset if best[0] is None else best[0][2]
+        rec(0, left, 0, 0)
+        return -1 if best is None else best[2]
 
-    return extend
+    def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+        left = unhit(subsets)
+        solved = ~left.any(axis=1)
+        out = np.where(solved, 0, full & ~subsets)
+        todo = np.flatnonzero((budgets > 0) & ~solved)
+        keep, inverse = _first_seen(*left[todo].T, budgets[todo])
+        rows = todo[keep]
+        pairs = zip(left[rows].tolist(), budgets[rows].tolist())
+        xs = np.array([search(_join(row), ell) for row, ell in pairs], dtype=np.int64)
+        xs = xs[inverse]
+        found = xs >= 0
+        out[todo[found]] = xs[found]
+        return out
 
-
-def _solve_once(key_of: Callable[[int], object], solve: Callable) -> OracleFn:
-    """Oracle answering (S, ell) with solve(key_of(S)), each distinct key solved once.
-
-    For oracles that ignore the budget and whose answer depends only on the
-    residual instance left by S; the memo lives and dies with the oracle.
-    """
-    solved: dict = {}
-
-    def extend(subset: int, ell: int) -> int:
-        key = key_of(subset)
-        x = solved.get(key)
-        if x is None:
-            x = solved[key] = solve(key)
-        return x
-
-    return extend
+    return BatchOracle(many)
 
 
-def local_ratio_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> OracleFn:
+def local_ratio_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> BatchOracle:
     """Bar-Yehuda/Even local ratio over the unhit sets (alpha=d, c=1).
 
     The budget is ignored; the weight guarantee is inherited from
-    d * OPT(residual) <= d * (any size-restricted optimum).  The answer
-    depends only on the constraints S leaves unhit, so each distinct
-    residual is solved once.  VC is the d = 2 case.
+    d * OPT(residual) <= d * (any size-restricted optimum).  Each unhit
+    constraint, in index order, lowers the residual weights of its elements
+    by their least; the elements that reach 0 are then dropped in reverse
+    order while the rest still hit every unhit constraint.  The answer
+    depends only on unhit(S), so a batch runs both passes, in integers, over
+    all its distinct residuals at once.  VC is the d = 2 case.
     """
+    _check_int64(instance)
     n = instance.n
-    weights = instance.weights
-    elements, unhit = _residual(instance)
+    weights = np.array(instance.weights, dtype=np.int64)
+    elements, _, unhit = _residual(instance)
+    elements = [np.array(elems) for elems in elements]
 
-    def solve(unhit_bits: int) -> int:
-        res = list(weights)
-        for i in _elements(unhit_bits):
-            elems = elements[i]
-            low = min([res[e] for e in elems])
-            if low > 0:
-                for e in elems:
-                    res[e] -= low
+    def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+        words = unhit(subsets)
+        keep, inverse = _first_seen(*words.T)
+        left = words[keep]
+        res = np.repeat(weights[:, None], len(left), axis=1)  # res[v]: v's residual weights
+        for i, elems in enumerate(elements):
+            live = left[:, i // _WORD_BITS] >> i % _WORD_BITS & 1  # 1 where i is unhit
+            sub = res[elems]
+            res[elems] = sub - live * sub.min(axis=0)
         # Weights are >= 1, so only elements of unhit sets reach 0: none is in S.
-        hitters = [v for v in range(n) if res[v] == 0]
-        return _reverse_delete(hitters, lambda mask: not unhit_bits & unhit(mask))
+        mask = _pack_rows((res == 0).T)
+        for v in reversed(range(n)):
+            has = mask >> v & 1 == 1
+            if has.any():
+                trial = mask & ~(1 << v)
+                drop = has & ~(left & unhit(trial)).any(axis=1)
+                mask = np.where(drop, trial, mask)
+        return mask[inverse]
 
-    return _solve_once(unhit, solve)
+    return BatchOracle(many)
 
 
 branching_vc_oracle = branching_hs_oracle
 local_ratio_vc_oracle = local_ratio_hs_oracle
 
 
-def _reverse_delete(candidates: list[int], is_feasible) -> int:
-    """Drop candidates in reverse order while feasibility is preserved."""
-    mask = _mask(candidates)
-    for v in reversed(candidates):
-        trial = mask & ~(1 << v)
-        if is_feasible(trial):
-            mask = trial
-    return mask
-
-
-def local_ratio_fvs_oracle(instance: WeightedFVSInstance) -> OracleFn:
+def local_ratio_fvs_oracle(instance: WeightedFVSInstance) -> BatchOracle:
     """Degree-weighted local ratio for feedback vertex set (alpha=2, c=1).
 
     Becker-Geiger scheme: after pruning degree <= 1 vertices and forcing
@@ -253,9 +347,11 @@ def local_ratio_fvs_oracle(instance: WeightedFVSInstance) -> OracleFn:
     positive denominator, so the zero test and the pick order are exact.
 
     Every cycle of G - S lies in its 2-core C, so the answer depends on C
-    alone (C - X is acyclic iff G - S - X is), and each distinct C is solved
-    once.  Degrees follow the multigraph semantics of the instance.
+    alone (C - X is acyclic iff G - S - X is).  A batch takes the 2-cores of
+    all its queries from one chunked peel and solves each distinct C once.
+    Degrees follow the multigraph semantics of the instance.
     """
+    _check_int64(instance)
     n = instance.n
     weights = instance.weights
     loops = 0
@@ -307,10 +403,21 @@ def local_ratio_fvs_oracle(instance: WeightedFVSInstance) -> OracleFn:
                     zeroed |= 1 << v
             stack.extend(_elements(zeroed))
             alive = core(alive & ~zeroed)
-        return _reverse_delete(stack, lambda mask: not core(cyclic & ~mask))
+        mask = _mask(stack)
+        for v in reversed(stack):  # reverse delete, keeping C - mask acyclic
+            trial = mask & ~(1 << v)
+            if not core(cyclic & ~trial):
+                mask = trial
+        return mask
 
     full = (1 << n) - 1
-    return _solve_once(lambda subset: core(full & ~subset), solve)
+
+    def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+        cores = _fvs_cores(instance, ~subsets & full)
+        keep, inverse = _first_seen(cores)
+        return np.array([solve(c) for c in cores[keep].tolist()], dtype=np.int64)[inverse]
+
+    return BatchOracle(many)
 
 
 def oracle_for(

@@ -11,8 +11,9 @@ edge normaliser.  VC, HS and PVC store their constraints once as int masks,
 and S hits a constraint m iff S & m, so Vertex Cover is 2-Hitting Set.
 
 membership_many is the predicate over an int64 array of masks (so n <= 63):
-one `arr & m != 0` test per constraint mask, and for FVS a forest peel that
-shares no code with the oracles' 2-core peel; membership_table caches it over
+one `arr & m != 0` test per constraint mask, and for FVS a chunked peel to
+the 2-core, empty iff the rest is a forest; the FVS local-ratio oracle keys
+its queries by the same cores.  membership_table caches the predicate over
 all 2^n masks.  weigh_many is the one kernel that weighs and counts masks,
 and rank_subsets the one weight -> cardinality -> bitmask ranking.
 membership_check (union-find for FVS) and weight_of stay the independent
@@ -27,7 +28,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import DEFAULT_CAP, ResourceCapError, _check_cap, _mask, subset_sums
+from .families import (
+    _WORD_BITS,
+    DEFAULT_CAP,
+    ResourceCapError,
+    _check_cap,
+    _check_word,
+    _mask,
+    subset_sums,
+)
 
 __all__ = [
     "WeightedVCInstance",
@@ -208,25 +217,34 @@ def membership_check(instance: Instance, subset: int) -> bool:
     raise TypeError(f"unsupported instance type {type(instance)!r}")
 
 
-# Rows per chunk of the vectorised FVS peel: at most 2 MB of float64 degrees.
-_PEEL_ROWS = 1 << 12
+# Rows per chunk of the vectorised FVS peel: at most 0.5 MB of float64 degrees.
+_PEEL_ROWS = 1 << 10
 
 
-def _fvs_forests(instance: WeightedFVSInstance, alive: np.ndarray) -> np.ndarray:
-    """True where the multigraph induced on alive[i] is a forest.
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """The int64 masks (n <= 63) of the rows of a 2-D 0/1 array, column i as bit i."""
+    octets = np.zeros((len(bits), 8), dtype=np.uint8)
+    packed = np.packbits(bits.astype(bool), axis=1, bitorder="little")
+    octets[:, : packed.shape[1]] = packed
+    return octets.view("<i8").ravel()
+
+
+def _fvs_cores(instance: WeightedFVSInstance, alive: np.ndarray) -> np.ndarray:
+    """The 2-core of the multigraph induced on each int64 mask alive[i], as a mask.
 
     Each round removes every live vertex of live degree <= 1, where parallel
     edges count each and a self-loop counts 2: so a vertex goes iff it has no
     self-loop, at most one distinct live neighbour and no live parallel edge.
-    A set is a forest iff the rounds empty it.  The degrees of a round are
-    one matmul of the 0/1 live matrix with the edge multiplicities.
+    What the rounds leave is the 2-core, empty iff alive[i] induces a forest.
+    The degrees of a round are one matmul of the 0/1 live matrix with the
+    edge multiplicities, over chunks of _PEEL_ROWS rows.
     """
     n = instance.n
     mult = np.zeros((n, n))
     for u, v in instance.edges:
         mult[u, v] += 1
         mult[v, u] += 1
-    out = np.empty(alive.size, dtype=bool)
+    out = np.empty(alive.size, dtype=np.int64)
     for lo in range(0, alive.size, _PEEL_ROWS):
         octets = alive[lo : lo + _PEEL_ROWS].astype("<i8").view(np.uint8)
         bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
@@ -236,7 +254,7 @@ def _fvs_forests(instance: WeightedFVSInstance, alive: np.ndarray) -> np.ndarray
             if np.array_equal(peeled, live):
                 break
             live = peeled
-        out[lo : lo + _PEEL_ROWS] = ~live.any(axis=1)
+        out[lo : lo + _PEEL_ROWS] = _pack_rows(live)
     return out
 
 
@@ -252,7 +270,7 @@ def membership_many(instance: Instance, subsets: np.ndarray) -> np.ndarray:
             ok &= subsets & m != 0
         return ok
     if isinstance(instance, WeightedFVSInstance):
-        return _fvs_forests(instance, ~subsets & full)
+        return _fvs_cores(instance, ~subsets & full) == 0
     if isinstance(instance, WeightedPVCInstance):
         covered = np.zeros(subsets.shape, dtype=np.int64)
         for m in instance.masks:
@@ -268,17 +286,9 @@ def membership_table(instance: Instance, cap: int = DEFAULT_CAP) -> np.ndarray:
     return membership_many(instance, np.arange(1 << instance.n))
 
 
-# Subset masks and their weights are int64 in the drivers and in the exact
-# weight tables, which would wrap silently.
-_WORD_BITS = 63
-
-
 def _check_int64(instance: Instance) -> None:
-    if instance.n > _WORD_BITS:
-        raise ResourceCapError(
-            f"n = {instance.n} exceeds the {_WORD_BITS}-element limit of the int64 "
-            "driver arrays"
-        )
+    """Refuse what would wrap the int64 subset masks and weight tables."""
+    _check_word(instance.n)
     if sum(instance.weights) >> _WORD_BITS:
         raise ResourceCapError("total weight exceeds the int64 range of the driver arrays")
 
@@ -301,16 +311,23 @@ def _byte_weights(weights: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
+def _popcount(subsets: np.ndarray) -> np.ndarray:
+    """The uint8 sizes of an int64 array of subset masks, by one popcount-table
+    lookup per occupied byte."""
+    size = np.zeros(subsets.shape, dtype=np.uint8)
+    top = int(subsets.max()).bit_length() if subsets.size else 0
+    for lo in range(0, top, 8):
+        size += _POPCOUNT8[subsets >> lo & 0xFF]
+    return size
+
+
 def weigh_many(instance: Instance, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int64 weights, uint8 sizes) of an int64 array of subset masks (n <= 63),
     by one lookup per mask byte in 256-entry weight and popcount tables."""
     weight = np.zeros(subsets.shape, dtype=np.int64)
-    size = np.zeros(subsets.shape, dtype=np.uint8)
     for lo, table in zip(range(0, instance.n, 8), _byte_weights(tuple(instance.weights))):
-        octet = subsets >> lo & 0xFF
-        weight += table[octet]
-        size += _POPCOUNT8[octet]
-    return weight, size
+        weight += table[subsets >> lo & 0xFF]
+    return weight, _popcount(subsets)
 
 
 def rank_subsets(instance: Instance, subsets: np.ndarray) -> tuple[np.ndarray, ...]:

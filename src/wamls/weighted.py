@@ -10,7 +10,11 @@ what makes the prefix negligible against any set touching class k.
 
 Covering families are combined as the budget-0 case: each class's covering
 sets enter as (T, 0) entries, so one routine partitions, lifts, combines and
-deduplicates for both builders.
+deduplicates for both builders.  It works on int64 arrays of T masks and
+ell budgets: a block is a broadcast OR of the T masks and a broadcast sum
+of the budgets, class by class, and the blocks are deduplicated in
+first-seen order with one stable np.lexsort.  So both builders refuse
+n > 63 with ResourceCapError.
 """
 
 from __future__ import annotations
@@ -18,11 +22,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+
+import numpy as np
 
 from . import bounds, families
 from .bounds import _check_factors
-from .families import CoveringFamily, ExtensionFamily, DEFAULT_CAP, _check_weights, _mask
+from .families import (
+    DEFAULT_CAP,
+    CoveringFamily,
+    ExtensionFamily,
+    _check_weights,
+    _check_word,
+    _entry_arrays,
+    _first_seen,
+    _mask,
+)
 
 __all__ = [
     "WeightClassPartition",
@@ -85,9 +99,32 @@ def partition_by_weight(weights, delta: float) -> WeightClassPartition:
     return part
 
 
-def _remap(local_mask: int, elems: tuple[int, ...]) -> int:
-    """Translate a mask over {0..len(elems)-1} into global element ids."""
-    return _mask(e for j, e in enumerate(elems) if local_mask >> j & 1)
+def _block(
+    partition: WeightClassPartition,
+    per_class: dict[int, tuple[np.ndarray, np.ndarray]],
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, ell) int64 arrays of the product block for window index k.
+
+    per_class[i] holds class i's T and ell arrays.  The product runs
+    row-major over the window's classes in index order, the first class
+    outermost: each step is a broadcast OR of the T masks and a broadcast
+    sum of the ell values.  Every T is unioned with the prefix W_k.
+    """
+    if k not in partition.index_set:
+        raise ValueError(f"k = {k} is not an occupied class index")
+    w_k = 0
+    for i in partition.index_set:
+        if i < k - partition.d:
+            w_k |= _mask(partition.classes[i])
+    ts = np.array([w_k], dtype=np.int64)
+    ells = np.zeros(1, dtype=np.int64)
+    for i in partition.index_set:
+        if k - partition.d <= i <= k:
+            class_ts, class_ells = per_class[i]
+            ts = (ts[:, None] | class_ts).ravel()
+            ells = (ells[:, None] + class_ells).ravel()
+    return ts, ells
 
 
 def combine_blocks(
@@ -100,57 +137,54 @@ def combine_blocks(
     Entries in `per_class` are already in global coordinates.  For covering
     families pass budget 0 everywhere and ignore budgets in the result.
     """
-    if k not in partition.index_set:
-        raise ValueError(f"k = {k} is not an occupied class index")
-    w_k = 0
-    for i in partition.index_set:
-        if i < k - partition.d:
-            w_k |= _mask(partition.classes[i])
-    block = [(w_k, 0)]
-    for i in partition.index_set:
-        if k - partition.d <= i <= k:
-            block = [
-                (t | e, ell + l2) for t, ell in block for e, l2 in per_class[i]
-            ]
-    return block
+    ts, ells = _block(partition, {i: _entry_arrays(e) for i, e in per_class.items()}, k)
+    return list(zip(ts.tolist(), ells.tolist()))
 
 
 # Small bounds: a solve with a fresh target factor never hits these caches,
 # so a large bound only grows the process by a few KB per solve.
 @lru_cache(maxsize=256)
 def _unweighted_covering_cached(n: int, alpha: float, cap: int) -> tuple:
-    """The covering family's sets as budget-0 entries."""
+    """The covering family's sets as budget-0 (T, ell) arrays."""
     fam = families.build_unweighted_covering(n, alpha, cap=cap)
-    return tuple((t, 0) for t in fam.sets)
+    return _entry_arrays([(t, 0) for t in fam.sets])
 
 
 @lru_cache(maxsize=256)
 def _unweighted_extension_cached(
     n: int, alpha: float, c: float, beta: float, cap: int
-) -> ExtensionFamily:
-    return families.build_unweighted_extension(n, alpha, c, beta, cap=cap)
+) -> tuple:
+    """The extension family's entries as (T, ell) arrays."""
+    return _entry_arrays(families.build_unweighted_extension(n, alpha, c, beta, cap=cap).entries)
 
 
 def _combine_classes(weights, delta: float, zeta: float, inner, **setting):
     """Partition by weight, lift each class's family, combine and deduplicate.
 
-    inner(m) gives the (T, ell) entries of the unweighted zeta-family on m
+    inner(m) gives the (T, ell) arrays of the unweighted zeta-family on m
     elements.  Returns the entries, in first-seen order over the occupied
     indices, and the schedule: delta, zeta, d, gamma, the builder's
-    `setting` and each class's family size.
+    `setting` and each class's family size.  The entries are int64 masks,
+    so n > 63 is refused.
     """
+    _check_word(len(weights))
     part = partition_by_weight(weights, delta)
-    per_class: dict[int, list[tuple[int, int]]] = {}
+    per_class: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     class_sizes: dict[int, int] = {}
     for i in part.index_set:
         elems = part.classes[i]
-        sub = inner(len(elems))
-        per_class[i] = [(_remap(t, elems), ell) for t, ell in sub]
-        class_sizes[i] = len(sub)
-    blocks = (combine_blocks(part, per_class, k) for k in part.index_set)
+        local, ells = inner(len(elems))
+        ts = np.zeros_like(local)
+        for j, e in enumerate(elems):  # bit j of a class mask is element e
+            ts |= (local >> j & 1) << e
+        per_class[i] = ts, ells
+        class_sizes[i] = len(ts)
+    blocks = [_block(part, per_class, k) for k in part.index_set]
+    ts, ells = (np.concatenate(cols) for cols in zip(*blocks))
+    keep, _ = _first_seen(ts, ells)
     schedule = {"delta": delta, "inner": zeta, "d": part.d, "gamma": part.gamma}
     schedule.update(setting, class_family_sizes=class_sizes)
-    return list(dict.fromkeys(chain.from_iterable(blocks))), schedule
+    return list(zip(ts[keep].tolist(), ells[keep].tolist())), schedule
 
 
 def _covering_schedule(alpha: float, n: int, mode: str) -> tuple[float, float]:
@@ -270,7 +304,7 @@ def build_weighted_extension(
         weights,
         delta,
         zeta,
-        lambda m: _unweighted_extension_cached(m, alpha, c, zeta, cap).entries,
+        lambda m: _unweighted_extension_cached(m, alpha, c, zeta, cap),
         eps=eps,
     )
     fam = ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)

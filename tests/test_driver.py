@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from wamls.driver import (
@@ -14,7 +15,7 @@ from wamls.driver import (
     verify_run,
 )
 from wamls.families import ResourceCapError
-from wamls.oracles import oracle_for, wrap_with_ledger
+from wamls.oracles import BatchOracle, exact_extension_oracle, oracle_for, wrap_with_ledger
 from wamls.problems import (
     WeightedHSInstance,
     WeightedPVCInstance,
@@ -232,6 +233,59 @@ class TestBatchedCheckAndRank:
         fits = WeightedVCInstance(n=2, weights=(1 << 62, (1 << 62) - 1), edges=((0, 1),))
         report = approximate_membership(fits, 2.0, mode="exhaustive")
         assert (report.output_set, report.output_weight) == (0b10, (1 << 62) - 1)
+
+
+class TestOneBatchPerFamily:
+    """The extension driver asks the oracle once, with the family's arrays."""
+
+    @pytest.mark.parametrize(
+        "kind,name", [("wvc", "exact"), ("whs", "branching"), ("whs", "local-ratio"),
+                      ("wfvs", "local-ratio")]
+    )
+    def test_ledger_follows_family_order(self, kind, name):
+        inst = random_instance(kind, 9, 0.35, seed=8, d=3)
+        handle = oracle_for(inst, name)
+        beta = 2.5
+        report = approximate_extension(inst, handle, beta, force=True)
+        fam = build_weighted_extension(
+            list(inst.weights), handle.declared_alpha, handle.declared_c, beta
+        ).family
+        assert handle.ledger.queries == [(t.bit_count(), ell) for t, ell in fam.entries]
+        assert handle.ledger.cost_log(handle.declared_c) == report.cost_log
+
+    def test_one_call_per_run(self):
+        inst = random_instance("whs", 8, 0.4, seed=9, d=3)
+        exact = exact_extension_oracle(inst)
+        calls = []
+
+        def many(subsets, budgets):
+            calls.append(len(subsets))
+            return exact.many(subsets, budgets)
+
+        handle = wrap_with_ledger(BatchOracle(many), c=2.0)
+        report = approximate_extension(inst, handle, 1.5)
+        assert calls == [report.family_size]
+        assert report == approximate_extension(inst, oracle_for(inst, "exact"), 1.5)
+
+    def test_scalar_oracle_runs_through_the_driver(self):
+        inst = random_instance("wvc", 8, 0.4, seed=10)
+        exact = exact_extension_oracle(inst)
+        scalar = wrap_with_ledger(lambda t, ell: exact(t, ell), c=2.0)
+        batch = oracle_for(inst, "exact")
+        assert approximate_extension(inst, scalar, 1.5) == approximate_extension(
+            inst, batch, 1.5
+        )
+        assert scalar.ledger.queries == batch.ledger.queries
+
+    def test_batch_contract_violation_names_first_bad_output(self):
+        inst = random_instance("whs", 7, 0.5, seed=2, d=3)
+        handle = wrap_with_ledger(BatchOracle(lambda s, ell: np.zeros_like(s)), c=1.0)
+        entries = build_weighted_extension(list(inst.weights), 1.0, 1.0, 1.5).family.entries
+        bad = [t for t, _ in entries if not membership_check(inst, t)]
+        with pytest.raises(RuntimeError) as exc:
+            approximate_extension(inst, handle, 1.5)
+        assert str(exc.value) == f"oracle contract violation: {bad[0]:#x} is not a solution"
+        assert len(handle.ledger.queries) == len(entries)
 
 
 class TestVerifyRun:

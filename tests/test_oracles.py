@@ -4,7 +4,10 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wamls import oracles
 from wamls.oracles import (
@@ -287,12 +290,27 @@ class TestResidualKernel:
     def test_unhit_and_elements(self, kind, n):
         # n = 11 reads two byte tables, n = 8 exactly one.
         inst = random_instance(kind, n, 0.3, seed=n, d=4)
-        elements, unhit = oracles._residual(inst)
+        self.check_kernel(inst)
+
+    def test_more_than_63_constraints(self):
+        # 108 edges: the unhit words span two int64 columns.
+        inst = random_instance("wvc", 16, 0.9, seed=3)
+        assert len(inst.masks) > 63
+        self.check_kernel(inst, step=7)
+
+    @staticmethod
+    def check_kernel(inst, step=1):
+        elements, hits, unhit = oracles._residual(inst)
         assert [sum(1 << e for e in elems) for elems in elements] == list(inst.masks)
         assert all(elems == sorted(elems) for elems in elements)
-        for s in range(1 << n):
+        assert hits == [
+            sum(1 << i for i, m in enumerate(inst.masks) if m >> v & 1) for v in range(inst.n)
+        ]
+        subsets = np.arange(0, 1 << inst.n, step)
+        words = unhit(subsets)
+        for s, row in zip(subsets.tolist(), words.tolist()):
             want = sum(1 << i for i, m in enumerate(inst.masks) if not s & m)
-            assert unhit(s) == want
+            assert sum(w << 63 * k for k, w in enumerate(row)) == want
 
 
 class TestLedger:
@@ -315,6 +333,141 @@ class TestLedger:
         assert handle.ledger.queries == [(0, 0), (1, 1)]
         assert handle.ledger.cost_log(1.0) == pytest.approx(math.log(2), abs=1e-12)
         assert handle.ledger.wall_time >= 0.0
+
+
+ORACLES = {
+    "wvc": ("exact", "branching", "local-ratio"),
+    "whs": ("exact", "branching", "local-ratio"),
+    "wfvs": ("exact", "local-ratio"),
+}
+
+
+@st.composite
+def small_instances(draw):
+    """wvc, whs with d in 2..4, and wfvs multigraphs with self-loops, parallel
+    edges and isolated vertices, on n <= 7 elements."""
+    kind = draw(st.sampled_from(sorted(ORACLES)))
+    n = draw(st.integers(0, 7))
+    weights = tuple(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    elems = st.integers(0, max(n - 1, 0))
+    if kind == "whs":
+        d = draw(st.integers(2, 4))
+        sets = st.lists(elems, min_size=1, max_size=d)
+        rows = draw(st.lists(sets, max_size=12 if n else 0))
+        return WeightedHSInstance(n=n, weights=weights, d=d, sets=tuple(map(tuple, rows)))
+    if kind == "wvc":
+        pairs = st.tuples(elems, elems).filter(lambda e: e[0] != e[1])
+        rows = draw(st.lists(pairs, max_size=2 * n if n > 1 else 0))
+        return WeightedVCInstance(n=n, weights=weights, edges=tuple(rows))
+    # Repeated pairs are parallel edges, (u, u) a self-loop.
+    rows = draw(st.lists(st.tuples(elems, elems), max_size=2 * n))
+    return WeightedFVSInstance(n=n, weights=weights, edges=tuple(rows))
+
+
+def brute_extension(inst, s, ell):
+    """The cheapest X (weight, size, mask) disjoint from S with |X| <= ell and
+    S | X a solution, else the complement of S."""
+    full = (1 << inst.n) - 1
+    fits = [
+        x for x in range(full + 1)
+        if not x & s and x.bit_count() <= ell and membership_check(inst, s | x)
+    ]
+    return min(fits, key=lambda x: (weight_of(inst, x), x.bit_count(), x), default=full & ~s)
+
+
+def local_ratio_reference(inst, s):
+    """Bar-Yehuda/Even plus the reverse delete over the constraints S leaves
+    unhit, one residual at a time in Python ints."""
+    unhit = [m for m in inst.masks if not s & m]
+    res = list(inst.weights)
+    for m in unhit:
+        elems = [v for v in range(inst.n) if m >> v & 1]
+        low = min(res[v] for v in elems)
+        for v in elems:
+            res[v] -= low
+    mask = sum(1 << v for v in range(inst.n) if res[v] == 0)
+    for v in reversed(range(inst.n)):
+        trial = mask & ~(1 << v)
+        if mask >> v & 1 and all(trial & m for m in unhit):
+            mask = trial
+    return mask
+
+
+def check_batch(inst, queries):
+    """extend_many equals extend query by query for every oracle, the ledger
+    records each query in order, and the answers match their references."""
+    subsets = np.array([q for q, _ in queries], dtype=np.int64)
+    budgets = np.array([ell for _, ell in queries], dtype=np.int64)
+    answers = {}
+    for name in ORACLES[inst.kind]:
+        batch, single = oracle_for(inst, name), oracle_for(inst, name)
+        got = batch.extend_many(subsets, budgets)
+        assert got.dtype == np.int64 and got.shape == subsets.shape
+        answers[name] = got.tolist()
+        assert answers[name] == [single.extend(q, ell) for q, ell in queries]
+        recorded = [(q.bit_count(), ell) for q, ell in queries]
+        assert batch.ledger.queries == single.ledger.queries == recorded
+    if "branching" in answers:
+        assert answers["branching"] == answers["exact"]
+    for (q, ell), x in zip(queries, answers["local-ratio"]):
+        assert not q & x and membership_check(inst, q | x)
+        if inst.kind != "wfvs":
+            assert x == local_ratio_reference(inst, q)
+    return answers
+
+
+class TestBatchedQueries:
+    @settings(max_examples=150, deadline=None)
+    @given(inst=small_instances(), data=st.data())
+    def test_batch_equals_single_queries(self, inst, data):
+        full = (1 << inst.n) - 1
+        pool = data.draw(
+            st.lists(st.tuples(st.integers(0, full), st.integers(0, inst.n)), max_size=8)
+        )
+        # Drawing from a small pool repeats subsets and whole queries.
+        queries = data.draw(st.lists(st.sampled_from(pool), max_size=20)) if pool else []
+        answers = check_batch(inst, queries)
+        assert answers["exact"] == [brute_extension(inst, q, ell) for q, ell in queries]
+
+    def test_exact_scan_in_chunks(self, monkeypatch):
+        # Many queries per budget; a tiny chunk splits each budget's scan.
+        inst = random_instance("whs", 7, 0.5, seed=2, d=3)
+        queries = [(q, ell) for q in range(0, 128, 3) for ell in (1, 2, 3)]
+        want = [brute_extension(inst, q, ell) for q, ell in queries]
+        assert check_batch(inst, queries)["exact"] == want
+        monkeypatch.setattr(oracles, "_CHUNK_PAIRS", 5)
+        assert check_batch(inst, queries)["exact"] == want
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
+    def test_empty_batch(self, kind):
+        inst = random_instance(kind, 5, 0.5, seed=1)
+        for name in ORACLES[kind]:
+            handle = oracle_for(inst, name)
+            none = np.zeros(0, dtype=np.int64)
+            assert handle.extend_many(none, none).tolist() == []
+            assert handle.ledger.queries == []
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            random_instance("wvc", 16, 0.9, seed=3),
+            WeightedHSInstance(
+                n=14,
+                weights=tuple(random.Random(4).randint(1, 50) for _ in range(14)),
+                d=3,
+                sets=tuple(
+                    tuple(random.Random(i).sample(range(14), 1 + i % 3)) for i in range(90)
+                ),
+            ),
+        ],
+        ids=["wvc-108-edges", "whs-wide"],
+    )
+    def test_more_than_63_constraints(self, inst):
+        assert len(inst.masks) > 63
+        rng = random.Random(inst.n)
+        full = (1 << inst.n) - 1
+        pool = [(rng.randrange(full + 1), rng.randrange(inst.n + 1)) for _ in range(40)]
+        check_batch(inst, pool + pool[:10] + [(full, 0), (0, inst.n)])
 
 
 GOLDEN_LOCAL_RATIO = pathlib.Path(__file__).parent / "data" / "golden_local_ratio.txt"

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wamls import bounds, weighted
-from wamls.families import dump_family, verify_covering, verify_extension
+from wamls.families import (
+    DEFAULT_CAP,
+    ResourceCapError,
+    dump_family,
+    verify_covering,
+    verify_extension,
+)
 from wamls.weighted import (
     build_weighted_covering,
     build_weighted_extension,
@@ -110,6 +116,74 @@ class TestCombineBlocks:
         part = partition_by_weight([1, 1], 0.5)
         with pytest.raises(ValueError):
             combine_blocks(part, {}, 3)
+
+
+def naive_combination(weights, delta, inner):
+    """The class combination in plain Python: each window's product of
+    per-class lists under its prefix, deduplicated by dict.fromkeys in
+    first-seen order."""
+    part = partition_by_weight(weights, delta)
+    per_class = {}
+    for i in part.index_set:
+        elems = part.classes[i]
+        ts, ells = inner(len(elems))
+        per_class[i] = [
+            (sum(1 << e for j, e in enumerate(elems) if t >> j & 1), ell)
+            for t, ell in zip(ts.tolist(), ells.tolist())
+        ]
+    entries = []
+    for k in part.index_set:
+        block = [(sum(1 << e for i in part.index_set if i < k - part.d for e in part.classes[i]), 0)]
+        for i in part.index_set:
+            if k - part.d <= i <= k:
+                block = [(t | e, l1 + l2) for t, l1 in block for e, l2 in per_class[i]]
+        entries += block
+    return list(dict.fromkeys(entries))
+
+
+WEIGHT_LISTS = st.one_of(
+    st.lists(st.just(1), min_size=1, max_size=10),
+    st.lists(st.integers(1, 100), min_size=1, max_size=10),
+    st.lists(st.integers(0, 40).map(lambda k: 2**k), min_size=1, max_size=10),
+)
+
+
+class TestArrayCombination:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=WEIGHT_LISTS,
+        factors=st.sampled_from([(1.0, 2.0, 1.5), (2.0, 1.0, 1.9), (1.0, 3.0, 1.2)]),
+    )
+    def test_extension_matches_naive(self, weights, factors):
+        alpha, c, beta = factors
+        rep = build_weighted_extension(weights, alpha, c, beta)
+        zeta = rep.schedule["inner"]
+        naive = naive_combination(
+            weights,
+            rep.schedule["delta"],
+            lambda m: weighted._unweighted_extension_cached(m, alpha, c, zeta, DEFAULT_CAP),
+        )
+        assert rep.family.entries == naive
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=WEIGHT_LISTS, alpha=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_covering_matches_naive(self, weights, alpha):
+        rep = build_weighted_covering(weights, alpha)
+        inner = rep.schedule["inner"]
+        naive = naive_combination(
+            weights,
+            rep.schedule["delta"],
+            lambda m: weighted._unweighted_covering_cached(m, inner, DEFAULT_CAP),
+        )
+        assert rep.family.sets == [t for t, _ in naive]
+
+    @pytest.mark.parametrize("weights", [[1] * 64, [2**k for k in range(64)]])
+    def test_more_than_63_elements_refused(self, weights):
+        # Geometric weights put one element in each class, under the class cap.
+        with pytest.raises(ResourceCapError, match="63-element limit"):
+            build_weighted_covering(weights, 2.0)
+        with pytest.raises(ResourceCapError, match="63-element limit"):
+            build_weighted_extension(weights, 1.0, 2.0, 1.5)
 
 
 class TestWeightedCovering:
