@@ -63,7 +63,6 @@ from .weighted import (
     WeightClassPartition,
     build_weighted_covering,
     build_weighted_extension,
-    combine_blocks,
     partition_by_weight,
 )
 

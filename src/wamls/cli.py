@@ -98,12 +98,10 @@ def cmd_family(args) -> int:
             rep = weighted.build_weighted_covering(
                 weights, args.alpha, mode=args.mode, cap=cap
             )
-            size = len(rep.family.sets)
         else:
             rep = weighted.build_weighted_extension(
                 weights, args.alpha, args.c, args.beta, eps=args.eps, cap=cap
             )
-            size = len(rep.family.entries)
         sched = rep.schedule
         schedule = (
             f"delta={sched['delta']:g} inner={sched['inner']:g} "
@@ -115,7 +113,7 @@ def cmd_family(args) -> int:
                 fh.write(text)
         else:
             print(text, end="")
-        print(f"built {args.kind} family: {size} entries", file=sys.stderr)
+        print(f"built {args.kind} family: {rep.family.ts.size} entries", file=sys.stderr)
         return EXIT_OK
 
     if args.dump is None:

@@ -3,7 +3,7 @@
 The membership driver scans an alpha-covering family and keeps the cheapest
 member that is a solution.  The extension driver asks the oracle every
 (T, ell) entry of an (alpha, beta)-extension family in one batched call,
-extend_many over the family's T and ell arrays, and keeps the cheapest
+extend_many over the family's ts and ells columns, and keeps the cheapest
 T | X.  The ledger records one query per entry, in family order, and there
 is no early exit, so the recorded query cost equals the family cost exactly.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import problems, weighted
 from .bounds import _check_factors
-from .families import DEFAULT_CAP, _entry_arrays
+from .families import DEFAULT_CAP
 from .oracles import ExtensionOracleHandle
 from .problems import Instance, _check_int64, membership_check, membership_many
 from .problems import membership_table, rank_subsets, weight_of
@@ -108,10 +108,9 @@ def approximate_membership(
         ok = membership_table(instance, cap)
         family_size, solutions = ok.size, np.flatnonzero(ok)
     else:
-        report = weighted.build_weighted_covering(
+        sets = weighted.build_weighted_covering(
             list(instance.weights), alpha, mode=mode, cap=cap
-        )
-        sets = np.array(report.family.sets, dtype=np.int64)
+        ).family.ts
         family_size, solutions = sets.size, sets[membership_many(instance, sets)]
     # U is in every covering family and every system, so a solution exists.
     return _report(
@@ -146,8 +145,7 @@ def approximate_extension(
     report = weighted.build_weighted_extension(
         list(instance.weights), alpha, c, beta, eps=eps, cap=cap
     )
-    fam = report.family
-    ts, ells = _entry_arrays(fam.entries)
+    ts, ells = report.family.ts, report.family.ells
     outs = ts | oracle.extend_many(ts, ells)
     ok = membership_many(instance, outs)
     if not ok.all():
@@ -155,7 +153,7 @@ def approximate_extension(
         raise RuntimeError(f"oracle contract violation: {bad:#x} is not a solution")
     return _report(  # the family is never empty
         instance, outs, alpha=alpha, c=c, beta=beta, eps=eps,
-        family_size=len(fam.entries), cost_log=report.cost_log, seed=seed,
+        family_size=ts.size, cost_log=report.cost_log, seed=seed,
     )
 
 

@@ -6,6 +6,13 @@ w(T) <= alpha * w(S).  An extension family is a list of (T, ell) query pairs
 such that every S has a pair with |S \\ T| <= ell and
 w(T) + alpha * w(S \\ T) <= beta * w(S).
 
+A family holds its entries in order as read-only int64 columns: ts, and for
+an extension family ells; sets and entries are list views of them.  So n is
+at most 63.  The constructor names the first entry whose T leaves the
+universe (ts >> n != 0, negative masks too), whose ell is outside [0, n], or
+that repeats (by _first_seen), tested in that order.  log_cost adds the
+terms c^ell left to right, so the cost does not depend on the Python sum().
+
 An alpha-covering family is the (1, alpha)-extension family with every
 budget 0: then S subseteq T and w(T) + w(S \\ T) = w(T).  So one layer loop
 builds, and one exhaustive core verifies, both kinds.
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
@@ -81,6 +88,8 @@ _WORD_BITS = 63
 
 
 def _check_word(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"universe_size must be >= 0, got {n}")
     if n > _WORD_BITS:
         raise ResourceCapError(
             f"n = {n} exceeds the {_WORD_BITS}-element limit of int64 subset masks"
@@ -94,59 +103,68 @@ def _mask(elems) -> int:
     return m
 
 
-def _check_entries(n: int, sets, budgets, keys: list, duplicate: str) -> None:
-    """Reject a negative n, and entry i when sets[i] leaves the universe,
-    budgets[i] is out of range or keys[i] repeats; the error names the first
-    bad entry.
-
-    set(keys) hashes every key in C; the Python loop hashes keys itself only
-    when that set is short, to name the first repeat.
-    """
-    if n < 0:
-        raise ValueError(f"universe_size must be >= 0, got {n}")
-    repeats = len(set(keys)) < len(keys)
-    outside = ~((1 << n) - 1)
-    seen = set()
-    for t, ell, key in zip(sets, budgets, keys):
-        if t & outside:
+def _entry_columns(n: int, rows, width: int) -> np.ndarray:
+    """The rows (T, or T and ell for width 2) as read-only int64 columns.
+    A value outside int64 reads as -1, which fails the range and budget tests."""
+    _check_word(n)
+    try:
+        given = table = np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        given = np.array(rows, dtype=object).reshape(-1, width)
+        table = np.where(abs(given) >> 63 == 0, given, -1).astype(np.int64)
+    outside = table[:, 0] >> n != 0
+    unbudgeted = ((table[:, 1:] < 0) | (table[:, 1:] > n)).any(axis=1)
+    firsts, inverse = _first_seen(*table.T)
+    bad = outside | unbudgeted | (firsts[inverse] != np.arange(len(table)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        t, ell = (*given[i].tolist(), 0)[:2]  # a covering set has budget 0
+        if outside[i]:
             raise ValueError(f"set {t:#x} not contained in the universe")
-        if not 0 <= ell <= n:
+        if unbudgeted[i]:
             raise ValueError(f"budget {ell} out of range for entry {t:#x}")
-        if repeats:
-            if key in seen:
-                raise ValueError(duplicate.format(t=t, ell=ell))
-            seen.add(key)
+        raise ValueError(f"duplicate set {t:#x}" if width == 1 else f"duplicate entry ({t:#x}, {ell})")
+    columns = np.ascontiguousarray(table.T)
+    columns.flags.writeable = False
+    return columns
 
 
-@dataclass
-class CoveringFamily:
-    universe_size: int
-    alpha: float
-    sets: list[int]
+class _Family:
+    """Equality and repr over the header and the entry columns."""
 
-    def __post_init__(self) -> None:
-        _check_factors(alpha=self.alpha)
-        _check_entries(
-            self.universe_size, self.sets, repeat(0), self.sets, "duplicate set {t:#x}"
-        )
+    def __eq__(self, other) -> bool:
+        same = type(other) is type(self)
+        return same and all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class ExtensionFamily:
-    universe_size: int
-    alpha: float
-    beta: float
-    entries: list[tuple[int, int]]
+class CoveringFamily(_Family):
+    """An alpha-covering family of {0..universe_size-1}; sets views ts."""
 
-    def __post_init__(self) -> None:
-        _check_factors(alpha=self.alpha, beta=self.beta)
-        _check_entries(
-            self.universe_size,
-            [t for t, _ in self.entries],
-            [ell for _, ell in self.entries],
-            self.entries,
-            "duplicate entry ({t:#x}, {ell})",
-        )
+    def __init__(self, universe_size: int, alpha: float, sets) -> None:
+        _check_factors(alpha=alpha)
+        self.universe_size, self.alpha = universe_size, alpha
+        (self.ts,) = _entry_columns(universe_size, sets, 1)
+
+    @property
+    def sets(self) -> list[int]:
+        return self.ts.tolist()
+
+
+class ExtensionFamily(_Family):
+    """An (alpha, beta)-extension family; entries views ts and ells."""
+
+    def __init__(self, universe_size: int, alpha: float, beta: float, entries) -> None:
+        _check_factors(alpha=alpha, beta=beta)
+        self.universe_size, self.alpha, self.beta = universe_size, alpha, beta
+        self.ts, self.ells = _entry_columns(universe_size, entries, 2)
+
+    @property
+    def entries(self) -> list[tuple[int, int]]:
+        return list(zip(self.ts.tolist(), self.ells.tolist()))
 
 
 @dataclass
@@ -169,14 +187,6 @@ def subset_sums(values, dtype) -> np.ndarray:
     for i, v in enumerate(values):
         sums[1 << i : 2 << i] = sums[: 1 << i] + v
     return sums
-
-
-def _entry_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
-    """The T and ell columns of a list of (T, ell) pairs, as read-only int64
-    arrays (the weighted family caches share theirs)."""
-    pairs = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=2 * len(entries))
-    pairs.flags.writeable = False
-    return pairs[0::2], pairs[1::2]
 
 
 def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +234,7 @@ def _greedy_cover(rows: np.ndarray, cols: np.ndarray, covers, gains: np.ndarray)
     return picks
 
 
-def _greedy_layer(n: int, s: int, t: int, ell: int, popcount: np.ndarray) -> list[int] | None:
+def _greedy_layer(n: int, s: int, t: int, ell: int, popcount: np.ndarray) -> np.ndarray | None:
     """Greedy t-sets until every s-subset S has a pick T with |S \\ T| <= ell;
     None when some s-subset has no such t-set."""
     start = sum(math.comb(n - t, j) * math.comb(t, s - j) for j in range(min(ell, s) + 1))
@@ -238,11 +248,12 @@ def _greedy_layer(n: int, s: int, t: int, ell: int, popcount: np.ndarray) -> lis
         lambda r, c: within[c & ~r[:, None]],
         np.full(len(rows), start, dtype=np.int64),
     )
-    return None if picks is None else rows[picks].tolist()
+    return None if picks is None else rows[picks]
 
 
-def _layered(n: int, shape, cap: int) -> list[tuple[int, int]]:
-    """Layered greedy (T, ell) entries, deduplicated in first-pick order.
+def _layered(n: int, shape, cap: int) -> np.ndarray:
+    """Layered greedy (T, ell) entries, deduplicated in first-pick order, as
+    the rows of an (N, 2) int64 array.
 
     shape(s) gives layer s its target size t and budget ell.  Layer s picks
     t-sets until every s-subset S has a pick T with |S \\ T| <= ell; a layer
@@ -250,15 +261,17 @@ def _layered(n: int, shape, cap: int) -> list[tuple[int, int]]:
     the always-valid {(S, 0) : |S| = s}.
     """
     _check_cap(n, cap)
+    _check_word(n)
     popcount = subset_sums([1] * n, np.uint8)
-    entries: dict[tuple[int, int], None] = {}
+    layers = []
     for s in range(n + 1):
         t, ell = shape(s)
         picks = None if (t, ell) == (s, 0) else _greedy_layer(n, s, t, ell, popcount)
         if picks is None:
-            picks, ell = np.flatnonzero(popcount == s).tolist(), 0
-        entries.update(dict.fromkeys((pick, ell) for pick in picks))
-    return list(entries)
+            picks, ell = np.flatnonzero(popcount == s), 0
+        layers.append((picks, np.full_like(picks, ell)))
+    ts, ells = (np.concatenate(cols) for cols in zip(*layers))
+    return np.stack([ts, ells], axis=1)[_first_seen(ts, ells)[0]]
 
 
 def build_unweighted_covering(
@@ -271,7 +284,7 @@ def build_unweighted_covering(
     """
     _check_factors(strict=True, alpha=alpha)
     entries = _layered(n, lambda s: (min(n, math.floor(alpha * s)), 0), cap)
-    return CoveringFamily(universe_size=n, alpha=alpha, sets=[t for t, _ in entries])
+    return CoveringFamily(universe_size=n, alpha=alpha, sets=entries[:, 0])
 
 
 def _extension_layer_shape(
@@ -321,9 +334,10 @@ def _check_weights(weights) -> None:
             raise ValueError(f"weights must be finite and >= 1, got {w!r}")
 
 
-def _verify(n: int, weights, entries, alpha: float, beta: float, cap: int) -> Verdict:
-    """Exhaustive check that every S has an entry (T, ell) with |S \\ T| <= ell
-    and w(T) + alpha * w(S \\ T) <= beta * w(S)."""
+def _verify(family, weights, ells, alpha: float, beta: float, cap: int) -> Verdict:
+    """Exhaustive check that every S has an entry (T, ell), T from family.ts
+    and ell from ells, with |S \\ T| <= ell and w(T) + alpha * w(S \\ T) <= beta * w(S)."""
+    n = family.universe_size
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
     _check_weights(weights)
@@ -333,7 +347,7 @@ def _verify(n: int, weights, entries, alpha: float, beta: float, cap: int) -> Ve
     pc = subset_sums([1] * n, np.uint8)
     masks = np.arange(size)
     covered = np.zeros(size, dtype=bool)
-    for t, ell in entries:
+    for t, ell in zip(family.ts.tolist(), ells.tolist()):
         inside = masks & t  # S & T
         covered |= (pc[masks ^ inside] <= ell) & (
             w[t] + alpha * (w - w[inside]) <= beta * w + 1e-9
@@ -351,33 +365,33 @@ def verify_covering(
     The sets are checked as budget-0 entries with inner factor 1: for S
     inside T, w(S) - w(S & T) is exactly 0.0.
     """
-    entries = [(t, 0) for t in family.sets]
-    return _verify(family.universe_size, weights, entries, 1.0, family.alpha, cap)
+    return _verify(family, weights, np.zeros_like(family.ts), 1.0, family.alpha, cap)
 
 
 def verify_extension(
     family: ExtensionFamily, weights, cap: int = DEFAULT_CAP
 ) -> Verdict:
     """Exhaustively check both extension-family inequalities for every S."""
-    return _verify(
-        family.universe_size, weights, family.entries, family.alpha, family.beta, cap
-    )
+    return _verify(family, weights, family.ells, family.alpha, family.beta, cap)
 
 
 def family_cost(family: ExtensionFamily, c: float) -> float:
     """ln of the c-cost sum(c^ell) over entries, via log-sum-exp."""
     _check_factors(c=c)
-    return log_cost(family.entries, c)
+    return log_cost(family.ells, c)
 
 
-def log_cost(entries, c: float) -> float:
-    """ln sum(c^ell) over (T, ell) pairs, via log-sum-exp; -inf when empty."""
-    if not entries:
+def log_cost(ells, c: float) -> float:
+    """ln sum(c^ell) over the budgets ell, via log-sum-exp; -inf when empty.
+    math.exp runs once per distinct ell; a sequential np.cumsum adds in order."""
+    ells = np.asarray(ells, dtype=np.int64)
+    if not ells.size:
         return -math.inf
-    logc = math.log(c)
-    terms = [ell * logc for _, ell in entries]
-    m = max(terms)
-    return m + math.log(sum(math.exp(t - m) for t in terms))
+    distinct, inverse = np.unique(ells, return_inverse=True)
+    exponents = [ell * math.log(c) for ell in distinct.tolist()]
+    m = max(exponents)
+    terms = np.array([math.exp(x - m) for x in exponents])
+    return m + math.log(np.cumsum(terms[inverse])[-1])
 
 
 def _factor(x: float) -> str:
@@ -391,10 +405,10 @@ def dump_family(
     """Line-oriented dump: header, optional schedule comment, one entry per line."""
     head = f"n={family.universe_size} alpha={_factor(family.alpha)}"
     if isinstance(family, CoveringFamily):
-        lines = [f"family covering {head}"] + [f"{t:#x}" for t in family.sets]
+        lines = [f"family covering {head}"] + [f"{t:#x}" for t in family.ts.tolist()]
     else:
         lines = [f"family extension {head} beta={_factor(family.beta)}"]
-        lines += [f"{t:#x} {ell}" for t, ell in family.entries]
+        lines += [f"{t:#x} {ell}" for t, ell in zip(family.ts.tolist(), family.ells.tolist())]
     if schedule:
         lines.insert(1, f"# schedule {schedule}")
     return "\n".join(lines) + "\n"

@@ -110,7 +110,7 @@ class QueryLedger:
 
     def cost_log(self, c: float) -> float:
         """ln sum(c^ell) over recorded queries (log-sum-exp; -inf when empty)."""
-        return log_cost(self.queries, c)
+        return log_cost([ell for _, ell in self.queries], c)
 
 
 @dataclass

@@ -10,11 +10,12 @@ what makes the prefix negligible against any set touching class k.
 
 Covering families are combined as the budget-0 case: each class's covering
 sets enter as (T, 0) entries, so one routine partitions, lifts, combines and
-deduplicates for both builders.  It works on int64 arrays of T masks and
-ell budgets: a block is a broadcast OR of the T masks and a broadcast sum
-of the budgets, class by class, and the blocks are deduplicated in
-first-seen order with one stable np.lexsort.  So both builders refuse
-n > 63 with ResourceCapError.
+deduplicates for both builders.  It works on the int64 ts and ells columns
+of the class families: a block is a broadcast OR of the T masks and a
+broadcast sum of the budgets, class by class, and the blocks are
+deduplicated in first-seen order with one stable np.lexsort.  So both
+builders refuse n > 63, and a family of more than 2^cap entries before
+deduplication, with ResourceCapError.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .families import (
     ExtensionFamily,
     _check_weights,
     _check_word,
-    _entry_arrays,
     _first_seen,
     _mask,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "partition_by_weight",
     "build_weighted_covering",
     "build_weighted_extension",
-    "combine_blocks",
 ]
 
 
@@ -127,50 +126,37 @@ def _block(
     return ts, ells
 
 
-def combine_blocks(
-    partition: WeightClassPartition,
-    per_class: dict[int, list[tuple[int, int]]],
-    k: int,
-) -> list[tuple[int, int]]:
-    """Product block for window index k: prefix union of per-class entries, budgets summed.
-
-    Entries in `per_class` are already in global coordinates.  For covering
-    families pass budget 0 everywhere and ignore budgets in the result.
-    """
-    ts, ells = _block(partition, {i: _entry_arrays(e) for i, e in per_class.items()}, k)
-    return list(zip(ts.tolist(), ells.tolist()))
-
-
 # Small bounds: a solve with a fresh target factor never hits these caches,
 # so a large bound only grows the process by a few KB per solve.
 @lru_cache(maxsize=256)
 def _unweighted_covering_cached(n: int, alpha: float, cap: int) -> tuple:
-    """The covering family's sets as budget-0 (T, ell) arrays."""
-    fam = families.build_unweighted_covering(n, alpha, cap=cap)
-    return _entry_arrays([(t, 0) for t in fam.sets])
+    """The covering family's sets as budget-0 (T, ell) columns."""
+    ts = families.build_unweighted_covering(n, alpha, cap=cap).ts
+    return ts, np.zeros_like(ts)
 
 
 @lru_cache(maxsize=256)
 def _unweighted_extension_cached(
     n: int, alpha: float, c: float, beta: float, cap: int
 ) -> tuple:
-    """The extension family's entries as (T, ell) arrays."""
-    return _entry_arrays(families.build_unweighted_extension(n, alpha, c, beta, cap=cap).entries)
+    """The extension family's (T, ell) columns."""
+    fam = families.build_unweighted_extension(n, alpha, c, beta, cap=cap)
+    return fam.ts, fam.ells
 
 
-def _combine_classes(weights, delta: float, zeta: float, inner, **setting):
+def _combine_classes(weights, delta: float, zeta: float, inner, cap: int, **setting):
     """Partition by weight, lift each class's family, combine and deduplicate.
 
-    inner(m) gives the (T, ell) arrays of the unweighted zeta-family on m
+    inner(m) gives the (T, ell) columns of the unweighted zeta-family on m
     elements.  Returns the entries, in first-seen order over the occupied
-    indices, and the schedule: delta, zeta, d, gamma, the builder's
-    `setting` and each class's family size.  The entries are int64 masks,
-    so n > 63 is refused.
+    indices, as the rows of an (N, 2) int64 array, and the schedule: delta,
+    zeta, d, gamma, the builder's `setting` and each class's family size.
+    The entries are int64 masks, so n > 63 is refused; so is a family whose
+    blocks hold more than 2^cap entries before deduplication.
     """
     _check_word(len(weights))
     part = partition_by_weight(weights, delta)
     per_class: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    class_sizes: dict[int, int] = {}
     for i in part.index_set:
         elems = part.classes[i]
         local, ells = inner(len(elems))
@@ -178,13 +164,16 @@ def _combine_classes(weights, delta: float, zeta: float, inner, **setting):
         for j, e in enumerate(elems):  # bit j of a class mask is element e
             ts |= (local >> j & 1) << e
         per_class[i] = ts, ells
-        class_sizes[i] = len(ts)
+    class_sizes = {i: len(ts) for i, (ts, _) in per_class.items()}
+    windows = [[i for i in part.index_set if k - part.d <= i <= k] for k in part.index_set]
+    size = sum(math.prod(class_sizes[i] for i in window) for window in windows)
+    if size > 1 << cap:
+        raise families.ResourceCapError(f"weighted family of up to {size} entries exceeds 2^{cap}")
     blocks = [_block(part, per_class, k) for k in part.index_set]
-    ts, ells = (np.concatenate(cols) for cols in zip(*blocks))
-    keep, _ = _first_seen(ts, ells)
+    entries = np.stack([np.concatenate(cols) for cols in zip(*blocks)], axis=1)
     schedule = {"delta": delta, "inner": zeta, "d": part.d, "gamma": part.gamma}
     schedule.update(setting, class_family_sizes=class_sizes)
-    return list(zip(ts[keep].tolist(), ells[keep].tolist())), schedule
+    return entries[_first_seen(*entries.T)[0]], schedule
 
 
 def _covering_schedule(alpha: float, n: int, mode: str) -> tuple[float, float]:
@@ -228,9 +217,10 @@ def build_weighted_covering(
         delta,
         beta,
         lambda m: _unweighted_covering_cached(m, beta, cap),
+        cap,
         mode=mode,
     )
-    fam = CoveringFamily(universe_size=n, alpha=alpha, sets=[t for t, _ in entries])
+    fam = CoveringFamily(universe_size=n, alpha=alpha, sets=entries[:, 0])
     return WeightedFamilyReport(family=fam, schedule=schedule)
 
 
@@ -305,6 +295,7 @@ def build_weighted_extension(
         delta,
         zeta,
         lambda m: _unweighted_extension_cached(m, alpha, c, zeta, cap),
+        cap,
         eps=eps,
     )
     fam = ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)

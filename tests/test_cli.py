@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, exit codes, golden help."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -278,17 +279,34 @@ class TestSolveCommand:
         assert "resource" in err
 
     def test_max_n_bounds_verification(self, capsys, tmp_path):
-        # The solve itself fits in cap 8 (weight classes hold one or two
-        # vertices), but OPT over 2^10 subsets does not.
+        # Two weight classes of five vertices: the solve fits in cap 9 (a
+        # 320-entry family), but OPT over 2^10 subsets does not.  One class
+        # of ten unit weights would exceed the cap in its own build.
+        inst = random_instance("wvc", 10, 0.3, seed=7)
         path = tmp_path / "i.wvc"
-        path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=7)))
+        path.write_text(emit_instance(dataclasses.replace(inst, weights=(1,) * 5 + (50,) * 5)))
         code, out, _ = run(
-            capsys, "solve", str(path), "--oracle", "branching", "--max-n", "8"
+            capsys, "solve", str(path), "--oracle", "branching", "--max-n", "9"
         )
         assert code == 0
         payload = json.loads(out)
+        assert payload["family_size"] <= 1 << 9
         assert payload["opt_weight"] is None
         assert payload["ratio"] is None
+
+    @pytest.mark.parametrize("model", ["extension", "membership"])
+    def test_max_n_bounds_spread_weight_family(self, capsys, tmp_path, model):
+        # Weight classes of one or two vertices each fit cap 8, but their
+        # product family would grow as 2^10.
+        path = tmp_path / "i.wvc"
+        path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=7)))
+        code, out, err = run(
+            capsys, "solve", str(path), "--model", model, "--oracle", "branching",
+            "--max-n", "8",
+        )
+        assert code == 3
+        assert out == ""
+        assert "exceeds 2^8" in err
 
     def test_env_cap_override(self, capsys, vc_file, monkeypatch):
         monkeypatch.setenv("WAMLS_MAX_N", "4")

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wamls import bounds, families
+from wamls.oracles import QueryLedger
 from wamls.families import (
     CoveringFamily,
     ExtensionFamily,
@@ -21,6 +22,7 @@ from wamls.families import (
     build_unweighted_extension,
     dump_family,
     family_cost,
+    log_cost,
     parse_family,
     subset_sums,
     verify_covering,
@@ -424,7 +426,9 @@ def thinned_families(draw):
     drop = draw(st.sets(st.integers(0, len(entries) - 1), max_size=3))
     for i in sorted(drop, reverse=True):
         del entries[i]
-    return fam, weights
+    if isinstance(fam, CoveringFamily):
+        return CoveringFamily(n, fam.alpha, entries), weights
+    return ExtensionFamily(n, fam.alpha, fam.beta, entries), weights
 
 
 class TestVerifierReference:
@@ -472,6 +476,44 @@ class TestFamilyCost:
         fam = build_unweighted_extension(7, 1.0, 2.0, 1.4)
         naive = sum(2.0**ell for _, ell in fam.entries)
         assert family_cost(fam, 2.0) == pytest.approx(math.log(naive), rel=1e-9)
+
+
+def _left_to_right_cost(ells, c):
+    """ln sum(c^ell) as log-sum-exp with a plain left-to-right float loop."""
+    exponents = [ell * math.log(c) for ell in ells]
+    m = max(exponents)
+    total = 0.0
+    for x in exponents:
+        total = total + math.exp(x - m)
+    return m + math.log(total)
+
+
+class TestLogCostOrder:
+    """log_cost adds its terms left to right, bit for bit, whatever the
+    Python version's sum() does."""
+
+    @pytest.mark.parametrize("c", [1.0, 1.363, 2.168, math.pi, 3.618, 17.25])
+    @pytest.mark.parametrize("size", [1, 2, 999, 4000])
+    def test_matches_left_to_right_loop(self, c, size):
+        rng = random.Random(size)
+        n = 12
+        # Mostly budget 0, as in the weighted families, then uniform budgets.
+        skewed = [rng.randint(1, n) if rng.random() < 0.05 else 0 for _ in range(size)]
+        uniform = [rng.randint(0, n) for _ in range(size)]
+        for ells in (skewed, uniform):
+            assert log_cost(ells, c) == _left_to_right_cost(ells, c)
+            assert log_cost(np.array(ells), c) == _left_to_right_cost(ells, c)
+
+    @pytest.mark.parametrize("c", [1.363, 2.0, 2.5])
+    def test_family_and_ledger_cost(self, c):
+        fam = build_unweighted_extension(10, 1.0, c, 1.3)
+        want = _left_to_right_cost(fam.ells.tolist(), c)
+        assert family_cost(fam, c) == want
+        ledger = QueryLedger(queries=[(t.bit_count(), ell) for t, ell in fam.entries])
+        assert ledger.cost_log(c) == want
+
+    def test_empty(self):
+        assert log_cost([], 2.0) == -math.inf
 
 
 # Any finite factor in [1, 100): the dump writes digits {:g} would drop.
@@ -579,6 +621,107 @@ def test_bad_family_rejected(build, match):
         build()
 
 
+def _reference_entry_error(n, rows, covering):
+    """The message for the first bad row, by a scalar loop over the rows;
+    None when every row is good."""
+    outside = ~((1 << n) - 1)
+    seen = set()
+    for row in rows:
+        t, ell = (row, 0) if covering else row
+        if t & outside:
+            return f"set {t:#x} not contained in the universe"
+        if not 0 <= ell <= n:
+            return f"budget {ell} out of range for entry {t:#x}"
+        if (t, ell) in seen:
+            return f"duplicate set {t:#x}" if covering else f"duplicate entry ({t:#x}, {ell})"
+        seen.add((t, ell))
+    return None
+
+
+@st.composite
+def corrupted_rows(draw):
+    """(n, covering, rows): distinct good rows with one to four bad rows
+    injected at random positions."""
+    n = draw(st.integers(0, 63))
+    covering = draw(st.booleans())
+    masks = st.integers(0, (1 << n) - 1)
+    good = masks if covering else st.tuples(masks, st.integers(0, n))
+    rows = draw(st.lists(good, unique=True, max_size=12))
+    bad_masks = st.one_of(
+        st.integers(1 << n, 1 << 70),  # outside the universe, up to past int64
+        st.integers(-(1 << 70), -1),  # negative
+    )
+    kinds = ["mask", "repeat"] if covering else ["mask", "budget", "repeat"]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds if rows else kinds[:-1]))
+        if kind == "repeat":
+            row = draw(st.sampled_from(rows))
+        elif kind == "budget":
+            ell = draw(st.sampled_from([-1, n + 1, 1 << 64, -(1 << 64)]))
+            row = (draw(masks), ell)
+        else:
+            row = draw(bad_masks)
+            row = row if covering else (row, draw(st.integers(0, n)))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return n, covering, rows
+
+
+class TestEntryChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(case=corrupted_rows())
+    def test_matches_scalar_reference(self, case):
+        n, covering, rows = case
+        want = _reference_entry_error(n, rows, covering)
+        assert want is not None
+        with pytest.raises(ValueError) as exc:
+            if covering:
+                CoveringFamily(n, 2.0, rows)
+            else:
+                ExtensionFamily(n, 1.0, 1.5, rows)
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("mask", [1 << 63, (1 << 64) + 1, 1 << 200])
+    def test_mask_past_int64_is_outside(self, mask):
+        with pytest.raises(ValueError, match=f"set {mask:#x} not contained in the universe"):
+            CoveringFamily(63, 2.0, [0, mask])
+        with pytest.raises(ValueError, match=f"set {mask:#x} not contained in the universe"):
+            ExtensionFamily(63, 1.0, 1.5, [(1, 0), (mask, 0)])
+
+    def test_largest_universe_accepted(self):
+        fam = ExtensionFamily(63, 1.0, 1.5, [((1 << 63) - 1, 63), (0, 0)])
+        assert fam.entries == [((1 << 63) - 1, 63), (0, 0)]
+        assert fam.ts.dtype == fam.ells.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CoveringFamily(70, 2.0, [1 << 69]),
+            lambda: ExtensionFamily(64, 1.0, 1.5, [(0, 0)]),
+            lambda: parse_family("family covering n=70 alpha=2\n0x0\n"),
+        ],
+        ids=["covering", "extension", "parsed"],
+    )
+    def test_universe_past_63_refused(self, build):
+        with pytest.raises(ResourceCapError, match="63-element limit"):
+            build()
+
+    def test_equality(self):
+        fam = ExtensionFamily(3, 1.0, 1.5, [(1, 0), (2, 1)])
+        assert fam == ExtensionFamily(3, 1.0, 1.5, np.array([[1, 0], [2, 1]]))
+        assert fam != ExtensionFamily(3, 1.0, 1.5, [(1, 0), (2, 0)])
+        assert fam != ExtensionFamily(3, 1.0, 1.5, [(1, 0)])
+        assert fam != ExtensionFamily(3, 1.0, 2.0, [(1, 0), (2, 1)])
+        assert CoveringFamily(3, 2.0, [1, 2]) != CoveringFamily(3, 2.0, [2, 1])
+        assert CoveringFamily(3, 1.5, [1]) != ExtensionFamily(3, 1.5, 1.5, [(1, 0)])
+        assert fam != "family" and fam != None  # noqa: E711
+
+    def test_columns_read_only(self):
+        fam = build_unweighted_extension(5, 1.0, 2.0, 1.5)
+        for column in (fam.ts, fam.ells, build_unweighted_covering(5, 2.0).ts):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+
 class TestZeroStartGain:
     """A layer with t < s - ell has no t-set within ell of any s-subset."""
 
@@ -590,5 +733,5 @@ class TestZeroStartGain:
         # Every layer s >= 1 asks for the empty set with budget 0.
         entries = families._layered(3, lambda s: (0, 0), cap=20)
         popcount = [m.bit_count() for m in range(8)]
-        want = [(m, 0) for s in range(4) for m in range(8) if popcount[m] == s]
-        assert entries == want
+        want = [[m, 0] for s in range(4) for m in range(8) if popcount[m] == s]
+        assert entries.tolist() == want

@@ -5,6 +5,7 @@ import pathlib
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,6 @@ from wamls.families import (
 from wamls.weighted import (
     build_weighted_covering,
     build_weighted_extension,
-    combine_blocks,
     partition_by_weight,
 )
 
@@ -79,7 +79,19 @@ class TestPartition:
                 )
 
 
+def combine_blocks(part, per_class, k):
+    """weighted._block over per-class lists of (T, ell) pairs, as a list of pairs."""
+    columns = {
+        i: tuple(np.array(entries, dtype=np.int64).reshape(-1, 2).T)
+        for i, entries in per_class.items()
+    }
+    ts, ells = weighted._block(part, columns, k)
+    return list(zip(ts.tolist(), ells.tolist()))
+
+
 class TestCombineBlocks:
+    """The product block of one window, against hand-built products."""
+
     def test_singleton_window(self):
         part = partition_by_weight([1, 1], 0.5)
         block = combine_blocks(part, {0: [(0, 0)]}, 0)
@@ -176,6 +188,21 @@ class TestArrayCombination:
             lambda m: weighted._unweighted_covering_cached(m, inner, DEFAULT_CAP),
         )
         assert rep.family.sets == [t for t, _ in naive]
+
+    def test_family_size_cap(self):
+        # One element per class: each class fits cap 12, but the product
+        # blocks would hold 13310 covering and 24574 extension entries.
+        weights = [2**k for k in range(21)]
+        with pytest.raises(ResourceCapError, match="13310 entries exceeds 2\\^12"):
+            build_weighted_covering(weights, 2.0, cap=12)
+        with pytest.raises(ResourceCapError, match="24574 entries exceeds 2\\^12"):
+            build_weighted_extension(weights, 1.0, 2.0, 1.5, cap=12)
+        # The count is taken before deduplication: eight such classes give
+        # 510 entries, over 2^8 but within 2^9.
+        with pytest.raises(ResourceCapError, match="510 entries exceeds 2\\^8"):
+            build_weighted_extension(weights[:8], 1.0, 2.0, 1.5, cap=8)
+        rep = build_weighted_extension(weights[:8], 1.0, 2.0, 1.5, cap=9)
+        assert len(rep.family.entries) <= 510
 
     @pytest.mark.parametrize("weights", [[1] * 64, [2**k for k in range(64)]])
     def test_more_than_63_elements_refused(self, weights):
