@@ -37,9 +37,19 @@ PRESETS = {
 
 
 def _max_n(args_cap: int | None) -> int:
-    if args_cap is not None:
-        return args_cap
-    return int(os.environ.get("WAMLS_MAX_N", families.DEFAULT_CAP))
+    """The enumeration cap: --max-n, else WAMLS_MAX_N, else the default."""
+    cap, name = args_cap, "--max-n"
+    if cap is None:
+        text, name = os.environ.get("WAMLS_MAX_N"), "WAMLS_MAX_N"
+        if text is None:
+            return families.DEFAULT_CAP
+        try:
+            cap = int(text)
+        except ValueError:
+            raise ValueError(f"WAMLS_MAX_N must be an integer, got {text!r}") from None
+    if cap < 0:
+        raise ValueError(f"{name} must be >= 0, got {cap}")
+    return cap
 
 
 def cmd_bound(args) -> int:

@@ -22,14 +22,22 @@ the covered set S; validity is certified by the exhaustive verifiers, which
 are deliberately independent of the construction code.
 
 Both builders share one greedy set-cover kernel, _greedy_cover: Chvatal's
-(1979) greedy with exact incremental gains over int64 arrays of row and
-column masks.  covers(R, C) is the blockwise rows x columns cover test, and
-the caller supplies each row's start gain, the number of columns it covers.
-Each pick subtracts from every row the columns that pick newly covers, so
-each column is tested against all rows once, and np.argmax picks the first
-best row.  The test runs in chunks of _CHUNK_PAIRS pairs (or one row, if
-longer), about 9 bytes of temporaries per pair: under 1 MB, and under 2 MB
-at n = 20 where a row holds up to C(20, 10) columns.
+(1979) greedy with exact gains over int64 arrays of row and column masks.
+covers(R, C) is the blockwise rows x columns cover test, and the caller
+supplies each row's start gain, the number of columns it covers; np.argmax
+picks the first best row.  A cover of at most _CHUNK_PAIRS row x column
+pairs is tested once, into a dense float32 table: each pick zeroes its
+columns in a float32 vector of the columns still uncovered, and the gains
+are the table times that vector, one matrix-vector product.  Every gain is
+an integer of at most _CHUNK_PAIRS = 2^16 < 2^24, so float32 holds every
+partial sum exactly, in any summation order, and the picks are those of
+exact integer gains.  The table is 4 bytes per pair (256 kB), beside the
+test's temporaries.  A larger cover keeps its memory bounded instead: each
+pick subtracts from every row the columns that pick newly covers, so each
+column is tested against all rows once, in chunks of _CHUNK_PAIRS pairs (or
+one row, if longer), about 9 bytes of temporaries per pair: under 1 MB, and
+under 2 MB at n = 20 where a row holds up to C(20, 10) columns.  (The
+largest layer at n = 16 has C(16, 8)^2 = 166M pairs: 660 MB as a table.)
 
 A layer's rows are its t-sets in combinations order, and its columns its
 s-subsets.  T covers S iff |S \\ T| <= ell, read from a 2^n bool table of
@@ -68,8 +76,9 @@ __all__ = [
 
 DEFAULT_CAP = 20
 
-# Row x column pairs per chunk of the greedy cover test; each pair costs
-# about 9 bytes of temporaries (int64 AND, bool lookup).
+# Row x column pairs per chunk of the greedy cover test, and the most pairs
+# a dense cover table holds; each pair costs about 9 bytes of temporaries
+# (int64 AND, bool lookup).
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -220,16 +229,26 @@ def _greedy_cover(rows: np.ndarray, cols: np.ndarray, covers, gains: np.ndarray)
     no row covers.  There must be at least one row.
     """
     picks: list[int] = []
-    while len(cols):
+    left = len(cols)
+    dense = len(rows) * left <= _CHUNK_PAIRS
+    if dense:
+        table = covers(rows, cols).astype(np.float32)
+        alive = np.ones(left, dtype=np.float32)
+    while left > 0:
         j = int(np.argmax(gains))
         if gains[j] <= 0:
             return None
-        hit = covers(rows[j : j + 1], cols)[0]
-        newly = cols[hit]
-        step = max(1, _CHUNK_PAIRS // len(newly))
-        for i in range(0, len(rows), step):
-            gains[i : i + step] -= covers(rows[i : i + step], newly).sum(axis=1)
-        cols = cols[~hit]
+        left -= int(gains[j])
+        if dense:
+            alive[table[j] > 0] = 0
+            gains[:] = table @ alive
+        else:
+            hit = covers(rows[j : j + 1], cols)[0]
+            newly = cols[hit]
+            step = max(1, _CHUNK_PAIRS // len(newly))
+            for i in range(0, len(rows), step):
+                gains[i : i + step] -= covers(rows[i : i + step], newly).sum(axis=1)
+            cols = cols[~hit]
         picks.append(j)
     return picks
 

@@ -313,6 +313,27 @@ class TestSolveCommand:
         code, _, _ = run(capsys, "solve", vc_file, "--beta", "1.5")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag, env, message",
+        [
+            ("-3", None, "--max-n must be >= 0, got -3"),
+            (None, "-3", "WAMLS_MAX_N must be >= 0, got -3"),
+            (None, "ten", "WAMLS_MAX_N must be an integer, got 'ten'"),
+            (None, "", "WAMLS_MAX_N must be an integer, got ''"),
+        ],
+    )
+    def test_bad_cap_is_usage_error(self, capsys, vc_file, monkeypatch, flag, env, message):
+        if env is not None:
+            monkeypatch.setenv("WAMLS_MAX_N", env)
+        cap = ["--max-n", flag] if flag else []
+        for argv in (["solve", vc_file, "--beta", "1.5"], ["family", "build", "covering", "--n", "3"]):
+            assert run(capsys, *argv, *cap) == (2, "", f"error: {message}\n")
+
+    def test_flag_overrides_env_cap(self, capsys, vc_file, monkeypatch):
+        monkeypatch.setenv("WAMLS_MAX_N", "-3")
+        code, _, _ = run(capsys, "solve", vc_file, "--beta", "1.5", "--max-n", "4")
+        assert code == 3
+
 
 @pytest.mark.parametrize(
     "argv, name",

@@ -227,25 +227,40 @@ class TestGreedyKernel:
             assert got == want
 
     def test_chunked_cover_counts(self):
+        # 1 << 22 sends every layer down the dense path, and the default
+        # sends the larger layers at n = 11 and 12 down the incremental one.
+        # 7 makes every layer incremental, in chunks of one row, which is
+        # slow, so it runs at n = 9 and 10 only.
+        builds = [(build_unweighted_covering, (alpha,)) for alpha in GOLDEN_COVERING_ALPHAS]
+        builds += [(build_unweighted_extension, params) for params in GOLDEN_EXTENSION_PARAMS]
+
+        def dumps(ns):
+            return [dump_family(build(n, *args)) for n in ns for build, args in builds]
+
+        default = dumps(range(9, 13))
+        with mock.patch.object(families, "_CHUNK_PAIRS", 1 << 22):
+            assert dumps(range(9, 13)) == default
         with mock.patch.object(families, "_CHUNK_PAIRS", 7):
-            small = dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
-        assert small == dump_family(build_unweighted_extension(9, 1.0, 2.0, 1.5))
+            assert dumps(range(9, 11)) == default[: 2 * len(builds)]
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=cover_matrices(), chunk=st.integers(1, 5))
     def test_kernel_matches_naive_greedy(self, drawn, chunk):
+        # Chunks of 1..5 pairs take all but the smallest matrices down the
+        # incremental path, and 1 << 16 pairs take every one down the dense.
         matrix, n_cols = drawn
         table = np.array(matrix, dtype=bool).reshape(len(matrix), n_cols)
         rows = np.arange(len(matrix), dtype=np.int64)
-        with mock.patch.object(families, "_CHUNK_PAIRS", chunk):
-            picks = families._greedy_cover(
-                rows,
-                np.arange(n_cols, dtype=np.int64),
-                lambda r, c: table[r[:, None], c[None, :]],
-                table.sum(axis=1).astype(np.int64),
-            )
-        assert picks == _naive_greedy(matrix, n_cols)
-        assert (picks is None) == (not table.any(axis=0).all())
+        for pairs in (chunk, 1 << 16):
+            with mock.patch.object(families, "_CHUNK_PAIRS", pairs):
+                picks = families._greedy_cover(
+                    rows,
+                    np.arange(n_cols, dtype=np.int64),
+                    lambda r, c: table[r[:, None], c[None, :]],
+                    table.sum(axis=1).astype(np.int64),
+                )
+            assert picks == _naive_greedy(matrix, n_cols)
+            assert (picks is None) == (not table.any(axis=0).all())
 
 
 def _full_layer_shape(n, s, alpha, beta, c):
