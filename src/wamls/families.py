@@ -39,19 +39,20 @@ one row, if longer), about 9 bytes of temporaries per pair: under 1 MB, and
 under 2 MB at n = 20 where a row holds up to C(20, 10) columns.  (The
 largest layer at n = 16 has C(16, 8)^2 = 166M pairs: 660 MB as a table.)
 
-A layer's rows are its t-sets in combinations order, and its columns its
-s-subsets.  T covers S iff |S \\ T| <= ell, read from a 2^n bool table of
-popcount <= ell (2^n bytes, as is the popcount table).  Every t-set misses
-j elements of exactly C(n - t, j) * C(t, s - j) s-subsets, so every row
-starts with the same gain, the sum of these over j <= min(ell, s).  A layer
-whose start gain is 0 falls back before it lists any candidates.
+A layer's rows are its t-sets in combinations order, which is descending bit
+reversal: _layered reads that order of all masks once, off the 2^n int64
+bit-reversal table backwards (reversal is its own inverse), and a layer keeps
+the masks of size t.  Its columns are its s-subsets.  T covers S iff
+|S \\ T| <= ell, read from a 2^n bool table of popcount <= ell (2^n bytes, as
+is the popcount table).  Every t-set misses j elements of exactly
+C(n - t, j) * C(t, s - j) s-subsets, so every row starts with the same gain,
+the sum of these over j <= min(ell, s).  A start gain of 0 falls back early.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -253,13 +254,13 @@ def _greedy_cover(rows: np.ndarray, cols: np.ndarray, covers, gains: np.ndarray)
     return picks
 
 
-def _greedy_layer(n: int, s: int, t: int, ell: int, popcount: np.ndarray) -> np.ndarray | None:
+def _greedy_layer(n: int, s: int, t: int, ell: int, popcount, ordered) -> np.ndarray | None:
     """Greedy t-sets until every s-subset S has a pick T with |S \\ T| <= ell;
     None when some s-subset has no such t-set."""
     start = sum(math.comb(n - t, j) * math.comb(t, s - j) for j in range(min(ell, s) + 1))
     if start == 0:
         return None
-    rows = np.array([_mask(c) for c in combinations(range(n), t)], dtype=np.int64)
+    rows = ordered[popcount[ordered] == t]  # the t-sets in combinations order
     within = popcount <= ell  # T covers S iff within[S & ~T]
     picks = _greedy_cover(
         rows,
@@ -282,10 +283,11 @@ def _layered(n: int, shape, cap: int) -> np.ndarray:
     _check_cap(n, cap)
     _check_word(n)
     popcount = subset_sums([1] * n, np.uint8)
+    ordered = subset_sums([1 << (n - 1 - i) for i in range(n)], np.int64)[::-1]
     layers = []
     for s in range(n + 1):
         t, ell = shape(s)
-        picks = None if (t, ell) == (s, 0) else _greedy_layer(n, s, t, ell, popcount)
+        picks = None if (t, ell) == (s, 0) else _greedy_layer(n, s, t, ell, popcount, ordered)
         if picks is None:
             picks, ell = np.flatnonzero(popcount == s), 0
         layers.append((picks, np.full_like(picks, ell)))
@@ -396,13 +398,13 @@ def verify_extension(
 
 def family_cost(family: ExtensionFamily, c: float) -> float:
     """ln of the c-cost sum(c^ell) over entries, via log-sum-exp."""
-    _check_factors(c=c)
     return log_cost(family.ells, c)
 
 
 def log_cost(ells, c: float) -> float:
     """ln sum(c^ell) over the budgets ell, via log-sum-exp; -inf when empty.
     math.exp runs once per distinct ell; a sequential np.cumsum adds in order."""
+    _check_factors(c=c)
     ells = np.asarray(ells, dtype=np.int64)
     if not ells.size:
         return -math.inf
@@ -433,25 +435,39 @@ def dump_family(
     return "\n".join(lines) + "\n"
 
 
+def _read(read, text: str, what: str):
+    """read(text), or a ValueError naming what could not be read."""
+    try:
+        return read(text)
+    except ValueError:
+        raise ValueError(f"bad {what}: {text!r}") from None
+
+
 def parse_family(text: str) -> CoveringFamily | ExtensionFamily:
-    """Inverse of dump_family; schedule comments are ignored."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Inverse of dump_family; schedule comments are ignored.  A bad header
+    value names its field, and a bad entry its 1-based line and text."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip() and ln[0] != "#"]
     if not lines:
         raise ValueError("empty family dump")
-    head = lines[0].split()
+    header = lines[0][1]
+    head = header.split()
     if len(head) < 3 or head[0] != "family" or not all("=" in part for part in head[2:]):
-        raise ValueError(f"bad family header: {lines[0]!r}")
-    kind = head[1]
-    kv = dict(part.split("=", 1) for part in head[2:])
+        raise ValueError(f"bad family header: {header!r}")
+    kind, kv = head[1], dict(part.split("=", 1) for part in head[2:])
+    if kind not in ("covering", "extension"):
+        raise ValueError(f"unknown family kind {kind!r}")
     try:
-        n, alpha = int(kv["n"]), float(kv["alpha"])
-        beta = float(kv["beta"]) if kind == "extension" else None
+        n = _read(int, kv["n"], "family header n")
+        alpha = _read(float, kv["alpha"], "family header alpha")
+        beta = _read(float, kv["beta"], "family header beta") if kind == "extension" else None
     except KeyError as exc:
-        raise ValueError(f"family header lacks {exc.args[0]}=: {lines[0]!r}") from None
+        raise ValueError(f"family header lacks {exc.args[0]}=: {header!r}") from None
+    bases = (16,) if kind == "covering" else (16, 10)  # T in hex, then ell
+
+    def entry(line: str) -> list[int]:
+        return [int(word, base) for word, base in zip(line.split(), bases, strict=True)]
+
+    rows = [_read(entry, ln, f"{kind} entry on line {i}") for i, ln in lines[1:]]
     if kind == "covering":
-        sets = [int(ln, 16) for ln in lines[1:]]
-        return CoveringFamily(universe_size=n, alpha=alpha, sets=sets)
-    if kind == "extension":
-        entries = [(int(t, 16), int(ell)) for t, ell in map(str.split, lines[1:])]
-        return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
-    raise ValueError(f"unknown family kind {kind!r}")
+        return CoveringFamily(universe_size=n, alpha=alpha, sets=rows)
+    return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=rows)

@@ -12,9 +12,9 @@ are broken by weight, then cardinality, then the bitmask itself, so every
 oracle is deterministic.
 
 ExtensionOracleHandle.extend_many answers a batch and records every query
-in the handle's ledger, (|S|, ell) in batch order, under one timer and with
-one bulk append.  wrap_with_ledger turns a user's scalar (S, ell) -> X
-function into a batch function with a plain loop.
+in the handle's ledger, (|S|, ell) in batch order, under one timer, as one
+appended block of the ledger's (N, 2) int64 array.  wrap_with_ledger turns
+a user's scalar (S, ell) -> X function into a batch function with a loop.
 
 The exact oracle ranks the 2^n subsets once and sorts that ranking stably
 by size, so the candidates of size at most ell are one prefix of it, shared
@@ -103,14 +103,16 @@ class BatchOracle:
         return _one(self.many, subset, ell)
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: == on the arrays would not give a bool
 class QueryLedger:
-    queries: list[tuple[int, int]] = field(default_factory=list)
+    """The queries asked, in order, as the (|S|, ell) rows of an (N, 2) int64 array."""
+
+    queries: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     wall_time: float = 0.0
 
     def cost_log(self, c: float) -> float:
         """ln sum(c^ell) over recorded queries (log-sum-exp; -inf when empty)."""
-        return log_cost([ell for _, ell in self.queries], c)
+        return log_cost(self.queries[:, 1], c)
 
 
 @dataclass
@@ -130,7 +132,8 @@ class ExtensionOracleHandle:
         t0 = time.perf_counter()
         out = self.oracle(subsets, budgets)
         self.ledger.wall_time += time.perf_counter() - t0
-        self.ledger.queries.extend(zip(_popcount(subsets).tolist(), budgets.tolist()))
+        block = np.stack([_popcount(subsets), budgets], axis=1)
+        self.ledger.queries = np.concatenate([self.ledger.queries, block])
         return out
 
     def extend(self, subset: int, ell: int) -> int:

@@ -6,7 +6,9 @@ re-indexed class universe; for each occupied index k the classes in the
 window [k-d, k] are combined as a Cartesian product, each entry unioned with
 the cheap prefix W_k of all classes below the window.  The window width
 d = ceil((2/delta) * log2(2n/delta)) guarantees gamma^d >= 2n/delta, which is
-what makes the prefix negligible against any set touching class k.
+what makes the prefix negligible against any set touching class k.  Each
+window is one slice of the sorted occupied indices, from where k - d would
+sort in, and W_k is the running OR of the class masks before that slice.
 
 Covering families are combined as the budget-0 case: each class's covering
 sets enter as (T, 0) entries, so one routine partitions, lifts, combines and
@@ -35,7 +37,7 @@ from .families import (
     _check_weights,
     _check_word,
     _first_seen,
-    _mask,
+    subset_sums,
 )
 
 __all__ = [
@@ -98,34 +100,6 @@ def partition_by_weight(weights, delta: float) -> WeightClassPartition:
     return part
 
 
-def _block(
-    partition: WeightClassPartition,
-    per_class: dict[int, tuple[np.ndarray, np.ndarray]],
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, ell) int64 arrays of the product block for window index k.
-
-    per_class[i] holds class i's T and ell arrays.  The product runs
-    row-major over the window's classes in index order, the first class
-    outermost: each step is a broadcast OR of the T masks and a broadcast
-    sum of the ell values.  Every T is unioned with the prefix W_k.
-    """
-    if k not in partition.index_set:
-        raise ValueError(f"k = {k} is not an occupied class index")
-    w_k = 0
-    for i in partition.index_set:
-        if i < k - partition.d:
-            w_k |= _mask(partition.classes[i])
-    ts = np.array([w_k], dtype=np.int64)
-    ells = np.zeros(1, dtype=np.int64)
-    for i in partition.index_set:
-        if k - partition.d <= i <= k:
-            class_ts, class_ells = per_class[i]
-            ts = (ts[:, None] | class_ts).ravel()
-            ells = (ells[:, None] + class_ells).ravel()
-    return ts, ells
-
-
 # Small bounds: a solve with a fresh target factor never hits these caches,
 # so a large bound only grows the process by a few KB per solve.
 @lru_cache(maxsize=256)
@@ -156,23 +130,29 @@ def _combine_classes(weights, delta: float, zeta: float, inner, cap: int, **sett
     """
     _check_word(len(weights))
     part = partition_by_weight(weights, delta)
-    per_class: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    index = np.array(part.index_set)
+    starts = np.searchsorted(index, index - part.d).tolist()  # window j: starts[j] .. j
+    lifted, prefix = [], [0]  # each class's (T, ell) columns; the running OR
     for i in part.index_set:
-        elems = part.classes[i]
-        local, ells = inner(len(elems))
-        ts = np.zeros_like(local)
-        for j, e in enumerate(elems):  # bit j of a class mask is element e
-            ts |= (local >> j & 1) << e
-        per_class[i] = ts, ells
-    class_sizes = {i: len(ts) for i, (ts, _) in per_class.items()}
-    windows = [[i for i in part.index_set if k - part.d <= i <= k] for k in part.index_set]
-    size = sum(math.prod(class_sizes[i] for i in window) for window in windows)
+        local, ells = inner(len(part.classes[i]))
+        spread = subset_sums([1 << e for e in part.classes[i]], np.int64)  # lifts a class mask
+        lifted.append((spread[local], ells))
+        prefix.append(prefix[-1] | int(spread[-1]))
+    sizes = [len(ts) for ts, _ in lifted]
+    size = sum(math.prod(sizes[start : j + 1]) for j, start in enumerate(starts))
     if size > 1 << cap:
         raise families.ResourceCapError(f"weighted family of up to {size} entries exceeds 2^{cap}")
-    blocks = [_block(part, per_class, k) for k in part.index_set]
+    blocks = []
+    for j, start in enumerate(starts):
+        # Row-major over the window's classes, the first class outermost.
+        ts, ells = np.array([prefix[start]], dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for class_ts, class_ells in lifted[start : j + 1]:
+            ts = (ts[:, None] | class_ts).ravel()
+            ells = (ells[:, None] + class_ells).ravel()
+        blocks.append((ts, ells))
     entries = np.stack([np.concatenate(cols) for cols in zip(*blocks)], axis=1)
     schedule = {"delta": delta, "inner": zeta, "d": part.d, "gamma": part.gamma}
-    schedule.update(setting, class_family_sizes=class_sizes)
+    schedule.update(setting, class_family_sizes=dict(zip(part.index_set, sizes)))
     return entries[_first_seen(*entries.T)[0]], schedule
 
 

@@ -142,6 +142,22 @@ class TestFamilyCommand:
         assert out == ""
         assert err == "error: bad family header: 'family extension n=2 alpha=1 beta'\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("family extension n=3 alpha=1 beta=1.5\n0x3 1 7\n",
+             "bad extension entry on line 2: '0x3 1 7'"),
+            ("family extension n=x alpha=1 beta=1.5\n0x3 1\n", "bad family header n: 'x'"),
+        ],
+    )
+    def test_unreadable_dump_is_usage_error(self, capsys, tmp_path, text, message):
+        dump = tmp_path / "fam.txt"
+        dump.write_text(text)
+        code, out, err = run(
+            capsys, "family", "verify", "extension", "--n", "3", "--dump", str(dump)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_extension_build_verifies(self, capsys, tmp_path):
         inst = tmp_path / "i.wvc"
         inst.write_text(emit_instance(random_instance("wvc", 7, 0.3, seed=5)))

@@ -221,7 +221,7 @@ class TestBatchedCheckAndRank:
             approximate_extension(inst, handle, 1.5, cap=64)
         with pytest.raises(ResourceCapError, match="63-element limit"):
             approximate_membership(inst, 2.0, cap=64)
-        assert handle.ledger.queries == []
+        assert handle.ledger.queries.size == 0
 
     def test_int64_weight_guard(self):
         # Two weights of 2^62 would sum to a wrapped int64.
@@ -250,7 +250,7 @@ class TestOneBatchPerFamily:
         fam = build_weighted_extension(
             list(inst.weights), handle.declared_alpha, handle.declared_c, beta
         ).family
-        assert handle.ledger.queries == [(t.bit_count(), ell) for t, ell in fam.entries]
+        assert handle.ledger.queries.tolist() == [[t.bit_count(), ell] for t, ell in fam.entries]
         assert handle.ledger.cost_log(handle.declared_c) == report.cost_log
 
     def test_one_call_per_run(self):
@@ -275,7 +275,7 @@ class TestOneBatchPerFamily:
         assert approximate_extension(inst, scalar, 1.5) == approximate_extension(
             inst, batch, 1.5
         )
-        assert scalar.ledger.queries == batch.ledger.queries
+        assert scalar.ledger.queries.tolist() == batch.ledger.queries.tolist()
 
     def test_batch_contract_violation_names_first_bad_output(self):
         inst = random_instance("whs", 7, 0.5, seed=2, d=3)

@@ -140,7 +140,7 @@ def _golden_blocks(name):
     return [b for b in re.split(r"(?m)^(?=family )", text) if b]
 
 
-def _reference_layer(n, s, t, ell, popcount):
+def _reference_layer(n, s, t, ell, popcount, ordered):
     """Per-pick rescan of every candidate against every uncovered subset."""
     uncovered = {m for m in range(1 << n) if m.bit_count() == s}
     cands = [sum(1 << e for e in co) for co in combinations(range(n), t)]
@@ -524,11 +524,21 @@ class TestLogCostOrder:
         fam = build_unweighted_extension(10, 1.0, c, 1.3)
         want = _left_to_right_cost(fam.ells.tolist(), c)
         assert family_cost(fam, c) == want
-        ledger = QueryLedger(queries=[(t.bit_count(), ell) for t, ell in fam.entries])
+        ledger = QueryLedger(queries=np.array([(t.bit_count(), ell) for t, ell in fam.entries]))
         assert ledger.cost_log(c) == want
 
     def test_empty(self):
         assert log_cost([], 2.0) == -math.inf
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, 0.5])
+    @pytest.mark.parametrize("ells", [[], [0, 2]])
+    def test_bad_c_named(self, c, ells):
+        fam = ExtensionFamily(universe_size=2, alpha=1.0, beta=1.5, entries=[(0, 2)])
+        ledger = QueryLedger(queries=np.array([[0, ell] for ell in ells]).reshape(-1, 2))
+        for cost in (lambda: log_cost(ells, c), lambda: ledger.cost_log(c),
+                     lambda: family_cost(fam, c)):
+            with pytest.raises(bounds.BoundDomainError, match="^c must be finite and >= 1"):
+                cost()
 
 
 # Any finite factor in [1, 100): the dump writes digits {:g} would drop.
@@ -603,6 +613,27 @@ class TestDumpParse:
         text = dump_family(fam)
         assert text.startswith(f"family extension n=1 alpha={written} beta={written}\n")
         assert parse_family(text) == fam
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("family extension n=3 alpha=1 beta=1.5\n0x3 1 7\n",
+             "bad extension entry on line 2: '0x3 1 7'"),
+            ("family extension n=3 alpha=1 beta=1.5\n0x1 0\n\n# note\n0x3\n",
+             "bad extension entry on line 5: '0x3'"),
+            ("family extension n=3 alpha=1 beta=1.5\n0xz 1\n",
+             "bad extension entry on line 2: '0xz 1'"),
+            ("# schedule x\nfamily covering n=3 alpha=2\n0x3 1\n",
+             "bad covering entry on line 3: '0x3 1'"),
+            ("family covering n=x alpha=2\n0x3\n", "bad family header n: 'x'"),
+            ("family covering n=3 alpha=abc\n0x3\n", "bad family header alpha: 'abc'"),
+            ("family extension n=3 alpha=1 beta=\n0x3 0\n", "bad family header beta: ''"),
+        ],
+        ids=["extra-token", "missing-budget", "bad-hex", "covering-budget", "n", "alpha", "beta"],
+    )
+    def test_unreadable_dump_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_family(text)
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -742,7 +773,8 @@ class TestZeroStartGain:
 
     def test_greedy_layer_gives_up(self):
         popcount = subset_sums([1] * 4, np.uint8)
-        assert families._greedy_layer(4, 3, 1, 1, popcount) is None
+        ordered = subset_sums([8, 4, 2, 1], np.int64)[::-1]
+        assert families._greedy_layer(4, 3, 1, 1, popcount, ordered) is None
 
     def test_layered_falls_back_to_the_layer_itself(self):
         # Every layer s >= 1 asks for the empty set with budget 0.

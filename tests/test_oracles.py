@@ -317,12 +317,16 @@ class TestLedger:
     def test_empty_ledger_sentinel(self):
         assert QueryLedger().cost_log(2.0) == -math.inf
 
+    def test_compared_by_identity(self):
+        led = QueryLedger(queries=np.array([[0, 1]]))
+        assert led == led and led != QueryLedger(queries=np.array([[0, 1]]))
+
     def test_zero_budget_queries(self):
-        led = QueryLedger(queries=[(0, 0), (1, 0), (2, 0)])
+        led = QueryLedger(queries=np.array([[0, 0], [1, 0], [2, 0]]))
         assert led.cost_log(2.0) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_mixed_budget_queries(self):
-        led = QueryLedger(queries=[(0, 3), (1, 1)])
+        led = QueryLedger(queries=np.array([[0, 3], [1, 1]]))
         assert led.cost_log(2.0) == pytest.approx(math.log(10), abs=1e-12)
 
     def test_wrapper_records_queries(self):
@@ -330,7 +334,8 @@ class TestLedger:
         handle = wrap_with_ledger(local_ratio_vc_oracle(inst), c=1.0, alpha=2.0)
         handle.extend(0, 0)
         handle.extend(0b10, 1)
-        assert handle.ledger.queries == [(0, 0), (1, 1)]
+        assert handle.ledger.queries.tolist() == [[0, 0], [1, 1]]
+        assert handle.ledger.queries.dtype == np.int64
         assert handle.ledger.cost_log(1.0) == pytest.approx(math.log(2), abs=1e-12)
         assert handle.ledger.wall_time >= 0.0
 
@@ -405,8 +410,8 @@ def check_batch(inst, queries):
         assert got.dtype == np.int64 and got.shape == subsets.shape
         answers[name] = got.tolist()
         assert answers[name] == [single.extend(q, ell) for q, ell in queries]
-        recorded = [(q.bit_count(), ell) for q, ell in queries]
-        assert batch.ledger.queries == single.ledger.queries == recorded
+        recorded = [[q.bit_count(), ell] for q, ell in queries]
+        assert batch.ledger.queries.tolist() == single.ledger.queries.tolist() == recorded
     if "branching" in answers:
         assert answers["branching"] == answers["exact"]
     for (q, ell), x in zip(queries, answers["local-ratio"]):
@@ -445,7 +450,7 @@ class TestBatchedQueries:
             handle = oracle_for(inst, name)
             none = np.zeros(0, dtype=np.int64)
             assert handle.extend_many(none, none).tolist() == []
-            assert handle.ledger.queries == []
+            assert handle.ledger.queries.size == 0
 
     @pytest.mark.parametrize(
         "inst",

@@ -79,55 +79,55 @@ class TestPartition:
                 )
 
 
-def combine_blocks(part, per_class, k):
-    """weighted._block over per-class lists of (T, ell) pairs, as a list of pairs."""
-    columns = {
-        i: tuple(np.array(entries, dtype=np.int64).reshape(-1, 2).T)
-        for i, entries in per_class.items()
-    }
-    ts, ells = weighted._block(part, columns, k)
-    return list(zip(ts.tolist(), ells.tolist()))
+def hand_built(per_class):
+    """inner(m) for _combine_classes: the j-th call returns per_class[j], a
+    list of class-local (T, ell) pairs, as int64 columns."""
+    calls = iter(per_class)
+
+    def inner(m):
+        entries = np.array(next(calls), dtype=np.int64).reshape(-1, 2)
+        return entries[:, 0], entries[:, 1]
+
+    return inner
+
+
+def combine(weights, delta, per_class):
+    """weighted._combine_classes over hand-built class families, as a list of pairs."""
+    entries, _ = weighted._combine_classes(weights, delta, 1.5, hand_built(per_class), DEFAULT_CAP)
+    return [tuple(row) for row in entries.tolist()]
 
 
 class TestCombineBlocks:
-    """The product block of one window, against hand-built products."""
+    """The class combination over hand-built class families, against
+    hand-built products and naive_combination."""
 
     def test_singleton_window(self):
-        part = partition_by_weight([1, 1], 0.5)
-        block = combine_blocks(part, {0: [(0, 0)]}, 0)
-        assert block == [(0, 0)]
+        assert combine([1, 1], 0.5, [[(0, 0)]]) == [(0, 0)]
 
     def test_product_cardinality(self):
+        # d = 12 and the classes are 0 and 20, so each window holds one
+        # class, and the heavy class's entries carry the light element.
         part = partition_by_weight([1, 100], 0.5)
-        lo, hi = part.index_set
-        per_class = {lo: [(1, 0), (0, 1)], hi: [(2, 0), (0, 2), (2, 1)]}
-        block = combine_blocks(part, per_class, hi)
-        assert len(block) <= 6
+        assert (part.index_set, part.d) == ((0, 20), 12)
+        per_class = [[(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
+        got = combine([1, 100], 0.5, per_class)
+        assert got == [(1, 0), (0, 1), (3, 0), (1, 1), (3, 1)]
+        assert got == naive_combination([1, 100], 0.5, hand_built(per_class))
 
     def test_matches_naive_product(self):
         weights = [1, 3, 9, 27, 81, 243]
         part = partition_by_weight(weights, 0.9)
-        per_class = {
-            i: [(sum(1 << e for e in part.classes[i]), 1), (0, 0)]
-            for i in part.index_set
-        }
-        k = part.index_set[-1]
-        w_k = sum(
-            1 << e
-            for i in part.index_set
-            if i < k - part.d
-            for e in part.classes[i]
-        )
-        naive = [(w_k, 0)]
-        for i in part.index_set:
-            if k - part.d <= i <= k:
-                naive = [(t | e, l1 + l2) for t, l1 in naive for e, l2 in per_class[i]]
-        assert combine_blocks(part, per_class, k) == naive
-
-    def test_unoccupied_index_rejected(self):
-        part = partition_by_weight([1, 1], 0.5)
-        with pytest.raises(ValueError):
-            combine_blocks(part, {}, 3)
+        assert (part.index_set, part.d) == ((0, 2, 5, 8, 11, 14), 9)
+        # Each class holds one element, with local family {(1, 1), (0, 0)}.
+        per_class = [[(1, 1), (0, 0)]] * len(part.index_set)
+        got = combine(weights, 0.9, per_class)
+        assert got == naive_combination(weights, 0.9, hand_built(per_class))
+        # The last window [5, 14] holds classes 5, 8, 11 and 14 (elements 2
+        # to 5), and its prefix W_k classes 0 and 2 (elements 0 and 1).
+        last = [(0b11, 0)]
+        for e in range(2, 6):
+            last = [(t | x, l1 + l2) for t, l1 in last for x, l2 in [(1 << e, 1), (0, 0)]]
+        assert got[-16:] == last
 
 
 def naive_combination(weights, delta, inner):
