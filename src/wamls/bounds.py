@@ -20,12 +20,14 @@ included, is computed once per kappa by one kernel, ``_g_at``, which
 ``g_value``, ``g_star`` and ``shape_check`` all go through; its results are
 bit-identical to evaluating the formula anew at every (kappa, tau).
 
-Callers that only need a decision stop the same search at ``_COARSE_TOL`` and
-use a certificate instead: ``_coarse_amls`` bounds the base from both sides by
-secants of the convex (in tau) and concave (in kappa) levels, and
-``_coarse_g_star`` returns a bracket that holds ``g_star``'s minimizer,
-because the search at a smaller tolerance repeats the same steps and keeps
-going.
+Callers that only need a decision stop the same search early, at a tol that
+defaults to ``_COARSE_TOL``, and use a certificate instead: ``_coarse_amls``
+bounds the base from both sides by secants of the convex (in tau) and concave
+(in kappa) levels, and ``_coarse_g_star`` returns a bracket that holds
+``g_star``'s minimizer, because the search at a smaller tolerance repeats the
+same steps and keeps going.  Neither argument depends on tol, so a decision
+the certificate settles at any tol is the one the full-precision values
+give; the weighted inner-target selection tries 1e-2, then 1e-4.
 """
 
 from __future__ import annotations
@@ -277,9 +279,11 @@ def g_star(
     return value, tau
 
 
-def _coarse_g_star(alpha: float, beta: float, c: float, kappa: float):
-    """``_golden`` of g over the feasible tau interval at kappa, to _COARSE_TOL."""
-    return _golden(*_g_at(alpha, beta, c, kappa), _COARSE_TOL)
+def _coarse_g_star(
+    alpha: float, beta: float, c: float, kappa: float, tol: float = _COARSE_TOL
+):
+    """``_golden`` of g over the feasible tau interval at kappa, to tol."""
+    return _golden(*_g_at(alpha, beta, c, kappa), tol)
 
 
 def _convex_floor(lo: float, hi: float, pts, errs=(0.0, 0.0, 0.0)) -> float:
@@ -306,8 +310,10 @@ def _convex_floor(lo: float, hi: float, pts, errs=(0.0, 0.0, 0.0)) -> float:
     )
 
 
-def _coarse_amls(alpha: float, c: float, beta: float) -> tuple[float, float]:
-    """amls(alpha, c, beta) from a search to _COARSE_TOL on both levels: (value, err).
+def _coarse_amls(
+    alpha: float, c: float, beta: float, tol: float = _COARSE_TOL
+) -> tuple[float, float]:
+    """amls(alpha, c, beta) from a search to tol on both levels: (value, err).
 
     The exact base lies within err of value when g is convex in tau and its
     minimum G concave in kappa, by secant bounds:
@@ -327,12 +333,12 @@ def _coarse_amls(alpha: float, c: float, beta: float) -> tuple[float, float]:
     probes: dict[float, tuple[float, float]] = {}  # kappa -> (upper, lower) on G
 
     def neg_inner(kappa: float) -> float:
-        lo, hi, pts = _coarse_g_star(alpha, beta, c, kappa)
+        lo, hi, pts = _coarse_g_star(alpha, beta, c, kappa, tol)
         upper = min(v for _, v in pts)
         probes[kappa] = (upper, _convex_floor(lo, hi, pts))
         return -upper
 
-    lo, hi, pts = _golden(neg_inner, 0.0, 1.0 / beta, _COARSE_TOL)
+    lo, hi, pts = _golden(neg_inner, 0.0, 1.0 / beta, tol)
     best = -min(v for _, v in pts)
     errs = [probes[k][0] - probes[k][1] for k, _ in pts]
     discarded = best + 2.0 * max(u - l for u, l in probes.values())

@@ -13,8 +13,9 @@ oracle is deterministic.
 
 ExtensionOracleHandle.extend_many answers a batch and records every query
 in the handle's ledger, (|S|, ell) in batch order, under one timer, as one
-appended block of the ledger's (N, 2) int64 array.  wrap_with_ledger turns
-a user's scalar (S, ell) -> X function into a batch function with a loop.
+appended block of the ledger's (N, 2) int64 array, whose buffer grows by
+doubling.  wrap_with_ledger turns a user's scalar (S, ell) -> X function
+into a batch function with a loop.
 
 The exact oracle ranks the 2^n subsets once and sorts that ranking stably
 by size, so the candidates of size at most ell are one prefix of it, shared
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -103,12 +104,32 @@ class BatchOracle:
         return _one(self.many, subset, ell)
 
 
-@dataclass(eq=False)  # compared by identity: == on the arrays would not give a bool
 class QueryLedger:
-    """The queries asked, in order, as the (|S|, ell) rows of an (N, 2) int64 array."""
+    """The queries asked, in order, as the (|S|, ell) rows of an (N, 2) int64
+    array, ``queries``.  The rows live in a buffer that doubles when full, so
+    recording a query costs amortised O(1) however the queries are batched.
+    Ledgers compare by identity."""
 
-    queries: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
-    wall_time: float = 0.0
+    def __init__(self, queries=np.zeros((0, 2)), wall_time: float = 0.0) -> None:
+        self._rows = np.array(queries, dtype=np.int64)  # a copy: appends write into it
+        self._count = len(self._rows)
+        self.wall_time = wall_time
+
+    @property
+    def queries(self) -> np.ndarray:
+        return self._rows[: self._count]
+
+    def append(self, sizes: np.ndarray, budgets: np.ndarray) -> None:
+        """Record the queries (sizes[i], budgets[i]) after those already recorded."""
+        start = self._count
+        end = start + len(sizes)
+        if end > len(self._rows):
+            grown = np.empty((max(end, 2 * len(self._rows)), 2), dtype=np.int64)
+            grown[:start] = self._rows[:start]
+            self._rows = grown
+        self._rows[start:end, 0] = sizes
+        self._rows[start:end, 1] = budgets
+        self._count = end
 
     def cost_log(self, c: float) -> float:
         """ln sum(c^ell) over recorded queries (log-sum-exp; -inf when empty)."""
@@ -132,8 +153,7 @@ class ExtensionOracleHandle:
         t0 = time.perf_counter()
         out = self.oracle(subsets, budgets)
         self.ledger.wall_time += time.perf_counter() - t0
-        block = np.stack([_popcount(subsets), budgets], axis=1)
-        self.ledger.queries = np.concatenate([self.ledger.queries, block])
+        self.ledger.append(_popcount(subsets), budgets)
         return out
 
     def extend(self, subset: int, ell: int) -> int:

@@ -207,6 +207,10 @@ def build_weighted_covering(
 # Slack of a coarse decision for the full-precision values' own error.
 _TIE = 2 * bounds.BoundParams.precision
 
+# Tolerances of the coarse searches a test of the inner target tries, loosest
+# first, before the full-precision values decide it.
+_RUNGS = (1e-2, bounds._COARSE_TOL)
+
 
 def _amls(alpha: float, c: float, beta: float) -> float:
     return bounds.amls_bound(bounds.BoundParams(alpha=alpha, c=c, beta=beta)).value
@@ -222,18 +226,24 @@ def _select_inner_beta(alpha: float, c: float, beta: float, eps: float) -> float
     narrower combination window.  The fallback, when no probe is within eps/2,
     is the first probe, the midpoint (1 + beta)/2.
 
-    Each test amls(zeta'_j) <= amls(beta) + eps/2 is settled from coarse
-    values when their margin exceeds both certificates plus _TIE; nearer a
-    tie, the full-precision values decide it, so the choice is the one they
-    alone would make.
+    Each test amls(zeta'_j) <= amls(beta) + eps/2 climbs the _RUNGS: it is
+    settled from coarse values to 1e-2, else to 1e-4, when their margin
+    exceeds both certificates plus _TIE; nearer a tie, the full-precision
+    values decide it.  The certificates hold at any tolerance, so a settled
+    test has the outcome the full-precision values give, and the choice is
+    the one they alone would make.  The beta side is searched once per rung.
     """
-    base, base_err = bounds._coarse_amls(alpha, c, beta)
+    bases: dict[float, tuple[float, float]] = {}  # rung -> beta's coarse (value, err)
 
     def within(zeta: float) -> bool:
-        value, err = bounds._coarse_amls(alpha, c, zeta)
-        margin = base + eps / 2.0 - value
-        if abs(margin) > base_err + err + _TIE:
-            return margin > 0
+        for tol in _RUNGS:
+            if tol not in bases:
+                bases[tol] = bounds._coarse_amls(alpha, c, beta, tol)
+            base, base_err = bases[tol]
+            value, err = bounds._coarse_amls(alpha, c, zeta, tol)
+            margin = base + eps / 2.0 - value
+            if abs(margin) > base_err + err + _TIE:
+                return margin > 0
         return _amls(alpha, c, zeta) <= _amls(alpha, c, beta) + eps / 2.0
 
     chosen = None

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wamls
+from wamls import bounds, weighted
 from wamls.bounds import (
     BoundDomainError,
     BoundParams,
@@ -365,6 +366,32 @@ class TestShapeCheck:
     def test_coarse_grid_rejected(self):
         with pytest.raises(BoundDomainError):
             shape_check(BoundParams(alpha=1.0, c=1.0, beta=1.5), grid_resolution=5)
+
+
+# (alpha, c) the oracles declare, or drawn from [1, 4] x [1, 8].
+_FACTORS = st.one_of(
+    st.sampled_from([(1.0, 2.0), (1.0, 3.0), (2.0, 1.0), (3.0, 1.0)]),
+    st.tuples(st.floats(1.0, 4.0), st.floats(1.0, 8.0)),
+)
+# beta in [1.01, 2.5], or 1 + 10^u for u in [-6, -2].
+_BETAS = st.one_of(
+    st.floats(1.01, 2.5), st.floats(-6.0, -2.0).map(lambda u: 1.0 + 10.0**u)
+)
+
+
+class TestCoarseCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(_FACTORS, _BETAS)
+    def test_every_rung_brackets_full_precision(self, factors, beta):
+        """At every tolerance the inner-target selection uses, the coarse
+        value lies within its err, plus the full value's own err_bound, of
+        amls_bound's value."""
+        alpha, c = factors
+        full = amls_bound(BoundParams(alpha=alpha, c=c, beta=beta))
+        for tol in weighted._RUNGS:
+            value, err = bounds._coarse_amls(alpha, c, beta, tol)
+            assert err >= 0.0
+            assert abs(value - full.value) <= err + full.err_bound, (tol, value, err)
 
 
 class TestGoldenBounds:

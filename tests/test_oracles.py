@@ -339,6 +339,26 @@ class TestLedger:
         assert handle.ledger.cost_log(1.0) == pytest.approx(math.log(2), abs=1e-12)
         assert handle.ledger.wall_time >= 0.0
 
+    def test_mixed_calls_append_in_order(self):
+        # Scalar calls and batches of several sizes, so the buffer grows
+        # past a batch and also fills up between batches.
+        inst = WeightedVCInstance(n=3, weights=(1, 2, 3), edges=((0, 1), (1, 2)))
+        handle = oracle_for(inst, "exact")
+        rng = random.Random(5)
+        rows, seen = [], []
+        for size in (1, 3, 1, 1, 0, 7, 1, 2, 40, 1):
+            batch = [(rng.randrange(8), rng.randrange(4)) for _ in range(size)]
+            if size == 1:
+                handle.extend(*batch[0])
+            else:
+                subsets, budgets = np.array(batch, dtype=np.int64).reshape(-1, 2).T
+                handle.extend_many(subsets, budgets)
+            rows += [[s.bit_count(), ell] for s, ell in batch]
+            seen.append(handle.ledger.queries)
+            assert handle.ledger.queries.tolist() == rows
+        assert handle.ledger.queries.dtype == np.int64
+        # A ledger read earlier still holds the queries asked up to then.
+        assert [q.tolist() for q in seen] == [rows[: len(q)] for q in seen]
 
 ORACLES = {
     "wvc": ("exact", "branching", "local-ratio"),

@@ -377,35 +377,51 @@ class TestInnerBetaSelection:
             want = _reference_inner_beta(alpha, c, beta, eps)
             assert weighted._select_inner_beta(alpha, c, beta, eps) == want, (alpha, c, beta, eps)
 
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Log ("coarse", tol, beta) per _coarse_amls call and ("full", beta)
+        per amls_bound call, in call order."""
+        calls = []
+        coarse = bounds._coarse_amls
+
+        def counting_coarse(alpha, c, beta, tol=bounds._COARSE_TOL):
+            calls.append(("coarse", tol, beta))
+            return coarse(alpha, c, beta, tol)
+
+        def counting_full(params):
+            calls.append(("full", params.beta))
+            return _AMLS_BOUND(params)
+
+        monkeypatch.setattr(bounds, "_coarse_amls", counting_coarse)
+        monkeypatch.setattr(bounds, "amls_bound", counting_full)
+        return calls
+
     def test_near_tie_refines(self, monkeypatch):
         # eps puts the second probe, zeta = 1.125, on the edge of the test
         # amls(zeta) <= amls(beta) + eps/2; the first probe, 1.25, clears it.
         alpha, c, beta = 1.0, 2.0, 1.5
         tie = _fine_amls(alpha, c, 1.125)
         eps = 2.0 * (tie - _fine_amls(alpha, c, beta))
-        calls = []
-
-        def counting(params):
-            calls.append(params.beta)
-            return _AMLS_BOUND(params)
-
-        monkeypatch.setattr(bounds, "amls_bound", counting)
+        calls = self._count_calls(monkeypatch)
         chosen = {}
         for k in (-4, -1, 0, 1, 4):
             e = eps + k * math.ulp(tie)
             weighted._select_inner_beta.cache_clear()
             calls.clear()
             chosen[k] = weighted._select_inner_beta(alpha, c, beta, e)
-            assert 1.125 in calls  # the full-precision values decided the tie
+            # The tie climbs every rung, and the full-precision values decide it.
+            walk = [call for call in calls if call[-1] == 1.125]
+            assert walk == [("coarse", 1e-2, 1.125), ("coarse", 1e-4, 1.125), ("full", 1.125)]
             assert chosen[k] == _reference_inner_beta(alpha, c, beta, e)
         assert chosen[-4] == 1.25 and chosen[4] == 1.125
 
     def test_clear_margin_needs_no_full_precision(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(bounds, "amls_bound", lambda p: calls.append(p) or _AMLS_BOUND(p))
+        calls = self._count_calls(monkeypatch)
         weighted._select_inner_beta.cache_clear()
         assert weighted._select_inner_beta(1.0, 2.0, 1.5, 0.05) == 1.25
-        assert calls == []
+        # The loosest rung settles every test, with beta searched once.
+        assert calls and all(call[:2] == ("coarse", 1e-2) for call in calls)
+        assert [call[2] for call in calls].count(1.5) == 1
 
     def test_selection_is_cached(self, monkeypatch):
         weighted._select_inner_beta.cache_clear()
