@@ -10,7 +10,7 @@ is no early exit, so the recorded query cost equals the family cost exactly.
 Both drivers collect their candidates into one int64 array, so they refuse
 n > 63 and total weights of 2^63 or more.  problems.membership_many tests
 every candidate in one pass; the exhaustive membership driver reads the
-cached problems.membership_table instead.  The extension driver's oracle
+instance's one problems.membership_table instead.  The extension driver's oracle
 contract check runs after the last query: when it names the first output in
 family order that is not a solution, every entry has already been queried.
 Both drivers then hand their solutions to one report step, which ranks them

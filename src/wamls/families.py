@@ -113,6 +113,11 @@ def _mask(elems) -> int:
     return m
 
 
+def _elements(mask: int) -> list[int]:
+    """Bits of `mask` in ascending order."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def _entry_columns(n: int, rows, width: int) -> np.ndarray:
     """The rows (T, or T and ell for width 2) as read-only int64 columns.
     A value outside int64 reads as -1, which fails the range and budget tests."""

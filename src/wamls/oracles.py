@@ -17,16 +17,16 @@ appended block of the ledger's (N, 2) int64 array, whose buffer grows by
 doubling.  wrap_with_ledger turns a user's scalar (S, ell) -> X function
 into a batch function with a loop.
 
-The exact oracle ranks the 2^n subsets once and sorts that ranking stably
-by size, so the candidates of size at most ell are one prefix of it, shared
-by every query with that budget.  A query takes the best-ranked candidate
-of its prefix that is disjoint from S and completes it.
+The exact oracle ranks the 2^n subsets once per handle and sorts that
+ranking stably by size, so the candidates of size at most ell are one
+prefix of it, shared by every query with that budget.  A query takes the
+best-ranked candidate of its prefix that is disjoint from S and completes it.
 
 Vertex Cover is served as 2-Hitting Set: the branching and local-ratio
 oracles work on the instance's constraint masks, so VC gets c = d = 2
 branching and alpha = d = 2 local ratio from the same code as d-HS.  Both
-read one residual, unhit(S): the constraints S leaves unhit, as int64 words
-of 63 constraints each, from one table lookup per byte of S.  Since
+read the instance's one residual, unhit(S): the constraints S leaves unhit,
+as int64 words of 63 constraints each, from one lookup per byte of S.  Since
 unhit(S | X) = unhit(S) & unhit(X), an answer depends on S only through
 unhit(S) (and ell, for branching), and each distinct residual of a batch is
 solved once.  Branching splits on the lowest unhit constraint.  Local ratio
@@ -43,13 +43,12 @@ drivers do.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .families import _WORD_BITS, DEFAULT_CAP, _first_seen, _mask, log_cost
+from .families import _WORD_BITS, DEFAULT_CAP, _elements, _first_seen, _mask, log_cost
 from .problems import (
     Instance,
     WeightedFVSInstance,
@@ -84,7 +83,6 @@ BatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # Query x candidate pairs per chunk of the exact oracle's scan; each pair
 # costs about 27 bytes of temporaries.
 _CHUNK_PAIRS = 1 << 14
-_WORD = (1 << _WORD_BITS) - 1
 
 
 def _one(many: BatchFn, subset: int, ell: int) -> int:
@@ -219,48 +217,6 @@ def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> BatchO
     return BatchOracle(many)
 
 
-def _elements(mask: int) -> list[int]:
-    """Bits of `mask` in ascending order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _residual(instance: WeightedHSInstance | WeightedVCInstance):
-    """(elements, hits, unhit): each constraint's sorted elements; hits[v],
-    the index bits of the constraints holding element v; and unhit(subsets),
-    the constraints each int64 subset mask leaves unhit, as an int64 array
-    with one column per 63 constraints (bit j of column k is constraint
-    63k + j)."""
-    n, masks = instance.n, instance.masks
-    hits = [_mask(i for i, m in enumerate(masks) if m >> v & 1) for v in range(n)]
-    width = max(1, -(-len(masks) // _WORD_BITS))
-
-    def words(bits: int) -> list[int]:
-        return [bits >> _WORD_BITS * k & _WORD for k in range(width)]
-
-    every = np.array(words((1 << len(masks)) - 1), dtype=np.int64)
-    hit_words = np.array([words(h) for h in hits], dtype=np.int64).reshape(n, width)
-    # tables[k][b]: the constraints that byte b of S, at bit 8k, leaves unhit.
-    tables = []
-    for lo in range(0, n, 8):
-        hit = np.zeros((1 << min(8, n - lo), width), dtype=np.int64)
-        for i in range(min(8, n - lo)):
-            hit[1 << i : 2 << i] = hit[: 1 << i] | hit_words[lo + i]
-        tables.append(every & ~hit)
-
-    def unhit(subsets: np.ndarray) -> np.ndarray:
-        out = np.tile(every, (subsets.size, 1))
-        for k, table in enumerate(tables):
-            out &= table[subsets >> 8 * k & 0xFF]
-        return out
-
-    return [_elements(m) for m in masks], hits, unhit
-
-
 def _join(words: list[int]) -> int:
     """The constraint index bits of one row of unhit words."""
     return sum(w << _WORD_BITS * k for k, w in enumerate(words))
@@ -277,7 +233,7 @@ def branching_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> Ba
     _check_int64(instance)
     full = (1 << instance.n) - 1
     weights = instance.weights
-    elements, hits, unhit = _residual(instance)
+    elements, hits, _ = residual = instance._residual
 
     def search(left: int, ell: int) -> int:
         """The best X of size <= ell hitting every constraint in `left`, or -1."""
@@ -301,7 +257,7 @@ def branching_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> Ba
         return -1 if best is None else best[2]
 
     def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-        left = unhit(subsets)
+        left = residual.unhit(subsets)
         solved = ~left.any(axis=1)
         out = np.where(solved, 0, full & ~subsets)
         todo = np.flatnonzero((budgets > 0) & ~solved)
@@ -331,11 +287,11 @@ def local_ratio_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> 
     _check_int64(instance)
     n = instance.n
     weights = np.array(instance.weights, dtype=np.int64)
-    elements, _, unhit = _residual(instance)
-    elements = [np.array(elems) for elems in elements]
+    residual = instance._residual
+    elements = [np.array(elems) for elems in residual.elements]
 
     def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-        words = unhit(subsets)
+        words = residual.unhit(subsets)
         keep, inverse = _first_seen(*words.T)
         left = words[keep]
         res = np.repeat(weights[:, None], len(left), axis=1)  # res[v]: v's residual weights
@@ -349,7 +305,7 @@ def local_ratio_hs_oracle(instance: WeightedHSInstance | WeightedVCInstance) -> 
             has = mask >> v & 1 == 1
             if has.any():
                 trial = mask & ~(1 << v)
-                drop = has & ~(left & unhit(trial)).any(axis=1)
+                drop = has & ~(left & residual.unhit(trial)).any(axis=1)
                 mask = np.where(drop, trial, mask)
         return mask[inverse]
 
@@ -377,18 +333,13 @@ def local_ratio_fvs_oracle(instance: WeightedFVSInstance) -> BatchOracle:
     _check_int64(instance)
     n = instance.n
     weights = instance.weights
-    loops = 0
+    mult = instance._multiplicity
+    loops = _mask(np.flatnonzero(mult.diagonal()).tolist())
     # layers[v][k]: the neighbours joined to v by more than k edges.
-    layers: list[list[int]] = [[] for _ in range(n)]
-    for (u, v), k in Counter(instance.edges).items():
-        if u == v:
-            loops |= 1 << u
-            continue
-        for a, b in ((u, v), (v, u)):
-            layer = layers[a]
-            layer.extend([0] * (k - len(layer)))
-            for i in range(k):
-                layer[i] |= 1 << b
+    k = int(mult.max(initial=0))
+    above = mult * (1 - np.eye(n)) > np.arange(k)[:, None, None]  # above[i, v, u]
+    packed = _pack_rows(above.transpose(1, 0, 2).reshape(n * k, n)).reshape(n, k).tolist()
+    layers = [[m for m in row if m] for row in packed]
     nbr = [layer[0] if layer else 0 for layer in layers]
     par = [layer[1] if len(layer) > 1 else 0 for layer in layers]
 

@@ -7,24 +7,25 @@ Partial Vertex Cover ships as a membership predicate only.
 Each instance fact is stated once.  _SCHEMA gives every kind its class,
 constraint field and header numbers, for both parse_instance and
 emit_instance.  All kinds share one weights check, and VC, PVC and FVS one
-edge normaliser.  VC, HS and PVC store their constraints once as int masks,
-and S hits a constraint m iff S & m, so Vertex Cover is 2-Hitting Set.
+edge normaliser.  VC, HS and PVC keep their constraints as int masks, and
+S hits a constraint m iff S & m, so Vertex Cover is 2-Hitting Set.
 
 membership_many is the predicate over an int64 array of masks (so n <= 63):
 one `arr & m != 0` test per constraint mask, and for FVS a chunked peel to
 the 2-core, empty iff the rest is a forest; the FVS local-ratio oracle keys
-its queries by the same cores.  membership_table caches the predicate over
-all 2^n masks.  weigh_many is the one kernel that weighs and counts masks,
-and rank_subsets the one weight -> cardinality -> bitmask ranking.
-membership_check (union-find for FVS) and weight_of stay the independent
-scalar references.
+its queries by the same cores.  weigh_many is the one kernel that weighs and
+counts masks, and rank_subsets the one weight -> cardinality -> bitmask
+ranking.  membership_check (union-find for FVS) and weight_of stay the
+independent scalar references.  Every table derived from an instance is
+computed once and lives on it, as long as it does (see _Instance).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .families import (
     ResourceCapError,
     _check_cap,
     _check_word,
+    _elements,
     _mask,
     subset_sums,
 )
@@ -75,7 +77,7 @@ def _check_weights(instance) -> None:
 
 def _set_edges(instance, simple: bool) -> None:
     """Store range-checked edges as sorted (min, max) pairs.  A simple graph
-    also rejects self-loops, drops repeats and stores its constraint masks."""
+    also rejects self-loops and drops repeats."""
     n = instance.n
     norm = []
     for u, v in instance.edges:
@@ -86,25 +88,78 @@ def _set_edges(instance, simple: bool) -> None:
         norm.append((min(u, v), max(u, v)))
     edges = tuple(sorted(set(norm) if simple else norm))
     object.__setattr__(instance, "edges", edges)
-    if simple:
-        object.__setattr__(instance, "masks", tuple(map(_mask, edges)))
 
 
-# Constraint masks live on the instance, out of eq, hash and repr.  A cache
-# keyed on the instance would hash it on every lookup, which costs about as
-# much as a whole membership check.
-def _masks_field():
-    return field(init=False, repr=False, compare=False)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only, since every caller of an instance shares it."""
+    array.flags.writeable = False
+    return array
+
+
+class _Residual(NamedTuple):
+    """The hitting-set residual: elements[i], the sorted elements of
+    constraint i; hits[v], the index bits of the constraints holding v; and
+    tables[k][b], the constraints byte b of a mask at bit 8k leaves unhit, as
+    int64 words (bit j of word i is constraint 63i + j)."""
+
+    elements: tuple[tuple[int, ...], ...]
+    hits: tuple[int, ...]
+    tables: tuple[np.ndarray, ...]
+
+    def unhit(self, subsets: np.ndarray) -> np.ndarray:
+        """Per int64 subset mask, the words of the constraints it leaves unhit."""
+        out = np.tile(self.tables[0][0], (subsets.size, 1))  # byte 0 hits none
+        for k, table in enumerate(self.tables):
+            out &= table[subsets >> 8 * k & 0xFF]
+        return out
+
+
+class _Instance:
+    """The tables an instance derives from its fields (constraint masks, byte
+    weight tables, the 2^n membership table, the hitting-set residual and
+    the FVS edge multiplicities), each a cached_property: computed on first
+    use, then kept read-only in the instance's __dict__ as long as the
+    instance lives, out of eq, hash and repr, which read the fields only."""
+
+    @cached_property
+    def _byte_weights(self) -> tuple[np.ndarray, ...]:
+        """The int64 subset-sum table of each 8-element slice of the weights,
+        indexed by a mask byte: at most 8 tables of up to 2 KB (n <= 63)."""
+        w = self.weights
+        return tuple(_frozen(subset_sums(w[lo : lo + 8], np.int64)) for lo in range(0, len(w), 8))
+
+    @cached_property
+    def _membership(self) -> np.ndarray:
+        return _frozen(membership_many(self, np.arange(1 << self.n)))
+
+
+class _Constrained(_Instance):
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """VC, HS, PVC: the int mask of each constraint, in its field's order."""
+        return tuple(map(_mask, getattr(self, _SCHEMA[self.kind][1])))
+
+    @cached_property
+    def _residual(self) -> _Residual:
+        """The residual the VC/HS branching and local-ratio oracles share."""
+        n, masks = self.n, self.masks
+        cols, tables = np.array(masks, dtype=np.int64), []
+        words = range(0, max(len(masks), 1), _WORD_BITS)  # the first constraint of each word
+        for lo in range(0, max(n, 1), 8):
+            free = np.arange(1 << min(8, n - lo))[:, None] & cols >> lo == 0
+            tables.append(np.stack([_pack_rows(free[:, j : j + _WORD_BITS]) for j in words], 1))
+        elements = tuple(tuple(_elements(m)) for m in masks)
+        hits = tuple(_mask(i for i, m in enumerate(masks) if m >> v & 1) for v in range(n))
+        return _Residual(elements, hits, tuple(map(_frozen, tables)))
 
 
 @dataclass(frozen=True)
-class WeightedVCInstance:
+class WeightedVCInstance(_Constrained):
     """Vertex cover as the d = 2 hitting set of its edges."""
 
     n: int
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
         _check_weights(self)
@@ -115,12 +170,11 @@ class WeightedVCInstance:
 
 
 @dataclass(frozen=True)
-class WeightedHSInstance:
+class WeightedHSInstance(_Constrained):
     n: int
     weights: tuple[int, ...]
     d: int
     sets: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
         _check_weights(self)
@@ -137,13 +191,12 @@ class WeightedHSInstance:
                 raise ValueError(f"hyperedge {ss} out of range")
             norm.add(ss)
         object.__setattr__(self, "sets", tuple(sorted(norm)))
-        object.__setattr__(self, "masks", tuple(map(_mask, self.sets)))
 
     kind = "whs"
 
 
 @dataclass(frozen=True)
-class WeightedFVSInstance:
+class WeightedFVSInstance(_Instance):
     """Multigraph semantics: parallel edges and self-loops each form a cycle."""
 
     n: int
@@ -154,18 +207,24 @@ class WeightedFVSInstance:
         _check_weights(self)
         _set_edges(self, simple=False)
 
+    @cached_property
+    def _multiplicity(self) -> np.ndarray:
+        """The float64 (n, n) edge multiplicities; a self-loop counts 2."""
+        mult = np.zeros((self.n, self.n))
+        np.add.at(mult, tuple(np.array(self.edges, dtype=np.int64).reshape(-1, 2).T), 1)
+        return _frozen(mult + mult.T)
+
     kind = "wfvs"
 
 
 @dataclass(frozen=True)
-class WeightedPVCInstance:
+class WeightedPVCInstance(_Constrained):
     """Partial vertex cover: S is a solution iff it covers at least t edges."""
 
     n: int
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     t: int
-    masks: tuple[int, ...] = _masks_field()
 
     def __post_init__(self):
         _check_weights(self)
@@ -210,8 +269,7 @@ def membership_check(instance: Instance, subset: int) -> bool:
     if isinstance(instance, (WeightedVCInstance, WeightedHSInstance)):
         return all(subset & m for m in instance.masks)
     if isinstance(instance, WeightedFVSInstance):
-        remaining = ~subset & ((1 << instance.n) - 1)
-        return _fvs_acyclic(instance.n, instance.edges, remaining)
+        return _fvs_acyclic(instance.n, instance.edges, ~subset & ((1 << instance.n) - 1))
     if isinstance(instance, WeightedPVCInstance):
         return sum(1 for m in instance.masks if subset & m) >= instance.t
     raise TypeError(f"unsupported instance type {type(instance)!r}")
@@ -239,11 +297,7 @@ def _fvs_cores(instance: WeightedFVSInstance, alive: np.ndarray) -> np.ndarray:
     The degrees of a round are one matmul of the 0/1 live matrix with the
     edge multiplicities, over chunks of _PEEL_ROWS rows.
     """
-    n = instance.n
-    mult = np.zeros((n, n))
-    for u, v in instance.edges:
-        mult[u, v] += 1
-        mult[v, u] += 1
+    n, mult = instance.n, instance._multiplicity
     out = np.empty(alive.size, dtype=np.int64)
     for lo in range(0, alive.size, _PEEL_ROWS):
         octets = alive[lo : lo + _PEEL_ROWS].astype("<i8").view(np.uint8)
@@ -279,11 +333,10 @@ def membership_many(instance: Instance, subsets: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported instance type {type(instance)!r}")
 
 
-@lru_cache(maxsize=256)
 def membership_table(instance: Instance, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Boolean membership of every subset mask; cached per instance."""
+    """Boolean membership of every subset mask: one read-only table per instance."""
     _check_cap(instance.n, cap)
-    return membership_many(instance, np.arange(1 << instance.n))
+    return instance._membership
 
 
 def _check_int64(instance: Instance) -> None:
@@ -300,17 +353,6 @@ def weight_of(instance: Instance, subset: int) -> int:
 _POPCOUNT8 = subset_sums([1] * 8, np.uint8)
 
 
-@lru_cache(maxsize=64)
-def _byte_weights(weights: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The int64 subset-sum table of each 8-element slice of `weights`, indexed
-    by a mask byte: at most 8 tables of up to 2 KB (n <= 63), read-only since
-    every caller shares them."""
-    tables = [subset_sums(weights[lo : lo + 8], np.int64) for lo in range(0, len(weights), 8)]
-    for table in tables:
-        table.flags.writeable = False
-    return tuple(tables)
-
-
 def _popcount(subsets: np.ndarray) -> np.ndarray:
     """The uint8 sizes of an int64 array of subset masks, by one popcount-table
     lookup per occupied byte."""
@@ -325,8 +367,8 @@ def weigh_many(instance: Instance, subsets: np.ndarray) -> tuple[np.ndarray, np.
     """(int64 weights, uint8 sizes) of an int64 array of subset masks (n <= 63),
     by one lookup per mask byte in 256-entry weight and popcount tables."""
     weight = np.zeros(subsets.shape, dtype=np.int64)
-    for lo, table in zip(range(0, instance.n, 8), _byte_weights(tuple(instance.weights))):
-        weight += table[subsets >> lo & 0xFF]
+    for k, table in enumerate(instance._byte_weights):
+        weight += table[subsets >> 8 * k & 0xFF]
     return weight, _popcount(subsets)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -231,9 +231,11 @@ def _select_inner_beta(alpha: float, c: float, beta: float, eps: float) -> float
     exceeds both certificates plus _TIE; nearer a tie, the full-precision
     values decide it.  The certificates hold at any tolerance, so a settled
     test has the outcome the full-precision values give, and the choice is
-    the one they alone would make.  The beta side is searched once per rung.
+    the one they alone would make.  The beta side is searched once per rung
+    and at full precision once.
     """
     bases: dict[float, tuple[float, float]] = {}  # rung -> beta's coarse (value, err)
+    target = cache(lambda: _amls(alpha, c, beta) + eps / 2.0)  # the full-precision bound
 
     def within(zeta: float) -> bool:
         for tol in _RUNGS:
@@ -244,7 +246,7 @@ def _select_inner_beta(alpha: float, c: float, beta: float, eps: float) -> float
             margin = base + eps / 2.0 - value
             if abs(margin) > base_err + err + _TIE:
                 return margin > 0
-        return _amls(alpha, c, zeta) <= _amls(alpha, c, beta) + eps / 2.0
+        return _amls(alpha, c, zeta) <= target()
 
     chosen = None
     for j in range(1, 21):

@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from wamls import problems
 from wamls.driver import (
     OracleMismatchError,
     RunReport,
@@ -86,13 +87,13 @@ class TestMembershipDriver:
             assert report.output_weight == weight
             assert report.output_set == mask
 
-    def test_exhaustive_run_and_verify_share_one_membership_table(self):
+    def test_exhaustive_run_and_verify_share_one_membership_table(self, count_builds):
+        built = count_builds(problems._Instance, "_membership")
         inst = random_instance("wfvs", 9, 0.4, seed=3)
-        membership_table.cache_clear()
         report = approximate_membership(inst, 2.0, mode="exhaustive")
+        table = membership_table(inst)
         assert verify_run(inst, report, 2.0).ok
-        info = membership_table.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert built == [inst] and membership_table(inst) is table
 
     def test_edgeless_returns_empty(self):
         inst = WeightedVCInstance(n=4, weights=(1, 2, 3, 4), edges=())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wamls import oracles
+from wamls import oracles, problems
 from wamls.oracles import (
     QueryLedger,
     branching_hs_oracle,
@@ -298,16 +298,30 @@ class TestResidualKernel:
         assert len(inst.masks) > 63
         self.check_kernel(inst, step=7)
 
+    def test_branching_and_local_ratio_share_one_residual(self, count_builds):
+        built = count_builds(problems._Constrained, "_residual")
+        inst = random_instance("whs", 9, 0.3, seed=5, d=3)
+        handles = [oracle_for(inst, "branching"), oracle_for(inst, "local-ratio")]
+        residual = inst._residual
+        subsets = np.arange(1 << inst.n)
+        for handle in handles:
+            outs = subsets | handle.extend_many(subsets, np.full(subsets.size, 2))
+            assert all(membership_check(inst, s) for s in outs.tolist())
+            # the batch function holds the instance's residual itself
+            cells = [cell.cell_contents for cell in handle.oracle.__closure__]
+            assert any(cell is residual for cell in cells)
+        assert built == [inst] and inst._residual is residual
+
     @staticmethod
     def check_kernel(inst, step=1):
-        elements, hits, unhit = oracles._residual(inst)
+        elements, hits, _ = residual = inst._residual
         assert [sum(1 << e for e in elems) for elems in elements] == list(inst.masks)
-        assert all(elems == sorted(elems) for elems in elements)
-        assert hits == [
+        assert all(list(elems) == sorted(elems) for elems in elements)
+        assert list(hits) == [
             sum(1 << i for i, m in enumerate(inst.masks) if m >> v & 1) for v in range(inst.n)
         ]
         subsets = np.arange(0, 1 << inst.n, step)
-        words = unhit(subsets)
+        words = residual.unhit(subsets)
         for s, row in zip(subsets.tolist(), words.tolist()):
             want = sum(1 << i for i, m in enumerate(inst.masks) if not s & m)
             assert sum(w << 63 * k for k, w in enumerate(row)) == want

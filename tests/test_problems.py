@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wamls import problems
-from wamls.families import ResourceCapError
+from wamls.families import DEFAULT_CAP, ResourceCapError
 from wamls.oracles import exact_extension_oracle
 from wamls.problems import (
     ParseError,
@@ -298,19 +298,105 @@ class TestWeighMany:
         assert weight.tolist() == [weight_of(inst, m) for m in masks]
         assert size.tolist() == [m.bit_count() for m in masks]
 
-    def test_byte_tables_built_once_per_weights(self):
+    def test_byte_tables_built_once_per_instance(self, count_builds):
+        built = count_builds(problems._Instance, "_byte_weights")
         inst = random_instance("wvc", 12, 0.3, seed=3)
         twin = WeightedVCInstance(n=12, weights=inst.weights, edges=())
-        problems._byte_weights.cache_clear()
         masks = np.arange(1 << 12, dtype=np.int64)
         first = weigh_many(inst, masks)
+        tables = inst._byte_weights
+        assert weigh_many(inst, masks)[0].tolist() == first[0].tolist()
         second = weigh_many(twin, masks[::-1])
-        info = problems._byte_weights.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert built == [inst, twin] and inst._byte_weights is tables
         assert second[0].tolist() == first[0].tolist()[::-1]
-        tables = problems._byte_weights(inst.weights)
         assert [t.shape for t in tables] == [(256,), (16,)]  # bytes of 8 and 4 elements
-        assert not any(t.flags.writeable for t in tables)
+        assert all(np.array_equal(a, b) for a, b in zip(tables, twin._byte_weights))
+
+
+def _tables(inst):
+    """Every table the instance derives, by name."""
+    out = {"_byte_weights": inst._byte_weights, "_membership": membership_table(inst)}
+    if inst.kind == "wfvs":
+        out["_multiplicity"] = inst._multiplicity
+    else:
+        out["masks"] = inst.masks
+    if inst.kind in ("wvc", "whs"):
+        out["_residual"] = inst._residual
+    return out
+
+
+def _arrays(table):
+    """The numpy arrays a table holds."""
+    if isinstance(table, np.ndarray):
+        return [table]
+    if isinstance(table, tuple):
+        return [a for part in table for a in _arrays(part)]
+    return []
+
+
+TABLE_CASES = [
+    random_instance("wvc", 9, 0.3, seed=4),
+    random_instance("whs", 10, 0.3, seed=4, d=3),
+    WeightedFVSInstance(n=5, weights=(3, 1, 4, 1, 5), edges=((0, 0), (1, 2), (2, 1), (3, 4))),
+    WeightedPVCInstance(n=4, weights=(2, 7, 1, 8), edges=TRIANGLE, t=2),
+]
+
+
+class TestInstanceTables:
+    """Each derived table is computed once per instance, kept read-only, and
+    left out of eq, hash and repr."""
+
+    @pytest.mark.parametrize("inst", TABLE_CASES, ids=lambda i: i.kind)
+    def test_equal_across_twins_and_kept_per_instance(self, inst):
+        twin = parse_instance(emit_instance(inst))
+        mine, theirs = _tables(inst), _tables(twin)
+        for name, table in mine.items():
+            assert getattr(inst, name) is table, name
+            assert table is not theirs[name], name
+            assert repr(table) == repr(theirs[name]), name
+            for a, b in zip(_arrays(table), _arrays(theirs[name]), strict=True):
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("inst", TABLE_CASES, ids=lambda i: i.kind)
+    def test_computed_tables_leave_eq_hash_and_repr(self, inst):
+        fresh = parse_instance(emit_instance(inst))
+        _tables(inst)
+        assert inst == fresh and hash(inst) == hash(fresh) and repr(inst) == repr(fresh)
+        assert {inst: 1}[fresh] == 1
+
+    @pytest.mark.parametrize("inst", TABLE_CASES, ids=lambda i: i.kind)
+    def test_shared_tables_are_read_only(self, inst):
+        for name, table in _tables(inst).items():
+            for array in _arrays(table):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        if inst.kind in ("wvc", "whs"):
+            assert isinstance(inst._residual.elements[0], tuple)
+            assert isinstance(inst._residual.hits, tuple)
+
+    def test_a_write_cannot_corrupt_exact_opt(self):
+        inst = random_instance("wvc", 6, 0.3, seed=1)
+        assert exact_opt(inst) == (42, 98)
+        with pytest.raises(ValueError):
+            membership_table(inst, DEFAULT_CAP)[:] = True
+        assert exact_opt(inst) == (42, 98)
+
+    def test_one_membership_table_serves_every_cap_from_n(self, count_builds):
+        built = count_builds(problems._Instance, "_membership")
+        inst = random_instance("wvc", 12, 0.3, seed=2)
+        table = membership_table(inst)
+        assert membership_table(inst, 12) is table and membership_table(inst, 20) is table
+        assert exact_opt(inst, 12) == exact_opt(inst)
+        assert built == [inst]
+        with pytest.raises(ResourceCapError):
+            membership_table(inst, 11)
+
+    @pytest.mark.parametrize("inst", TABLE_CASES, ids=lambda i: i.kind)
+    def test_scalar_and_batch_predicates_read_no_residual(self, inst):
+        fresh = parse_instance(emit_instance(inst))
+        membership_many(fresh, np.arange(1 << fresh.n))
+        membership_check(fresh, 0)
+        assert "_residual" not in vars(fresh)
 
 
 def test_rank_subsets_by_weight_size_mask():

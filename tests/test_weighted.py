@@ -423,6 +423,15 @@ class TestInnerBetaSelection:
         assert calls and all(call[:2] == ("coarse", 1e-2) for call in calls)
         assert [call[2] for call in calls].count(1.5) == 1
 
+    def test_full_precision_beta_searched_once(self, monkeypatch):
+        # Two tests of this walk climb every rung; beta's full-precision value
+        # serves both.
+        calls = self._count_calls(monkeypatch)
+        weighted._select_inner_beta.cache_clear()
+        assert weighted._select_inner_beta(3.0, 3.0, 1.004, 0.05) == 1.000125
+        full = sorted(call[1] for call in calls if call[0] == "full")
+        assert full == [1.0000625, 1.000125, 1.004]
+
     def test_selection_is_cached(self, monkeypatch):
         weighted._select_inner_beta.cache_clear()
         weighted._select_inner_beta(1.0, 2.0, 1.7, 0.05)
