@@ -115,7 +115,8 @@ def cmd_family(args) -> int:
         sched = rep.schedule
         schedule = (
             f"delta={sched['delta']:g} inner={sched['inner']:g} "
-            f"d={sched.get('d', 0)} gamma={sched.get('gamma', 0):g}"
+            f"starts={','.join(f'{k}:{i}' for k, i in sched.get('starts', {}).items())} "
+            f"gamma={sched.get('gamma', 0):g}"
         )
         text = families.dump_family(rep.family, schedule=schedule)
         if args.out:

@@ -57,7 +57,12 @@ def _families_suite(max_n: int, trials: int, seed: int) -> tuple[bool, list[str]
     fails = 0
     for _ in range(trials):
         n = rng.randint(1, min(max_n, 9))
-        weights = [rng.randint(1, 100) for _ in range(n)]
+        # Powers of two put one element in each class and give the longest
+        # window prefixes.
+        if rng.random() < 0.5:
+            weights = [rng.randint(1, 100) for _ in range(n)]
+        else:
+            weights = [2 ** rng.randint(0, 40) for _ in range(n)]
         alpha = rng.choice([1.5, 2.0, 3.0])
         rep = weighted.build_weighted_covering(weights, alpha)
         fails += not families.verify_covering(rep.family, weights)

@@ -2,13 +2,27 @@
 
 Elements are bucketed into classes U_i = {u : gamma^i <= w(u) < gamma^(i+1)}
 with gamma = 1 + delta/2.  Per class, an unweighted family is built on the
-re-indexed class universe; for each occupied index k the classes in the
-window [k-d, k] are combined as a Cartesian product, each entry unioned with
-the cheap prefix W_k of all classes below the window.  The window width
-d = ceil((2/delta) * log2(2n/delta)) guarantees gamma^d >= 2n/delta, which is
-what makes the prefix negligible against any set touching class k.  Each
-window is one slice of the sorted occupied indices, from where k - d would
-sort in, and W_k is the running OR of the class masks before that slice.
+re-indexed class universe; for each occupied index k the classes of a window
+ending at k are combined as a Cartesian product, each entry unioned with the
+prefix W_k, the union of all occupied classes below the window.
+
+The window is sized from the instance's own weights.  Let B be the family's
+target (beta for extension, alpha for covering), zeta the inner target and R
+the largest heaviest/lightest weight ratio inside any occupied class
+(R < gamma).  Window k starts after the longest prefix of lighter occupied
+classes of total weight at most (B - R*zeta) * min w(U_k), and always holds
+k.  Why T = W_k | T_i over the window's classes serves every S whose
+heaviest class is k:
+  - class i's unit-weight zeta-entry, scaled by its weights, gives
+    w(T_i) + alpha * w(S_i - T_i) <= R * zeta * w(S_i);
+  - S weighs at least min w(U_k), so w(W_k) <= (B - R*zeta) * w(S);
+  - adding up, w(T) + alpha * w(S - T) <= B * w(S).
+B - R*zeta > (delta/2) * zeta, so the paper's window [k - d, k], with
+d = ceil((2/delta) * log2(2n/delta)), has a prefix that passes the same
+test: each window here is a suffix of the paper's.  The test is decided in
+exact integer arithmetic, so rounding never admits a prefix that fails it.
+Each window is one slice of the sorted occupied indices, and W_k is the
+running OR of the class masks before that slice.
 
 Covering families are combined as the budget-0 case: each class's covering
 sets enter as (T, 0) entries, so one routine partitions, lifts, combines and
@@ -23,8 +37,11 @@ deduplication, with ResourceCapError.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,8 +72,6 @@ class WeightClassPartition:
     delta: float
     classes: dict[int, tuple[int, ...]]  # class index -> sorted element ids
     index_set: tuple[int, ...]
-    d: int
-    n: int
 
 
 @dataclass
@@ -82,22 +97,47 @@ def partition_by_weight(weights, delta: float) -> WeightClassPartition:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     _check_weights(weights)
     gamma = 1.0 + delta / 2.0
-    n = len(weights)
     classes: dict[int, list[int]] = {}
     for u, w in enumerate(weights):
         classes.setdefault(_class_index(w, gamma), []).append(u)
-    d = math.ceil((2.0 / delta) * math.log2(2 * n / delta)) if n > 0 else 0
-    part = WeightClassPartition(
+    return WeightClassPartition(
         gamma=gamma,
         delta=delta,
         classes={i: tuple(sorted(us)) for i, us in classes.items()},
         index_set=tuple(sorted(classes)),
-        d=d,
-        n=n,
     )
-    if n > 0:
-        assert gamma**d >= 2 * n / delta - 1e-9, "window width too small for the prefix bound"
-    return part
+
+
+def _window_starts(weights, part: WeightClassPartition, target: float, zeta: float):
+    """Each window's start, as a position in part.index_set, and the spread R.
+
+    Window j starts after the longest prefix of occupied classes below it
+    whose total weight is at most (target - R*zeta) times the lightest
+    weight of class j, and never after j.  The weights are scaled to
+    integers by their common denominator (the test is homogeneous in them),
+    target and zeta are taken as integer ratios, and the bound is floored
+    against integer prefix totals, so the test is exact.
+    """
+    ratios = [
+        w.as_integer_ratio() if isinstance(w, (int, float)) else Fraction(w).as_integer_ratio()
+        for w in weights
+    ]
+    scale = math.lcm(*(q for _, q in ratios))
+    exact = [int(p) * (scale // int(q)) for p, q in ratios]  # Python ints, whatever w was
+    groups = [[exact[u] for u in part.classes[i]] for i in part.index_set]
+    lows = list(map(min, groups))
+    top, low = 1, 1  # R = top / low
+    for hi, lo in zip(map(max, groups), lows):
+        if hi * low > top * lo:
+            top, low = hi, lo
+    (b, b_den), (z, z_den) = target.as_integer_ratio(), zeta.as_integer_ratio()
+    # (target - R*zeta) * m = num * m / den
+    num, den = b * z_den * low - top * z * b_den, b_den * z_den * low
+    totals = list(accumulate(map(sum, groups), initial=0))
+    starts = [
+        bisect_right(totals, num * lo // den, 1, j + 1) - 1 for j, lo in enumerate(lows)
+    ]
+    return starts, top / low
 
 
 # Small bounds: a solve with a fresh target factor never hits these caches,
@@ -118,20 +158,23 @@ def _unweighted_extension_cached(
     return fam.ts, fam.ells
 
 
-def _combine_classes(weights, delta: float, zeta: float, inner, cap: int, **setting):
+def _combine_classes(
+    weights, delta: float, zeta: float, target: float, inner, cap: int, **setting
+):
     """Partition by weight, lift each class's family, combine and deduplicate.
 
     inner(m) gives the (T, ell) columns of the unweighted zeta-family on m
-    elements.  Returns the entries, in first-seen order over the occupied
+    elements, and target is the family's own factor, the one it is verified
+    against.  Returns the entries, in first-seen order over the occupied
     indices, as the rows of an (N, 2) int64 array, and the schedule: delta,
-    zeta, d, gamma, the builder's `setting` and each class's family size.
-    The entries are int64 masks, so n > 63 is refused; so is a family whose
-    blocks hold more than 2^cap entries before deduplication.
+    zeta, gamma, the spread R, the builder's `setting`, each class's family
+    size and the class where each window starts.  The entries are int64
+    masks, so n > 63 is refused; so is a family whose blocks hold more than
+    2^cap entries before deduplication.
     """
     _check_word(len(weights))
     part = partition_by_weight(weights, delta)
-    index = np.array(part.index_set)
-    starts = np.searchsorted(index, index - part.d).tolist()  # window j: starts[j] .. j
+    starts, ratio = _window_starts(weights, part, target, zeta)  # window j: starts[j] .. j
     lifted, prefix = [], [0]  # each class's (T, ell) columns; the running OR
     for i in part.index_set:
         local, ells = inner(len(part.classes[i]))
@@ -151,8 +194,12 @@ def _combine_classes(weights, delta: float, zeta: float, inner, cap: int, **sett
             ells = (ells[:, None] + class_ells).ravel()
         blocks.append((ts, ells))
     entries = np.stack([np.concatenate(cols) for cols in zip(*blocks)], axis=1)
-    schedule = {"delta": delta, "inner": zeta, "d": part.d, "gamma": part.gamma}
-    schedule.update(setting, class_family_sizes=dict(zip(part.index_set, sizes)))
+    schedule = {"delta": delta, "inner": zeta, "gamma": part.gamma, "spread": ratio}
+    schedule.update(
+        setting,
+        class_family_sizes=dict(zip(part.index_set, sizes)),
+        starts={k: part.index_set[start] for k, start in zip(part.index_set, starts)},
+    )
     return entries[_first_seen(*entries.T)[0]], schedule
 
 
@@ -183,8 +230,8 @@ def build_weighted_covering(
 ) -> WeightedFamilyReport:
     """alpha-covering family of an arbitrarily weighted universe.
 
-    Inner unweighted families target beta with (1 + delta) * beta = alpha, so
-    the rounding slack of the weight classes is exactly absorbed.
+    Inner unweighted families target beta with (1 + delta) * beta = alpha;
+    the class windows are sized against alpha itself.
     """
     _check_factors(strict=True, alpha=alpha)
     n = len(weights)
@@ -196,6 +243,7 @@ def build_weighted_covering(
         weights,
         delta,
         beta,
+        alpha,
         lambda m: _unweighted_covering_cached(m, beta, cap),
         cap,
         mode=mode,
@@ -286,6 +334,7 @@ def build_weighted_extension(
         weights,
         delta,
         zeta,
+        beta,
         lambda m: _unweighted_extension_cached(m, alpha, c, zeta, cap),
         cap,
         eps=eps,

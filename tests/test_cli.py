@@ -255,7 +255,11 @@ class TestSolveCommand:
         assert "--model membership" in err
         code, out, _ = run(capsys, "solve", str(path), "--model", "membership")
         assert code == 0
-        assert json.loads(out)["output_weight"] == 2
+        # The alpha = 2 covering family (slack 2 - 1.5 = 0.5) holds {1, 2}
+        # (weight 3) but not the optimum {2} (weight 2): vertex 1 is the
+        # prefix of the windows of vertices 2 and 3 (1 <= 0.5 * 2 and
+        # 1 <= 0.5 * 3 < 1 + 2).
+        assert json.loads(out)["output_weight"] == 3
 
     def test_report_file_written(self, capsys, vc_file, tmp_path):
         report = tmp_path / "r.json"
@@ -296,7 +300,7 @@ class TestSolveCommand:
 
     def test_max_n_bounds_verification(self, capsys, tmp_path):
         # Two weight classes of five vertices: the solve fits in cap 9 (a
-        # 320-entry family), but OPT over 2^10 subsets does not.  One class
+        # 34-entry family), but OPT over 2^10 subsets does not.  One class
         # of ten unit weights would exceed the cap in its own build.
         inst = random_instance("wvc", 10, 0.3, seed=7)
         path = tmp_path / "i.wvc"
@@ -313,7 +317,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("model", ["extension", "membership"])
     def test_max_n_bounds_spread_weight_family(self, capsys, tmp_path, model):
         # Weight classes of one or two vertices each fit cap 8, but their
-        # product family would grow as 2^10.
+        # product blocks hold 590 (extension) and 446 (membership) entries.
         path = tmp_path / "i.wvc"
         path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=7)))
         code, out, err = run(

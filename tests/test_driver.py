@@ -441,7 +441,8 @@ class TestReportSerialization:
 
 class TestGoldenReports:
     def test_reports_match_golden(self):
-        """The golden lines were written before VC moved onto the hitting-set
-        path; every oracle, both models and OPT must reproduce them."""
+        """The golden lines were last written when the class windows were
+        first sized from the instance's weights; every oracle, both models
+        and OPT must reproduce them."""
         want = GOLDEN_REPORTS.read_text().splitlines(keepends=True)
         assert golden_report_lines() == want

@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,11 +57,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_by_weight([1, 2], 0.0)
 
-    def test_window_inequality(self):
-        for delta in (0.1, 0.3, 0.7, 0.99):
-            part = partition_by_weight(list(range(1, 13)), delta)
-            assert part.gamma**part.d >= 2 * part.n / delta - 1e-9
-
     @settings(max_examples=50, deadline=None)
     @given(
         weights=st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=12),
@@ -91,10 +87,13 @@ def hand_built(per_class):
     return inner
 
 
-def combine(weights, delta, per_class):
-    """weighted._combine_classes over hand-built class families, as a list of pairs."""
-    entries, _ = weighted._combine_classes(weights, delta, 1.5, hand_built(per_class), DEFAULT_CAP)
-    return [tuple(row) for row in entries.tolist()]
+def combine(weights, delta, target, per_class):
+    """weighted._combine_classes at inner target 1.5 over hand-built class
+    families, as a list of pairs, and the schedule."""
+    entries, schedule = weighted._combine_classes(
+        weights, delta, 1.5, target, hand_built(per_class), DEFAULT_CAP
+    )
+    return [tuple(row) for row in entries.tolist()], schedule
 
 
 class TestCombineBlocks:
@@ -102,39 +101,83 @@ class TestCombineBlocks:
     hand-built products and naive_combination."""
 
     def test_singleton_window(self):
-        assert combine([1, 1], 0.5, [[(0, 0)]]) == [(0, 0)]
+        assert combine([1, 1], 0.5, 2.25, [[(0, 0)]])[0] == [(0, 0)]
 
     def test_product_cardinality(self):
-        # d = 12 and the classes are 0 and 20, so each window holds one
-        # class, and the heavy class's entries carry the light element.
-        part = partition_by_weight([1, 100], 0.5)
-        assert (part.index_set, part.d) == ((0, 20), 12)
+        # The classes are 0 and 20.  The slack is 2.25 - 1.5 = 0.75, and
+        # 1 <= 0.75 * 100, so each window holds one class, and the heavy
+        # class's entries carry the light element.
         per_class = [[(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
-        got = combine([1, 100], 0.5, per_class)
+        got, schedule = combine([1, 100], 0.5, 2.25, per_class)
+        assert schedule["starts"] == {0: 0, 20: 20}
         assert got == [(1, 0), (0, 1), (3, 0), (1, 1), (3, 1)]
-        assert got == naive_combination([1, 100], 0.5, hand_built(per_class))
+        assert got == naive_combination([1, 100], 0.5, 2.25, 1.5, hand_built(per_class))
 
     def test_matches_naive_product(self):
         weights = [1, 3, 9, 27, 81, 243]
         part = partition_by_weight(weights, 0.9)
-        assert (part.index_set, part.d) == ((0, 2, 5, 8, 11, 14), 9)
+        assert part.index_set == (0, 2, 5, 8, 11, 14)
         # Each class holds one element, with local family {(1, 1), (0, 0)}.
+        # The slack is 1.55 - 1.5 = 0.05, so class 8 (weight 27, bound
+        # 1.35) has class 0 (total 1) as its prefix, class 11 (bound 4.05)
+        # classes 0 and 2 (total 4), and so does class 14 (bound 12.15 <
+        # 13).  Classes 2 and 5 (bounds 0.15 and 0.45) have none.
         per_class = [[(1, 1), (0, 0)]] * len(part.index_set)
-        got = combine(weights, 0.9, per_class)
-        assert got == naive_combination(weights, 0.9, hand_built(per_class))
+        got, schedule = combine(weights, 0.9, 1.55, per_class)
+        assert schedule["starts"] == {0: 0, 2: 0, 5: 0, 8: 2, 11: 5, 14: 5}
+        assert schedule["spread"] == 1.0
+        assert got == naive_combination(weights, 0.9, 1.55, 1.5, hand_built(per_class))
         # The last window [5, 14] holds classes 5, 8, 11 and 14 (elements 2
-        # to 5), and its prefix W_k classes 0 and 2 (elements 0 and 1).
+        # to 5), and its prefix W_k classes 0 and 2 (elements 0 and 1).  Its
+        # entries without element 5 are window 11's, so only the eight with
+        # it are new.
         last = [(0b11, 0)]
         for e in range(2, 6):
             last = [(t | x, l1 + l2) for t, l1 in last for x, l2 in [(1 << e, 1), (0, 0)]]
-        assert got[-16:] == last
+        assert set(last) <= set(got)
+        assert got[-8:] == [(t, ell) for t, ell in last if t >> 5 & 1]
 
 
-def naive_combination(weights, delta, inner):
+def paper_window(part):
+    """The paper's window width d = ceil((2/delta) * log2(2n/delta)), with
+    gamma^d >= 2n/delta: class k's window starts at the first occupied
+    class at or above k - d."""
+    n = sum(map(len, part.classes.values()))
+    d = math.ceil((2.0 / part.delta) * math.log2(2 * n / part.delta))
+    assert part.gamma**d >= 2 * n / part.delta - 1e-9
+    return {k: min(i for i in part.index_set if i >= k - d) for k in part.index_set}
+
+
+def exact_groups(weights, part):
+    """Each occupied class's weights as Fractions, and the spread R: the
+    largest heaviest/lightest ratio inside a class."""
+    w = [Fraction(x) for x in weights]
+    groups = [[w[u] for u in part.classes[i]] for i in part.index_set]
+    return groups, max(max(g) / min(g) for g in groups)
+
+
+def exact_windows(weights, part, target, zeta):
+    """The window rule in Fractions of the inputs: the spread R, and the
+    class where each window starts, after the longest prefix of lighter
+    occupied classes of total weight at most (target - R*zeta) * min w(U_k),
+    and never after k."""
+    groups, spread = exact_groups(weights, part)
+    slack = Fraction(target) - spread * Fraction(zeta)
+    starts = {}
+    for j, k in enumerate(part.index_set):
+        s = 0
+        while s < j and sum(sum(g) for g in groups[: s + 1]) <= slack * min(groups[j]):
+            s += 1
+        starts[k] = part.index_set[s]
+    return spread, starts
+
+
+def naive_combination(weights, delta, target, zeta, inner):
     """The class combination in plain Python: each window's product of
     per-class lists under its prefix, deduplicated by dict.fromkeys in
     first-seen order."""
     part = partition_by_weight(weights, delta)
+    _, starts = exact_windows(weights, part, target, zeta)
     per_class = {}
     for i in part.index_set:
         elems = part.classes[i]
@@ -145,9 +188,9 @@ def naive_combination(weights, delta, inner):
         ]
     entries = []
     for k in part.index_set:
-        block = [(sum(1 << e for i in part.index_set if i < k - part.d for e in part.classes[i]), 0)]
+        block = [(sum(1 << e for i in part.index_set if i < starts[k] for e in part.classes[i]), 0)]
         for i in part.index_set:
-            if k - part.d <= i <= k:
+            if starts[k] <= i <= k:
                 block = [(t | e, l1 + l2) for t, l1 in block for e, l2 in per_class[i]]
         entries += block
     return list(dict.fromkeys(entries))
@@ -156,8 +199,116 @@ def naive_combination(weights, delta, inner):
 WEIGHT_LISTS = st.one_of(
     st.lists(st.just(1), min_size=1, max_size=10),
     st.lists(st.integers(1, 100), min_size=1, max_size=10),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=10),
     st.lists(st.integers(0, 40).map(lambda k: 2**k), min_size=1, max_size=10),
 )
+
+
+FLOAT_WEIGHTS = st.lists(
+    st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=10
+)
+
+# (builder, its factors): covering (alpha, mode), extension (alpha, c, beta).
+BUILDS = st.one_of(
+    st.tuples(
+        st.just(build_weighted_covering),
+        st.tuples(st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from(["fixed", "schedule"])),
+    ),
+    st.tuples(
+        st.just(build_weighted_extension),
+        st.sampled_from([(1.0, 2.0, 1.5), (2.0, 1.0, 1.9), (1.0, 3.0, 1.2), (1.0, 1.0, 4.0)]),
+    ),
+)
+
+
+def build_with_target(weights, spec):
+    """The built report and its family's own target: alpha for covering,
+    beta for extension."""
+    build, factors = spec
+    if build is build_weighted_covering:
+        alpha, mode = factors
+        return build(weights, alpha, mode=mode), alpha
+    return build(weights, *factors), factors[2]
+
+
+class TestClassWindows:
+    """Each window starts after the longest prefix of lighter classes of
+    total weight at most (B - R*zeta) * min w(U_k), decided exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(weights=st.one_of(WEIGHT_LISTS, FLOAT_WEIGHTS), spec=BUILDS)
+    def test_prefixes_fit_their_slack(self, weights, spec):
+        rep, target = build_with_target(weights, spec)
+        part = partition_by_weight(weights, rep.schedule["delta"])
+        groups, spread = exact_groups(weights, part)
+        assert rep.schedule["spread"] == float(spread)
+        assert rep.schedule["starts"] == exact_windows(weights, part, target, rep.schedule["inner"])[1]
+        # Every prefix W_k fits its slack, and every window is a suffix of
+        # the paper's window [k - d, k].
+        slack = Fraction(target) - spread * Fraction(rep.schedule["inner"])
+        paper = paper_window(part)
+        for (k, start), group in zip(rep.schedule["starts"].items(), groups):
+            prefix = sum(sum(g) for i, g in zip(part.index_set, groups) if i < start)
+            assert prefix <= slack * min(group)
+            assert paper[k] <= start <= k
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.one_of(WEIGHT_LISTS, FLOAT_WEIGHTS),
+        delta=st.floats(0.05, 0.95),
+        zeta=st.floats(1.0, 3.0),
+        data=st.data(),
+    )
+    def test_ties_decided_exactly(self, weights, delta, zeta, data):
+        # A target whose slack puts one prefix on its bound, and the floats
+        # on either side of it: rounding must not move the decision.
+        part = partition_by_weight(weights, delta)
+        groups, spread = exact_groups(weights, part)
+        j = data.draw(st.integers(0, len(groups) - 1))
+        s = data.draw(st.integers(0, j))
+        tie = float(spread * Fraction(zeta) + sum(map(sum, groups[:s])) / min(groups[j]))
+        for target in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
+            starts, got_spread = weighted._window_starts(weights, part, target, zeta)
+            want_spread, want = exact_windows(weights, part, target, zeta)
+            assert got_spread == float(want_spread)
+            assert dict(zip(part.index_set, (part.index_set[i] for i in starts))) == want
+
+    def test_float_rounding_admits_no_prefix(self):
+        # Classes 10 (weights 46 and 52, so R = 52/46), 32 and 34.  At this
+        # target the float expression P <= (target - R*zeta) * m holds for
+        # the prefix of classes 10 and 32 under class 34 (P = 189368,
+        # m = 313303), but the exact one does not; one float higher, both do.
+        weights = [46, 52, 189270, 313303]
+        part = partition_by_weight(weights, 0.9)
+        target = 2.017467949140497
+        assert 189368 <= (target - 52 / 46 * 1.25) * 313303
+        assert weighted._window_starts(weights, part, target, 1.25)[0] == [0, 1, 1]
+        above = math.nextafter(target, 3.0)
+        assert weighted._window_starts(weights, part, above, 1.25)[0] == [0, 1, 2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights=st.one_of(WEIGHT_LISTS, FLOAT_WEIGHTS), spec=BUILDS)
+    def test_families_verify(self, weights, spec):
+        rep, _ = build_with_target(weights, spec)
+        if spec[0] is build_weighted_covering:
+            assert verify_covering(rep.family, weights).ok
+        else:
+            assert verify_extension(rep.family, weights).ok
+
+    def test_numpy_weights_match_list(self):
+        # numpy integers have no as_integer_ratio, so they go through Fraction.
+        weights = [1, 3, 9, 27, 81, 243, 5, 50]
+        want = build_weighted_extension(weights, 1.0, 2.0, 1.9)
+        got = build_weighted_extension(np.array(weights), 1.0, 2.0, 1.9)
+        assert got.schedule == want.schedule
+        assert got.family.entries == want.family.entries
+
+    def test_unit_weights_one_window(self):
+        # One class: its window starts at 0, whatever the slack.
+        for beta in (1.2, 4.0):
+            rep = build_weighted_extension([1] * 6, 1.0, 2.0, beta)
+            assert rep.schedule["starts"] == {0: 0}
+            assert rep.schedule["spread"] == 1.0
 
 
 class TestArrayCombination:
@@ -173,6 +324,8 @@ class TestArrayCombination:
         naive = naive_combination(
             weights,
             rep.schedule["delta"],
+            beta,
+            zeta,
             lambda m: weighted._unweighted_extension_cached(m, alpha, c, zeta, DEFAULT_CAP),
         )
         assert rep.family.entries == naive
@@ -185,24 +338,33 @@ class TestArrayCombination:
         naive = naive_combination(
             weights,
             rep.schedule["delta"],
+            alpha,
+            inner,
             lambda m: weighted._unweighted_covering_cached(m, inner, DEFAULT_CAP),
         )
         assert rep.family.sets == [t for t, _ in naive]
 
     def test_family_size_cap(self):
-        # One element per class: each class fits cap 12, but the product
-        # blocks would hold 13310 covering and 24574 extension entries.
-        weights = [2**k for k in range(21)]
-        with pytest.raises(ResourceCapError, match="13310 entries exceeds 2\\^12"):
-            build_weighted_covering(weights, 2.0, cap=12)
-        with pytest.raises(ResourceCapError, match="24574 entries exceeds 2\\^12"):
+        # Covering at alpha = 1.5 (fixed: inner 1.25) and extension at
+        # (1, 2, 1.5) (inner 1.25) both have gamma = 1.1 and slack
+        # 1.5 - 1.25 = 0.25.  These weights fall in classes 48..59, one
+        # element each (R = 1), and 0.25 * 299 < 105, so no class has a
+        # prefix: window k holds classes 48..k, and each class family has
+        # 2 entries.  Each class fits cap 12, but the product blocks would
+        # hold 2 + 4 + ... + 2^12 = 2^13 - 2 = 8190 entries.
+        weights = [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299]
+        with pytest.raises(ResourceCapError, match="8190 entries exceeds 2\\^12"):
+            build_weighted_covering(weights, 1.5, cap=12)
+        with pytest.raises(ResourceCapError, match="8190 entries exceeds 2\\^12"):
             build_weighted_extension(weights, 1.0, 2.0, 1.5, cap=12)
         # The count is taken before deduplication: eight such classes give
-        # 510 entries, over 2^8 but within 2^9.
+        # 2^9 - 2 = 510 entries, over 2^8, though only the 2^8 subsets of
+        # the eight elements are distinct.
         with pytest.raises(ResourceCapError, match="510 entries exceeds 2\\^8"):
             build_weighted_extension(weights[:8], 1.0, 2.0, 1.5, cap=8)
         rep = build_weighted_extension(weights[:8], 1.0, 2.0, 1.5, cap=9)
-        assert len(rep.family.entries) <= 510
+        assert rep.schedule["starts"] == dict.fromkeys(range(48, 56), 48)
+        assert len(rep.family.entries) == 2**8
 
     @pytest.mark.parametrize("weights", [[1] * 64, [2**k for k in range(64)]])
     def test_more_than_63_elements_refused(self, weights):
@@ -471,9 +633,9 @@ def _golden_weighted_blocks():
 
 
 class TestWeightedGolden:
-    """tests/data/golden_weighted.txt was written before covering families
-    were built as budget-0 extension families; it pins the class combination,
-    its dedupe order and every schedule value."""
+    """tests/data/golden_weighted.txt was written when the class windows
+    were first sized from the instance's weights; it pins the class
+    combination, its dedupe order and every schedule value."""
 
     def test_golden_dumps(self):
         text = (DATA / "golden_weighted.txt").read_text()
