@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -124,7 +125,10 @@ def cmd_family(args) -> int:
                 fh.write(text)
         else:
             print(text, end="")
-        print(f"built {args.kind} family: {rep.family.ts.size} entries", file=sys.stderr)
+        built = f"built {args.kind} family: {rep.family.ts.size} entries"
+        if rep.cost_log is not None:  # extension families; n ln 2 is the power set's cost
+            built += f", cost_log {rep.cost_log:.4f} (n ln 2 = {len(weights) * math.log(2):.4f})"
+        print(built, file=sys.stderr)
         return EXIT_OK
 
     if args.dump is None:

@@ -46,17 +46,30 @@ the masks of size t.  Its columns are its s-subsets.  T covers S iff
 |S \\ T| <= ell, read from a 2^n bool table of popcount <= ell (2^n bytes, as
 is the popcount table).  Every t-set misses j elements of exactly
 C(n - t, j) * C(t, s - j) s-subsets, so every row starts with the same gain,
-the sum of these over j <= min(ell, s).  A start gain of 0 falls back early.
+the sum of these over j <= min(ell, s), _start_gain.  A start gain of 0
+falls back early.
+
+An extension layer's shape is chosen by that count.  Every s-subset lies
+within ell of the same number of t-sets, so the least fractional cover
+weighs C(n, s)/start, and Chvatal's greedy picks at most 1 + ln start times
+that many rows.  So layer s takes, of every t in 0..min(n, floor(beta*s))
+with ell = min(floor((beta*s - t)/alpha), n) and a nonzero start gain, the
+(t, ell) of least counting bound C(n, s)/start * c^ell, the larger t on a
+tie; the bounds are compared exactly, in integers.  A built layer that costs
+at least C(n, s), picks * c^ell >= C(n, s), falls back to the s-sets, so an
+extension family never costs more than the power set, n ln 2.  A covering
+layer (ell = 0, t > s) covers C(t, s) > 1 columns with its first pick and at
+least one with each later pick, so it never meets that fallback.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import bounds
 from .bounds import _check_factors
 
 __all__ = [
@@ -259,10 +272,17 @@ def _greedy_cover(rows: np.ndarray, cols: np.ndarray, covers, gains: np.ndarray)
     return picks
 
 
+def _start_gain(n: int, s: int, t: int, ell: int) -> int:
+    """The number of s-subsets S with |S \\ T| <= ell for one t-set T: T
+    misses j elements of C(n - t, j) * C(t, s - j) of them."""
+    js = range(max(0, s - t), min(ell, s) + 1)
+    return sum(math.comb(n - t, j) * math.comb(t, s - j) for j in js)
+
+
 def _greedy_layer(n: int, s: int, t: int, ell: int, popcount, ordered) -> np.ndarray | None:
     """Greedy t-sets until every s-subset S has a pick T with |S \\ T| <= ell;
     None when some s-subset has no such t-set."""
-    start = sum(math.comb(n - t, j) * math.comb(t, s - j) for j in range(min(ell, s) + 1))
+    start = _start_gain(n, s, t, ell)
     if start == 0:
         return None
     rows = ordered[popcount[ordered] == t]  # the t-sets in combinations order
@@ -276,14 +296,15 @@ def _greedy_layer(n: int, s: int, t: int, ell: int, popcount, ordered) -> np.nda
     return None if picks is None else rows[picks]
 
 
-def _layered(n: int, shape, cap: int) -> np.ndarray:
+def _layered(n: int, shape, cap: int, c: float = 1.0) -> np.ndarray:
     """Layered greedy (T, ell) entries, deduplicated in first-pick order, as
     the rows of an (N, 2) int64 array.
 
     shape(s) gives layer s its target size t and budget ell.  Layer s picks
     t-sets until every s-subset S has a pick T with |S \\ T| <= ell; a layer
-    that cannot make progress, or whose only choice is T = S, falls back to
-    the always-valid {(S, 0) : |S| = s}.
+    that cannot make progress, whose only choice is T = S, or whose picks
+    cost picks * c^ell >= C(n, s), falls back to the always-valid
+    {(S, 0) : |S| = s}.
     """
     _check_cap(n, cap)
     _check_word(n)
@@ -293,7 +314,7 @@ def _layered(n: int, shape, cap: int) -> np.ndarray:
     for s in range(n + 1):
         t, ell = shape(s)
         picks = None if (t, ell) == (s, 0) else _greedy_layer(n, s, t, ell, popcount, ordered)
-        if picks is None:
+        if picks is None or len(picks) * Fraction(c) ** ell >= math.comb(n, s):
             picks, ell = np.flatnonzero(popcount == s), 0
         layers.append((picks, np.full_like(picks, ell)))
     ts, ells = (np.concatenate(cols) for cols in zip(*layers))
@@ -318,29 +339,26 @@ def _extension_layer_shape(
 ) -> tuple[int, int]:
     """Target set size t and budget ell for the cardinality-s layer.
 
-    The sampled-set fraction tau* at kappa = s/n comes from the saddle-point
-    machinery; the budget floor((beta*s - t)/alpha) makes the weight
-    inequality hold by construction for any S the layer covers.  It is
-    capped at n, the largest budget an entry may carry: a smaller budget
-    covers fewer S and keeps the inequality for those it covers.
-
-    t = round(tau* n) is read off a coarse bracket that holds g_star's tau*
-    when both ends round alike; only otherwise does g_star search on.
+    Of every t in 0..min(n, floor(beta*s)) with a nonzero start gain, the
+    one of least counting bound C(n, s)/start * c^ell, the larger t on a tie.
+    The budget floor((beta*s - t)/alpha) makes the weight inequality hold by
+    construction for any S the layer covers.  It is capped at n, the largest
+    budget an entry may carry: a smaller budget covers fewer S and keeps the
+    inequality for those it covers.
     """
     if s == 0:
         return 0, 0
-    kappa = s / n
-    if kappa <= 1.0 / beta:
-        lo, hi, _ = bounds._coarse_g_star(alpha, beta, c, kappa)
-        t = round(lo * n)
-        if round(hi * n) != t:
-            _, tau = bounds.g_star(alpha, beta, c, kappa)
-            t = round(tau * n)
-    else:
-        t = s
-    t = max(0, min(t, math.floor(beta * s), n))
-    ell = min(math.floor((beta * s - t) / alpha), n)
-    return t, ell
+    # With c = p/q the bound is C(n, s)/q^n times the integer p^ell q^(n - ell) / start.
+    p, q = Fraction(c).as_integer_ratio()
+    best = None
+    for t in range(min(n, math.floor(beta * s)) + 1):
+        ell = min(math.floor((beta * s - t) / alpha), n)
+        start = _start_gain(n, s, t, ell)
+        if start:
+            cost = p**ell * q ** (n - ell)
+            if best is None or cost * best[1] <= best[0] * start:
+                best = cost, start, t, ell
+    return best[2:]
 
 
 def build_unweighted_extension(
@@ -349,7 +367,7 @@ def build_unweighted_extension(
     """Greedy layered (alpha, beta)-extension family under uniform weights."""
     _check_factors(alpha=alpha, c=c)
     _check_factors(strict=True, beta=beta)
-    entries = _layered(n, lambda s: _extension_layer_shape(n, s, alpha, beta, c), cap)
+    entries = _layered(n, lambda s: _extension_layer_shape(n, s, alpha, beta, c), cap, c)
     return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
 
 

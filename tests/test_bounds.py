@@ -246,6 +246,23 @@ class TestGStar:
         with pytest.raises(BoundDomainError, match="^precision must be finite"):
             g_star(1.0, 1.5, 2.0, 0.3, precision)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        alpha=st.floats(1.0, 4.0),
+        c=st.floats(1.0, 8.0),
+        beta=st.one_of(st.floats(1.000001, 3.0), st.sampled_from([1.15, 1.2, 1.5])),
+    )
+    def test_coarse_bracket_holds_minimizer(self, n, alpha, c, beta):
+        """The coarse search's bracket holds g_star's tau at every kappa = s/n
+        up to 1/beta."""
+        for s in range(1, n + 1):
+            kappa = s / n
+            if kappa <= 1.0 / beta:
+                lo, hi, _ = bounds._coarse_g_star(alpha, beta, c, kappa)
+                _, tau = g_star(alpha, beta, c, kappa)
+                assert lo <= tau <= hi
+
 
 class TestAmlsBound:
     @pytest.mark.parametrize(

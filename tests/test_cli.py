@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 
@@ -9,6 +10,7 @@ import pytest
 
 from wamls import driver, verify
 from wamls.cli import main
+from wamls.families import family_cost, parse_family
 from wamls.problems import emit_instance, random_instance
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -204,6 +206,19 @@ class TestFamilyCommand:
         assert out.startswith("family covering n=2 alpha=2\n# schedule ")
         assert err.startswith("built covering family: ")
 
+    def test_extension_build_reports_cost(self, capsys):
+        code, out, err = run(
+            capsys, "family", "build", "extension",
+            "--n", "10", "--alpha", "1", "--c", "8", "--beta", "1.5",
+        )
+        assert code == 0
+        fam = parse_family(out)
+        cost = family_cost(fam, 8.0)
+        assert err == (
+            f"built extension family: {fam.ts.size} entries, cost_log {cost:.4f} (n ln 2 = 6.9315)\n"
+        )
+        assert cost <= 10 * math.log(2)
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         out_path = tmp_path / "missing-dir" / "fam.txt"
         code, out, err = run(
@@ -300,7 +315,7 @@ class TestSolveCommand:
 
     def test_max_n_bounds_verification(self, capsys, tmp_path):
         # Two weight classes of five vertices: the solve fits in cap 9 (a
-        # 34-entry family), but OPT over 2^10 subsets does not.  One class
+        # 15-entry family), but OPT over 2^10 subsets does not.  One class
         # of ten unit weights would exceed the cap in its own build.
         inst = random_instance("wvc", 10, 0.3, seed=7)
         path = tmp_path / "i.wvc"

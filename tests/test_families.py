@@ -4,12 +4,13 @@ import math
 import pathlib
 import random
 import re
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wamls import bounds, families
@@ -112,7 +113,7 @@ class TestBuildExtension:
         fam = build_unweighted_extension(n, alpha, c, beta)
         # A greedy layer's entry is a t-set with ell = floor((beta*s - t)/alpha)
         # for the layer's s; a fallback layer's entry is an s-set with ell = 0.
-        shapes = {_full_layer_shape(n, s, alpha, beta, c) for s in range(n + 1)}
+        shapes = {families._extension_layer_shape(n, s, alpha, beta, c) for s in range(n + 1)}
         fallbacks = {(s, 0) for s in range(n + 1)}
         assert {(t.bit_count(), ell) for t, ell in fam.entries} <= shapes | fallbacks
         assert any(ell > 0 for _, ell in fam.entries)
@@ -263,56 +264,69 @@ class TestGreedyKernel:
             assert (picks is None) == (not table.any(axis=0).all())
 
 
-def _full_layer_shape(n, s, alpha, beta, c):
-    """(t, ell) of layer s from g_star's full-precision tau alone."""
+def _least_bound_shape(n, s, alpha, beta, c):
+    """(t, ell) of layer s by brute force: every t, its start gain counted
+    as the s-subsets that meet the t-set in at least s - ell elements, and
+    the bound C(n, s)/start * c^ell compared in Fractions."""
     if s == 0:
         return 0, 0
-    kappa = s / n
-    if kappa <= 1.0 / beta:
-        _, tau = bounds.g_star(alpha, beta, c, kappa)
-        t = round(tau * n)
-    else:
-        t = s
-    t = max(0, min(t, math.floor(beta * s), n))
-    return t, min(math.floor((beta * s - t) / alpha), n)
+    cands = []  # (bound, -t, ell): the least bound, then the largest t
+    for t in range(min(n, math.floor(beta * s)) + 1):
+        ell = min(math.floor((beta * s - t) / alpha), n)
+        meets = range(max(0, s - ell), s + 1)  # |S & T| >= s - ell
+        start = sum(math.comb(t, i) * math.comb(n - t, s - i) for i in meets)
+        if start:
+            cands.append((Fraction(math.comb(n, s), start) * Fraction(c) ** ell, -t, ell))
+    _, t, ell = min(cands)
+    return -t, ell
 
 
 class TestLayerShape:
-    """Layer sizes are read off a coarse tau bracket when its ends round alike."""
+    """Each extension layer takes the (t, ell) of least counting bound."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(1, 20),
         alpha=st.floats(1.0, 4.0),
-        c=st.floats(1.0, 8.0),
+        c=st.one_of(st.floats(1.0, 8.0), st.sampled_from([1.0, 2.0, 3.0])),
         beta=st.one_of(st.floats(1.000001, 3.0), st.sampled_from([1.15, 1.2, 1.5])),
     )
     def test_matches_full_search(self, n, alpha, c, beta):
         for s in range(n + 1):
-            kappa = s / n
-            if 0 < kappa <= 1.0 / beta:
-                lo, hi, _ = bounds._coarse_g_star(alpha, beta, c, kappa)
-                _, tau = bounds.g_star(alpha, beta, c, kappa)
-                assert lo <= tau <= hi
-            want = _full_layer_shape(n, s, alpha, beta, c)
+            want = _least_bound_shape(n, s, alpha, beta, c)
             assert families._extension_layer_shape(n, s, alpha, beta, c) == want
 
-    def test_ambiguous_rounding_searches_on(self):
-        # At (alpha, c, beta) = (1, 1, 1.15), n = 5, s = 2 the bracket spans
-        # tau * n = 0.5: its ends round to 0 and 1, and g_star's tau gives 1.
-        n, s, alpha, c, beta = 5, 2, 1.0, 1.0, 1.15
-        lo, hi, _ = bounds._coarse_g_star(alpha, beta, c, s / n)
-        assert (round(lo * n), round(hi * n)) == (0, 1)
-        with mock.patch.object(bounds, "g_star", wraps=bounds.g_star) as full:
-            shape = families._extension_layer_shape(n, s, alpha, beta, c)
-        assert full.call_count == 1
-        assert shape == _full_layer_shape(n, s, alpha, beta, c) == (1, 1)
+    def test_start_gain_counts_subsets(self):
+        for n in range(7):
+            for s, t, ell in product(range(n + 1), repeat=3):
+                rows = [m for m in range(1 << n) if m.bit_count() == s]
+                want = sum((m & ~((1 << t) - 1)).bit_count() <= ell for m in rows)
+                assert families._start_gain(n, s, t, ell) == want
 
-    def test_decided_rounding_skips_full_search(self):
-        with mock.patch.object(bounds, "g_star", wraps=bounds.g_star) as full:
-            shape = families._extension_layer_shape(10, 4, 1.0, 1.5, 2.0)
-        assert full.call_count == 0
-        assert shape == _full_layer_shape(10, 4, 1.0, 1.5, 2.0)
+
+class TestExtensionCost:
+    """No unweighted extension family costs more than the power set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 11),
+        alpha=st.floats(1.0, 4.0),
+        c=st.floats(1.0, 8.0),
+        beta=st.floats(1.0, 4.0, exclude_min=True),
+    )
+    @example(n=10, alpha=1.0, c=8.0, beta=1.5)
+    def test_at_most_power_set(self, n, alpha, c, beta):
+        fam = build_unweighted_extension(n, alpha, c, beta)
+        assert family_cost(fam, c) <= n * math.log(2) + 1e-9
+        assert verify_extension(fam, [1] * n).ok
+
+    @pytest.mark.parametrize("c,kept", [(3.9, True), (4.0, False)])
+    def test_costly_layer_falls_back(self, c, kept):
+        # Layer 1 asks for the empty set with budget 1: its one pick costs c
+        # against the C(4, 1) = 4 singletons, which replace it once c >= 4.
+        entries = families._layered(4, lambda s: (0, 1) if s == 1 else (s, 0), cap=20, c=c)
+        assert ([0, 1] in entries.tolist()) == kept
+        assert len(entries) == (13 if kept else 16)
 
 
 class TestSubsetSums:
