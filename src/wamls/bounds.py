@@ -23,11 +23,11 @@ bit-identical to evaluating the formula anew at every (kappa, tau).
 Callers that only need a decision stop the same search early, at a tol that
 defaults to ``_COARSE_TOL``, and use a certificate instead: ``_coarse_amls``
 bounds the base from both sides by secants of the convex (in tau) and concave
-(in kappa) levels, and ``_coarse_g_star`` returns a bracket that holds
-``g_star``'s minimizer, because the search at a smaller tolerance repeats the
-same steps and keeps going.  Neither argument depends on tol, so a decision
-the certificate settles at any tol is the one the full-precision values
-give; the weighted inner-target selection tries 1e-2, then 1e-4.
+(in kappa) levels, and each inner search's final bracket holds ``g_star``'s
+minimizer, because the search at a smaller tolerance repeats the same steps
+and keeps going.  Neither argument depends on tol, so a decision the
+certificate settles at any tol is the one the full-precision values give;
+the weighted inner-target selection tries 1e-2, then 1e-4.
 """
 
 from __future__ import annotations
@@ -279,13 +279,6 @@ def g_star(
     return value, tau
 
 
-def _coarse_g_star(
-    alpha: float, beta: float, c: float, kappa: float, tol: float = _COARSE_TOL
-):
-    """``_golden`` of g over the feasible tau interval at kappa, to tol."""
-    return _golden(*_g_at(alpha, beta, c, kappa), tol)
-
-
 def _convex_floor(lo: float, hi: float, pts, errs=(0.0, 0.0, 0.0)) -> float:
     """Lower bound on the minimum over [lo, hi] of a convex f known at three points.
 
@@ -333,7 +326,7 @@ def _coarse_amls(
     probes: dict[float, tuple[float, float]] = {}  # kappa -> (upper, lower) on G
 
     def neg_inner(kappa: float) -> float:
-        lo, hi, pts = _coarse_g_star(alpha, beta, c, kappa, tol)
+        lo, hi, pts = _golden(*_g_at(alpha, beta, c, kappa), tol)
         upper = min(v for _, v in pts)
         probes[kappa] = (upper, _convex_floor(lo, hi, pts))
         return -upper

@@ -17,10 +17,10 @@ appended block of the ledger's (N, 2) int64 array, whose buffer grows by
 doubling.  wrap_with_ledger turns a user's scalar (S, ell) -> X function
 into a batch function with a loop.
 
-The exact oracle ranks the 2^n subsets once per handle and sorts that
-ranking stably by size, so the candidates of size at most ell are one
-prefix of it, shared by every query with that budget.  A query takes the
-best-ranked candidate of its prefix that is disjoint from S and completes it.
+The exact oracle ranks the 2^n subsets once per handle.  The candidates for
+budget ell are the ranking's subsets of at most ell elements, in rank order,
+shared by every query with that budget, and a query takes the first of them
+that is disjoint from S and completes it.
 
 Vertex Cover is served as 2-Hitting Set: the branching and local-ratio
 oracles work on the instance's constraint masks, so VC gets c = d = 2
@@ -81,7 +81,8 @@ OracleFn = Callable[[int, int], int]
 BatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Query x candidate pairs per chunk of the exact oracle's scan; each pair
-# costs about 27 bytes of temporaries.
+# costs 19 bytes of temporaries, two int64 and three bool, at most 10 of
+# them alive at once.
 _CHUNK_PAIRS = 1 << 14
 
 
@@ -180,21 +181,16 @@ def wrap_with_ledger(
 def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> BatchOracle:
     """Minimum-weight extension by exhaustive scan (alpha = 1).
 
-    All 2^n subsets are ranked once, then sorted stably by size, so the
-    candidates X with |X| <= ell are one prefix, each with its rank.  The
-    queries with ell > 0 whose S is not a solution scan their prefix in
-    chunks: the answer is the best-ranked X disjoint from S with S | X a
-    solution.  Raises ResourceCapError above `cap` or past the int64 weight
-    range.
+    All 2^n subsets are ranked once.  The candidates for budget ell are the
+    ranked subsets of at most ell elements, in rank order, and the queries
+    with ell > 0 whose S is not a solution scan them in chunks: the answer
+    is the first X disjoint from S with S | X a solution.  Raises
+    ResourceCapError above `cap` or past the int64 weight range.
     """
     _check_int64(instance)
     table = membership_table(instance, cap)
-    n = instance.n
-    ranked, _, size = rank_subsets(instance, np.arange(1 << n))
-    rank = np.argsort(size, kind="stable")
-    cands = ranked[rank]
-    ends = np.cumsum(np.bincount(size, minlength=n + 1))
-    full = (1 << n) - 1
+    ranked, _, size = rank_subsets(instance, np.arange(1 << instance.n))
+    full = (1 << instance.n) - 1
 
     def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
         solved = table[subsets]
@@ -202,16 +198,15 @@ def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> BatchO
         todo = np.flatnonzero((budgets > 0) & ~solved)
         for ell in np.flatnonzero(np.bincount(budgets[todo])).tolist():
             rows = todo[budgets[todo] == ell]
-            end = int(ends[min(ell, n)])
-            pool, pool_rank = cands[:end], rank[:end]
-            step = max(1, _CHUNK_PAIRS // end)
+            pool = ranked[size <= ell]
+            step = max(1, _CHUNK_PAIRS // pool.size)
             for lo in range(0, rows.size, step):
                 chunk = rows[lo : lo + step]
                 s = subsets[chunk, None]
                 ok = (pool & s == 0) & table[pool | s]
-                best = np.where(ok, pool_rank, rank.size).argmin(axis=1)
-                found = ok[np.arange(chunk.size), best]
-                out[chunk[found]] = pool[best[found]]
+                first = ok.argmax(axis=1)
+                found = ok[np.arange(chunk.size), first]
+                out[chunk[found]] = pool[first[found]]
         return out
 
     return BatchOracle(many)

@@ -99,6 +99,8 @@ _MIN_N = {"families": 1, "end-to-end": 2}
 def run_suite(
     suite: str, max_n: int = 10, trials: int = 25, seed: int = 0
 ) -> tuple[bool, str]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     min_n = _MIN_N.get(suite)
     if min_n is not None and max_n < min_n:
         raise ValueError(f"max_n for suite {suite} must be >= {min_n}, got {max_n}")

@@ -103,7 +103,7 @@ def partition_by_weight(weights, delta: float) -> WeightClassPartition:
     return WeightClassPartition(
         gamma=gamma,
         delta=delta,
-        classes={i: tuple(sorted(us)) for i, us in classes.items()},
+        classes={i: tuple(us) for i, us in classes.items()},
         index_set=tuple(sorted(classes)),
     )
 
@@ -268,11 +268,13 @@ def _amls(alpha: float, c: float, beta: float) -> float:
 def _select_inner_beta(alpha: float, c: float, beta: float, eps: float) -> float:
     """Inner target zeta' in (1, beta) with amls within eps/2 of the target bound.
 
-    Probes zeta'_j = 1 + (beta - 1) * 2^-j walk geometrically from beta toward
-    1; the deepest probe still within eps/2 (and leaving delta = beta/zeta' - 1
-    below 1) wins, since a deeper probe means a wider rounding slack and a
-    narrower combination window.  The fallback, when no probe is within eps/2,
-    is the first probe, the midpoint (1 + beta)/2.
+    The walk starts at its fallback, the midpoint zeta'_1 = (1 + beta)/2, and
+    moves to the probes zeta'_j = 1 + (beta - 1) * 2^-j, j = 2, 3, ..., toward
+    1 while each is within eps/2 and leaves delta = beta/zeta' - 1 below 1:
+    a deeper probe means a wider rounding slack and a narrower combination
+    window.  zeta'_1 itself is never tested, since amls falls as its target
+    rises: when zeta'_1 fails, every deeper probe fails too, and the walk
+    would fall back to zeta'_1 anyway.
 
     Each test amls(zeta'_j) <= amls(beta) + eps/2 climbs the _RUNGS: it is
     settled from coarse values to 1e-2, else to 1e-4, when their margin
@@ -296,17 +298,12 @@ def _select_inner_beta(alpha: float, c: float, beta: float, eps: float) -> float
                 return margin > 0
         return _amls(alpha, c, zeta) <= target()
 
-    chosen = None
-    for j in range(1, 21):
+    chosen = (1.0 + beta) / 2.0
+    for j in range(2, 21):
         zeta = 1.0 + (beta - 1.0) * 2.0**-j
-        if zeta <= beta / 2.0 or zeta <= 1.0:
+        if zeta <= beta / 2.0 or zeta <= 1.0 or not within(zeta):
             break
-        if within(zeta):
-            chosen = zeta
-        else:
-            break
-    if chosen is None:
-        chosen = (1.0 + beta) / 2.0
+        chosen = zeta
     return chosen
 
 

@@ -121,9 +121,14 @@ def test_criterion_05_family_validity():
              f"{checked} families verified, {failures} failures")
 
 
+# The oracles that read ell; criterion 6 counts their ell > 0 queries.
+_BUDGETED = ("exact", "branching")
+
+
 def _ratio_battery(kind, count, n_max, oracle_specs, betas, seed_base):
     bad = 0
     runs = 0
+    asked = {name: 0 for name, _ in oracle_specs if name in _BUDGETED}
     for i in range(count):
         n = 4 + (i % (n_max - 3))
         inst = problems.random_instance(kind, n, 0.3, seed=seed_base + i)
@@ -136,29 +141,39 @@ def _ratio_battery(kind, count, n_max, oracle_specs, betas, seed_base):
                 runs += 1
                 if not driver.verify_run(inst, report, beta).ok:
                     bad += 1
-    return runs, bad
+                if name in asked:
+                    asked[name] += int((handle.ledger.queries[:, 1] > 0).sum())
+    return runs, bad, asked
 
 
 def test_criterion_06_end_to_end_ratios():
     betas = (1.2, 1.5, 1.9)
-    runs_vc, bad_vc = _ratio_battery(
+    runs_vc, bad_vc, asked_vc = _ratio_battery(
         "wvc", 200, 12,
         [("exact", False), ("branching", False), ("local-ratio", True)],
         betas, 10_000,
     )
-    runs_hs, bad_hs = _ratio_battery(
+    runs_hs, bad_hs, asked_hs = _ratio_battery(
         "whs", 100, 10,
         [("exact", False), ("branching", False), ("local-ratio", True)],
         betas, 20_000,
     )
-    runs_fvs, bad_fvs = _ratio_battery(
+    runs_fvs, bad_fvs, asked_fvs = _ratio_battery(
         "wfvs", 100, 10,
         [("exact", False), ("local-ratio", True)],
         betas, 30_000,
     )
     total_bad = bad_vc + bad_hs + bad_fvs
-    _verdict(6, "end-to-end ratio soundness", total_bad == 0,
-             f"{runs_vc + runs_hs + runs_fvs} runs, {total_bad} violations")
+    asked = {"wvc": asked_vc, "whs": asked_hs, "wfvs": asked_fvs}
+    # The batteries must reach the exact scan and the branching search.
+    reached = all(k > 0 for counts in asked.values() for k in counts.values())
+    ell_pos = "; ".join(
+        f"{kind} " + " / ".join(f"{name} {k}" for name, k in counts.items())
+        for kind, counts in asked.items()
+    )
+    _verdict(6, "end-to-end ratio soundness", total_bad == 0 and reached,
+             f"{runs_vc + runs_hs + runs_fvs} runs, {total_bad} violations; "
+             f"ell > 0 queries: {ell_pos}")
 
 
 def test_criterion_07_oracle_contracts():

@@ -259,7 +259,8 @@ class TestGStar:
         for s in range(1, n + 1):
             kappa = s / n
             if kappa <= 1.0 / beta:
-                lo, hi, _ = bounds._coarse_g_star(alpha, beta, c, kappa)
+                inner = bounds._g_at(alpha, beta, c, kappa)
+                lo, hi, _ = bounds._golden(*inner, bounds._COARSE_TOL)
                 _, tau = g_star(alpha, beta, c, kappa)
                 assert lo <= tau <= hi
 

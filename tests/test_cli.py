@@ -443,6 +443,14 @@ class TestVerifyCommand:
         assert "pass" not in out
         assert f"max_n for suite {suite} must be >=" in err
 
+    @pytest.mark.parametrize("suite", ["bounds", "families", "end-to-end"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_rejected(self, capsys, suite, trials):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert f"trials must be >= 1, got {trials}" in err
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite 'oracles'"):
             verify.run_suite("oracles")

@@ -81,6 +81,16 @@ class TestExactOracle:
                 ]
                 assert extend(s, ell) == min(fits, key=rank, default=masks[-1] & ~s)
 
+    @pytest.mark.parametrize("kind", ["wvc", "whs", "wfvs"])
+    def test_budget_above_n_is_budget_n(self, kind):
+        # Every subset has at most n elements, so a larger budget adds no candidate.
+        inst = random_instance(kind, 6, 0.4, weight_range=(1, 2), seed=3)
+        extend = exact_extension_oracle(inst)
+        for s in range(1 << inst.n):
+            want = extend(s, inst.n)
+            assert extend(s, inst.n + 1) == want
+            assert extend(s, inst.n + 5) == want
+
     def test_deterministic(self):
         inst = random_instance("wvc", 8, 0.4, seed=12)
         extend = exact_extension_oracle(inst)
