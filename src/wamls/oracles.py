@@ -14,13 +14,14 @@ oracle is deterministic.
 ExtensionOracleHandle.extend_many answers a batch and records every query
 in the handle's ledger, (|S|, ell) in batch order, under one timer, as one
 appended block of the ledger's (N, 2) int64 array, whose buffer grows by
-doubling.  wrap_with_ledger turns a user's scalar (S, ell) -> X function
-into a batch function with a loop.
+doubling; it refuses a batch with a negative S or ell before asking or
+recording any of its queries.  wrap_with_ledger turns a user's scalar
+(S, ell) -> X function into a batch function with a loop.
 
-The exact oracle ranks the 2^n subsets once per handle.  The candidates for
-budget ell are the ranking's subsets of at most ell elements, in rank order,
-shared by every query with that budget, and a query takes the first of them
-that is disjoint from S and completes it.
+The exact oracle reads the instance's one ranked solution list, which
+exact_opt also reads, and answers a query with the first listed solution Y
+that contains S and has at most |S| + ell elements, less S; the queries of
+a batch scan the list together, in chunks, whatever their budgets.
 
 Vertex Cover is served as 2-Hitting Set: the branching and local-ratio
 oracles work on the instance's constraint masks, so VC gets c = d = 2
@@ -60,7 +61,6 @@ from .problems import (
     _pack_rows,
     _popcount,
     membership_table,
-    rank_subsets,
 )
 
 __all__ = [
@@ -80,8 +80,8 @@ __all__ = [
 OracleFn = Callable[[int, int], int]
 BatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Query x candidate pairs per chunk of the exact oracle's scan; each pair
-# costs 19 bytes of temporaries, two int64 and three bool, at most 10 of
+# Query x solution pairs per chunk of the exact oracle's scan; each pair
+# costs 11 bytes of temporaries, one int64 and three bool, at most 9 of
 # them alive at once.
 _CHUNK_PAIRS = 1 << 14
 
@@ -146,9 +146,14 @@ class ExtensionOracleHandle:
 
     def extend_many(self, subsets, budgets) -> np.ndarray:
         """The answers to (subsets[i], budgets[i]) for every i, as int64; the
-        ledger records each query, in order."""
+        ledger records each query, in order.  Raises ValueError, before any
+        query is asked or recorded, when some S or ell is negative."""
         subsets = np.asarray(subsets, dtype=np.int64)
         budgets = np.asarray(budgets, dtype=np.int64)
+        bad = (subsets < 0) | (budgets < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"query {i} has a negative S or ell: ({subsets[i]}, {budgets[i]})")
         t0 = time.perf_counter()
         out = self.oracle(subsets, budgets)
         self.ledger.wall_time += time.perf_counter() - t0
@@ -181,32 +186,32 @@ def wrap_with_ledger(
 def exact_extension_oracle(instance: Instance, cap: int = DEFAULT_CAP) -> BatchOracle:
     """Minimum-weight extension by exhaustive scan (alpha = 1).
 
-    All 2^n subsets are ranked once.  The candidates for budget ell are the
-    ranked subsets of at most ell elements, in rank order, and the queries
-    with ell > 0 whose S is not a solution scan them in chunks: the answer
-    is the first X disjoint from S with S | X a solution.  Raises
+    The queries with ell > 0 whose S is not a solution scan the instance's
+    ranked solution list in chunks, budgets mixed: the answer is X = Y & ~S
+    for the first listed Y with S <= Y and |Y| <= |S| + ell.  X -> S | X maps
+    the admissible X one-to-one onto these Y and adds the constants w(S),
+    |S| and S to weight, size and mask, so the order is the same.  Raises
     ResourceCapError above `cap` or past the int64 weight range.
     """
     _check_int64(instance)
     table = membership_table(instance, cap)
-    ranked, _, size = rank_subsets(instance, np.arange(1 << instance.n))
+    sols, size = instance._solutions
     full = (1 << instance.n) - 1
+    step = max(1, _CHUNK_PAIRS // sols.size)
 
     def many(subsets: np.ndarray, budgets: np.ndarray) -> np.ndarray:
         solved = table[subsets]
         out = np.where(solved, 0, full & ~subsets)
         todo = np.flatnonzero((budgets > 0) & ~solved)
-        for ell in np.flatnonzero(np.bincount(budgets[todo])).tolist():
-            rows = todo[budgets[todo] == ell]
-            pool = ranked[size <= ell]
-            step = max(1, _CHUNK_PAIRS // pool.size)
-            for lo in range(0, rows.size, step):
-                chunk = rows[lo : lo + step]
-                s = subsets[chunk, None]
-                ok = (pool & s == 0) & table[pool | s]
-                first = ok.argmax(axis=1)
-                found = ok[np.arange(chunk.size), first]
-                out[chunk[found]] = pool[first[found]]
+        # |S| + ell, the most elements Y may have; ell past n cannot wrap it.
+        room = _popcount(subsets[todo]) + np.minimum(budgets[todo], instance.n)
+        for lo in range(0, todo.size, step):
+            chunk = todo[lo : lo + step]
+            s = subsets[chunk, None]
+            ok = (sols & s == s) & (size <= room[lo : lo + step, None])
+            first = ok.argmax(axis=1)
+            found = ok[np.arange(chunk.size), first]
+            out[chunk[found]] = sols[first[found]] & ~s[found, 0]
         return out
 
     return BatchOracle(many)

@@ -15,9 +15,11 @@ one `arr & m != 0` test per constraint mask, and for FVS a chunked peel to
 the 2-core, empty iff the rest is a forest; the FVS local-ratio oracle keys
 its queries by the same cores.  weigh_many is the one kernel that weighs and
 counts masks, and rank_subsets the one weight -> cardinality -> bitmask
-ranking.  membership_check (union-find for FVS) and weight_of stay the
-independent scalar references.  Every table derived from an instance is
-computed once and lives on it, as long as it does (see _Instance).
+ranking; its ranking of an instance's solutions is kept on the instance,
+and exact_opt reads its head and the exact oracle scans it.
+membership_check (union-find for FVS) and weight_of stay the independent
+scalar references.  Every table derived from an instance is computed once
+and lives on it, as long as it does (see _Instance).
 """
 
 from __future__ import annotations
@@ -116,10 +118,11 @@ class _Residual(NamedTuple):
 
 class _Instance:
     """The tables an instance derives from its fields (constraint masks, byte
-    weight tables, the 2^n membership table, the hitting-set residual and
-    the FVS edge multiplicities), each a cached_property: computed on first
-    use, then kept read-only in the instance's __dict__ as long as the
-    instance lives, out of eq, hash and repr, which read the fields only."""
+    weight tables, the 2^n membership table, the ranked solution list, the
+    hitting-set residual and the FVS edge multiplicities), each a
+    cached_property: computed on first use, then kept read-only in the
+    instance's __dict__ as long as the instance lives, out of eq, hash and
+    repr, which read the fields only."""
 
     @cached_property
     def _byte_weights(self) -> tuple[np.ndarray, ...]:
@@ -131,6 +134,14 @@ class _Instance:
     @cached_property
     def _membership(self) -> np.ndarray:
         return _frozen(membership_many(self, np.arange(1 << self.n)))
+
+    @cached_property
+    def _solutions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every solution mask, ranked by weight, then cardinality, then mask,
+        with its uint8 size: 9 bytes per solution.  exact_opt reads its head,
+        the exact oracle scans it; callers check the cap and the int64 range."""
+        masks, _, size = rank_subsets(self, np.flatnonzero(self._membership))
+        return _frozen(masks), _frozen(size)
 
 
 class _Constrained(_Instance):
@@ -387,8 +398,9 @@ def exact_opt(instance: Instance, cap: int = DEFAULT_CAP) -> tuple[int, int]:
     past the int64 weight range.
     """
     _check_int64(instance)
-    sols, w, _ = rank_subsets(instance, np.flatnonzero(membership_table(instance, cap)))
-    return int(sols[0]), int(w[0])
+    _check_cap(instance.n, cap)
+    best = int(instance._solutions[0][0])
+    return best, weight_of(instance, best)
 
 
 # --- instance grammar -------------------------------------------------------

@@ -90,6 +90,7 @@ class TestExactOracle:
             want = extend(s, inst.n)
             assert extend(s, inst.n + 1) == want
             assert extend(s, inst.n + 5) == want
+            assert extend(s, (1 << 63) - 1) == want  # |S| + ell would wrap int64
 
     def test_deterministic(self):
         inst = random_instance("wvc", 8, 0.4, seed=12)
@@ -465,6 +466,38 @@ def check_batch(inst, queries):
     return answers
 
 
+NEGATIVE_QUERIES = [
+    ([-1], [1], 0),
+    ([0], [-1], 0),
+    ([1, 2, -2, 3], [1, 0, 1, -4], 2),
+    ([1, 2, 0], [1, 0, -1], 2),
+]
+
+
+class TestNegativeQueries:
+    """A negative S or ell is refused by the handle before the oracle runs
+    and before the ledger records anything."""
+
+    @pytest.mark.parametrize("kind", ["wvc", "whs", "wfvs", "wpvc"])
+    @pytest.mark.parametrize("subsets,budgets,first", NEGATIVE_QUERIES)
+    def test_rejected_by_every_handle(self, kind, subsets, budgets, first):
+        inst = random_instance("wvc" if kind == "wpvc" else kind, 6, 0.4, seed=2)
+        if kind == "wpvc":
+            inst = WeightedPVCInstance(n=6, weights=inst.weights, edges=inst.edges, t=2)
+        calls = []
+        scalar = wrap_with_ledger(lambda s, ell: calls.append((s, ell)) or 0, c=2.0)
+        names = ORACLES.get(kind, ("exact",))
+        for handle in [oracle_for(inst, name) for name in names] + [scalar]:
+            with pytest.raises(ValueError, match=f"query {first} has a negative"):
+                handle.extend_many(subsets, budgets)
+            if len(subsets) == 1:
+                with pytest.raises(ValueError, match="query 0 has a negative"):
+                    handle.extend(subsets[0], budgets[0])
+            assert handle.ledger.queries.shape == (0, 2)
+            assert handle.ledger.wall_time == 0.0
+        assert calls == []
+
+
 class TestBatchedQueries:
     @settings(max_examples=150, deadline=None)
     @given(inst=small_instances(), data=st.data())
@@ -479,13 +512,18 @@ class TestBatchedQueries:
         assert answers["exact"] == [brute_extension(inst, q, ell) for q, ell in queries]
 
     def test_exact_scan_in_chunks(self, monkeypatch):
-        # Many queries per budget; a tiny chunk splits each budget's scan.
+        # One scan serves every budget: solved S, ell = 0, ell 1..3 and
+        # ell > n interleave in the batch, so a chunk of the scan mixes
+        # budgets.  Chunks of every query, of 7 and of 1 agree.
         inst = random_instance("whs", 7, 0.5, seed=2, d=3)
-        queries = [(q, ell) for q in range(0, 128, 3) for ell in (1, 2, 3)]
+        queries = [(q, ell) for q in range(0, 128, 3) for ell in (0, 1, 2, 3, inst.n + 2)]
+        assert any(membership_check(inst, q) for q, _ in queries)
         want = [brute_extension(inst, q, ell) for q, ell in queries]
-        assert check_batch(inst, queries)["exact"] == want
-        monkeypatch.setattr(oracles, "_CHUNK_PAIRS", 5)
-        assert check_batch(inst, queries)["exact"] == want
+        solutions = inst._solutions[0].size
+        assert oracles._CHUNK_PAIRS // solutions >= len(queries)
+        for pairs in (oracles._CHUNK_PAIRS, 7 * solutions, 5):
+            monkeypatch.setattr(oracles, "_CHUNK_PAIRS", pairs)
+            assert check_batch(inst, queries)["exact"] == want
 
     @pytest.mark.parametrize("kind", sorted(ORACLES))
     def test_empty_batch(self, kind):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wamls import problems
 from wamls.families import DEFAULT_CAP, ResourceCapError
-from wamls.oracles import exact_extension_oracle
+from wamls.oracles import exact_extension_oracle, oracle_for
 from wamls.problems import (
     ParseError,
     WeightedFVSInstance,
@@ -316,6 +316,7 @@ class TestWeighMany:
 def _tables(inst):
     """Every table the instance derives, by name."""
     out = {"_byte_weights": inst._byte_weights, "_membership": membership_table(inst)}
+    out["_solutions"] = inst._solutions
     if inst.kind == "wfvs":
         out["_multiplicity"] = inst._multiplicity
     else:
@@ -390,6 +391,22 @@ class TestInstanceTables:
         assert built == [inst]
         with pytest.raises(ResourceCapError):
             membership_table(inst, 11)
+
+    def test_one_solution_list_serves_exact_opt_and_exact_oracles(self, count_builds):
+        built = count_builds(problems._Instance, "_solutions")
+        inst = random_instance("whs", 9, 0.3, seed=6, d=3)
+        twin = parse_instance(emit_instance(inst))
+        handles = [oracle_for(inst, "exact"), oracle_for(inst, "exact")]
+        subsets = np.arange(1 << inst.n)
+        for handle in handles:
+            handle.extend_many(subsets, np.full(subsets.size, 2))
+        assert exact_opt(inst) == exact_opt(twin)
+        assert built == [inst, twin]
+        sols, size = inst._solutions
+        want = [m for m in range(1 << inst.n) if membership_check(inst, m)]
+        want.sort(key=lambda m: (weight_of(inst, m), m.bit_count(), m))
+        assert sols.tolist() == want and exact_opt(inst)[0] == want[0]
+        assert size.tolist() == [m.bit_count() for m in want]
 
     @pytest.mark.parametrize("inst", TABLE_CASES, ids=lambda i: i.kind)
     def test_scalar_and_batch_predicates_read_no_residual(self, inst):
