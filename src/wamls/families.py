@@ -46,8 +46,9 @@ the masks of size t.  Its columns are its s-subsets.  T covers S iff
 |S \\ T| <= ell, read from a 2^n bool table of popcount <= ell (2^n bytes, as
 is the popcount table).  Every t-set misses j elements of exactly
 C(n - t, j) * C(t, s - j) s-subsets, so every row starts with the same gain,
-the sum of these over j <= min(ell, s), _start_gain.  A start gain of 0
-falls back early.
+the sum of these over j <= min(ell, s), _start_gain, read off one binomial
+table per n; it is C(n, s) when ell >= s.  A start gain of 0 falls back
+early.
 
 An extension layer's shape is chosen by that count.  Every s-subset lies
 within ell of the same number of t-sets, so the least fractional cover
@@ -67,6 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -272,11 +274,21 @@ def _greedy_cover(rows: np.ndarray, cols: np.ndarray, covers, gains: np.ndarray)
     return picks
 
 
+@cache
+def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """C(k, j) as rows[k][j], for 0 <= j <= k <= n."""
+    return tuple(tuple(math.comb(k, j) for j in range(k + 1)) for k in range(n + 1))
+
+
 def _start_gain(n: int, s: int, t: int, ell: int) -> int:
     """The number of s-subsets S with |S \\ T| <= ell for one t-set T: T
-    misses j elements of C(n - t, j) * C(t, s - j) of them."""
-    js = range(max(0, s - t), min(ell, s) + 1)
-    return sum(math.comb(n - t, j) * math.comb(t, s - j) for j in js)
+    misses j elements of C(n - t, j) * C(t, s - j) of them.  With ell >= s
+    every j counts, and the sum is C(n, s) (Vandermonde)."""
+    comb = _binomials(n)
+    if ell >= s:
+        return comb[n][s]
+    js = range(max(0, s - t), min(ell, n - t) + 1)
+    return sum(comb[n - t][j] * comb[t][s - j] for j in js)
 
 
 def _greedy_layer(n: int, s: int, t: int, ell: int, popcount, ordered) -> np.ndarray | None:
@@ -348,11 +360,22 @@ def _extension_layer_shape(
     """
     if s == 0:
         return 0, 0
+    top = min(n, math.floor(beta * s))
+
+    def budget(t: int) -> int:
+        return min(math.floor((beta * s - t) / alpha), n)
+
+    # A t with ell >= s covers all C(n, s) s-subsets, so its bound is c^ell.
+    # The budget falls as t grows, so of these t the largest has the least
+    # bound and wins their ties: the search starts there, or at 0 if none.
+    low = 0
+    while low < top and budget(low + 1) >= s:
+        low += 1
     # With c = p/q the bound is C(n, s)/q^n times the integer p^ell q^(n - ell) / start.
     p, q = Fraction(c).as_integer_ratio()
     best = None
-    for t in range(min(n, math.floor(beta * s)) + 1):
-        ell = min(math.floor((beta * s - t) / alpha), n)
+    for t in range(low, top + 1):
+        ell = budget(t)
         start = _start_gain(n, s, t, ell)
         if start:
             cost = p**ell * q ** (n - ell)

@@ -14,7 +14,8 @@ oracle is deterministic.
 ExtensionOracleHandle.extend_many answers a batch and records every query
 in the handle's ledger, (|S|, ell) in batch order, under one timer, as one
 appended block of the ledger's (N, 2) int64 array, whose buffer grows by
-doubling; it refuses a batch with a negative S or ell before asking or
+doubling; it refuses a batch with a negative S or ell, or, on a handle
+from oracle_for, which knows n, an S of 2^n or more, before asking or
 recording any of its queries.  wrap_with_ledger turns a user's scalar
 (S, ell) -> X function into a batch function with a loop.
 
@@ -137,23 +138,30 @@ class QueryLedger:
 
 @dataclass
 class ExtensionOracleHandle:
-    """An oracle batch function with its declared (alpha, c) and query ledger."""
+    """An oracle batch function with its declared (alpha, c) and query ledger,
+    and the size n of its instance's universe when known."""
 
     oracle: BatchFn
     declared_alpha: float
     declared_c: float
     ledger: QueryLedger
+    universe_size: int | None = None
 
     def extend_many(self, subsets, budgets) -> np.ndarray:
         """The answers to (subsets[i], budgets[i]) for every i, as int64; the
         ledger records each query, in order.  Raises ValueError, before any
-        query is asked or recorded, when some S or ell is negative."""
+        query is asked or recorded, when some S or ell is negative, or some
+        S is 2^n or more for a known universe size n."""
         subsets = np.asarray(subsets, dtype=np.int64)
         budgets = np.asarray(budgets, dtype=np.int64)
         bad = (subsets < 0) | (budgets < 0)
         if bad.any():
             i = int(bad.argmax())
             raise ValueError(f"query {i} has a negative S or ell: ({subsets[i]}, {budgets[i]})")
+        n = self.universe_size
+        if n is not None and (outside := subsets >> n != 0).any():
+            i = int(outside.argmax())
+            raise ValueError(f"query {i} has S = {subsets[i]:#x} outside the {n}-element universe")
         t0 = time.perf_counter()
         out = self.oracle(subsets, budgets)
         self.ledger.wall_time += time.perf_counter() - t0
@@ -165,11 +173,14 @@ class ExtensionOracleHandle:
 
 
 def wrap_with_ledger(
-    oracle: BatchOracle | OracleFn, c: float, alpha: float = 1.0
+    oracle: BatchOracle | OracleFn,
+    c: float,
+    alpha: float = 1.0,
+    universe_size: int | None = None,
 ) -> ExtensionOracleHandle:
     """Attach a fresh query ledger to an oracle.  A BatchOracle answers each
     batch in one call; any other (S, ell) -> X function is asked once per
-    query."""
+    query.  With a universe_size n, the handle refuses masks of 2^n or more."""
     if isinstance(oracle, BatchOracle):
         many = oracle.many
     else:
@@ -179,7 +190,8 @@ def wrap_with_ledger(
             return np.fromiter(answers, dtype=np.int64, count=subsets.size)
 
     return ExtensionOracleHandle(
-        oracle=many, declared_alpha=alpha, declared_c=c, ledger=QueryLedger()
+        oracle=many, declared_alpha=alpha, declared_c=c, ledger=QueryLedger(),
+        universe_size=universe_size,
     )
 
 
@@ -397,20 +409,23 @@ def local_ratio_fvs_oracle(instance: WeightedFVSInstance) -> BatchOracle:
 def oracle_for(
     instance: Instance, name: str, cap: int = DEFAULT_CAP
 ) -> ExtensionOracleHandle:
-    """Named oracle with its honest declared (alpha, c)."""
+    """Named oracle with its honest declared (alpha, c), on a handle that
+    knows the instance's n."""
     if name == "exact":
-        return wrap_with_ledger(exact_extension_oracle(instance, cap), c=2.0)
-    if name not in ("branching", "local-ratio"):
+        oracle, c, alpha = exact_extension_oracle(instance, cap), 2.0, 1.0
+    elif name not in ("branching", "local-ratio"):
         raise ValueError(f"unknown oracle {name!r}")
-    if isinstance(instance, WeightedPVCInstance):
+    elif isinstance(instance, WeightedPVCInstance):
         raise ValueError(
             f"wpvc has no {name} extension oracle; solve it with --model membership"
             " (or --oracle exact)"
         )
-    if isinstance(instance, WeightedFVSInstance):
+    elif isinstance(instance, WeightedFVSInstance):
         if name == "branching":
             raise ValueError(f"no branching oracle for {instance.kind}")
-        return wrap_with_ledger(local_ratio_fvs_oracle(instance), c=1.0, alpha=2.0)
-    if name == "branching":
-        return wrap_with_ledger(branching_hs_oracle(instance), c=float(instance.d))
-    return wrap_with_ledger(local_ratio_hs_oracle(instance), c=1.0, alpha=float(instance.d))
+        oracle, c, alpha = local_ratio_fvs_oracle(instance), 1.0, 2.0
+    elif name == "branching":
+        oracle, c, alpha = branching_hs_oracle(instance), float(instance.d), 1.0
+    else:
+        oracle, c, alpha = local_ratio_hs_oracle(instance), 1.0, float(instance.d)
+    return wrap_with_ledger(oracle, c=c, alpha=alpha, universe_size=instance.n)

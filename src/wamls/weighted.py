@@ -17,12 +17,24 @@ heaviest class is k:
     w(T_i) + alpha * w(S_i - T_i) <= R * zeta * w(S_i);
   - S weighs at least min w(U_k), so w(W_k) <= (B - R*zeta) * w(S);
   - adding up, w(T) + alpha * w(S - T) <= B * w(S).
-B - R*zeta > (delta/2) * zeta, so the paper's window [k - d, k], with
-d = ceil((2/delta) * log2(2n/delta)), has a prefix that passes the same
-test: each window here is a suffix of the paper's.  The test is decided in
-exact integer arithmetic, so rounding never admits a prefix that fails it.
-Each window is one slice of the sorted occupied indices, and W_k is the
-running OR of the class masks before that slice.
+The test is decided in exact integer arithmetic, so rounding never admits a
+prefix that fails it.  Each window is one slice of the sorted occupied
+indices, and W_k is the running OR of the class masks before that slice.
+
+Covering splits alpha = (1 + delta) * zeta (_covering_schedule).  Extension
+keeps the paper's split delta = beta/zeta' - 1, zeta' from
+_select_inner_beta, so there is one partition, but builds its classes at
+the candidate zeta of least predicted cost (_choose_inner): the argument
+above needs only R*zeta <= B and class families built at the zeta of the
+test.  At zeta', B - R*zeta' > (delta/2) * zeta', so the paper's window
+[k - d, k], with d = ceil((2/delta) * log2(2n/delta)), has a prefix that
+passes the same test: each of zeta''s windows is a suffix of the paper's,
+and the chosen family costs at most zeta''s before deduplication.
+
+Uniform extension weights skip the rounding: scaled by its one weight, an
+S meets both inequalities exactly when it meets them under unit weights,
+so the unweighted family built at beta itself is valid as it is, with
+Esmer et al.'s unweighted guarantee.  It is not compared with a zeta family.
 
 Covering families are combined as the budget-0 case: each class's covering
 sets enter as (T, 0) entries, so one routine partitions, lifts, combines and
@@ -31,7 +43,9 @@ of the class families: a block is a broadcast OR of the T masks and a
 broadcast sum of the budgets, class by class, and the blocks are
 deduplicated in first-seen order with one stable np.lexsort.  So both
 builders refuse n > 63, and a family of more than 2^cap entries before
-deduplication, with ResourceCapError.
+deduplication, with ResourceCapError.  The uniform path refuses n > 63 and
+n > cap the same way; a family on n <= cap elements holds at most 2^n
+entries.
 """
 
 from __future__ import annotations
@@ -108,15 +122,12 @@ def partition_by_weight(weights, delta: float) -> WeightClassPartition:
     )
 
 
-def _window_starts(weights, part: WeightClassPartition, target: float, zeta: float):
-    """Each window's start, as a position in part.index_set, and the spread R.
+def _class_weights(weights, part: WeightClassPartition):
+    """The occupied classes in exact integers: each one's lightest weight,
+    the running totals of the classes, and the spread R as (top, low).
 
-    Window j starts after the longest prefix of occupied classes below it
-    whose total weight is at most (target - R*zeta) times the lightest
-    weight of class j, and never after j.  The weights are scaled to
-    integers by their common denominator (the test is homogeneous in them),
-    target and zeta are taken as integer ratios, and the bound is floored
-    against integer prefix totals, so the test is exact.
+    The weights are scaled to integers by their common denominator; the
+    window test is homogeneous in them.
     """
     ratios = [
         w.as_integer_ratio() if isinstance(w, (int, float)) else Fraction(w).as_integer_ratio()
@@ -130,18 +141,36 @@ def _window_starts(weights, part: WeightClassPartition, target: float, zeta: flo
     for hi, lo in zip(map(max, groups), lows):
         if hi * low > top * lo:
             top, low = hi, lo
-    (b, b_den), (z, z_den) = target.as_integer_ratio(), zeta.as_integer_ratio()
-    # (target - R*zeta) * m = num * m / den
-    num, den = b * z_den * low - top * z * b_den, b_den * z_den * low
-    totals = list(accumulate(map(sum, groups), initial=0))
-    starts = [
-        bisect_right(totals, num * lo // den, 1, j + 1) - 1 for j, lo in enumerate(lows)
-    ]
-    return starts, top / low
+    return lows, list(accumulate(map(sum, groups), initial=0)), (top, low)
 
 
-# Small bounds: a solve with a fresh target factor never hits these caches,
-# so a large bound only grows the process by a few KB per solve.
+def _slack(spread: tuple[int, int], target: float, zeta: float) -> tuple[int, int]:
+    """target - R*zeta as an integer ratio (num, den) with den > 0."""
+    (top, low), (b, b_den), (z, z_den) = spread, target.as_integer_ratio(), zeta.as_integer_ratio()
+    return b * z_den * low - top * z * b_den, b_den * z_den * low
+
+
+def _starts(lows, totals, slack: tuple[int, int]) -> list[int]:
+    """Window j starts after the longest prefix of classes below it of total
+    weight at most slack times the lightest weight of class j, never after j;
+    the bound is floored against the integer totals, so the test is exact."""
+    num, den = slack
+    return [bisect_right(totals, num * lo // den, 1, j + 1) - 1 for j, lo in enumerate(lows)]
+
+
+def _window_starts(weights, part: WeightClassPartition, target: float, zeta: float):
+    """Each window's start, as a position in part.index_set, and the spread R,
+    for the slack target - R*zeta, decided exactly."""
+    lows, totals, spread = _class_weights(weights, part)
+    return _starts(lows, totals, _slack(spread, target, zeta)), spread[0] / spread[1]
+
+
+# A solve with a fresh target factor never hits these caches, so a large
+# bound only grows the process by a few KB per solve.  Every inner-target
+# candidate asks the extension cache: the bench's weighted-mix, with classes
+# of 1..12 elements, four oracle (alpha, c) and 21 candidates, can ask for
+# 1008 keys (it asked for 364 in a 20 s run), whose families have only 164
+# distinct layer shapes.
 @lru_cache(maxsize=256)
 def _unweighted_covering_cached(n: int, alpha: float, cap: int) -> tuple:
     """The covering family's sets as budget-0 (T, ell) columns."""
@@ -149,32 +178,52 @@ def _unweighted_covering_cached(n: int, alpha: float, cap: int) -> tuple:
     return ts, np.zeros_like(ts)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _unweighted_extension_cached(
     n: int, alpha: float, c: float, beta: float, cap: int
 ) -> tuple:
-    """The extension family's (T, ell) columns."""
-    fam = families.build_unweighted_extension(n, alpha, c, beta, cap=cap)
-    return fam.ts, fam.ells
+    """The (T, ell) columns of build_unweighted_extension(n, alpha, c, beta)
+    and its cost ln sum(c^ell), shared by the targets of equal layer shapes."""
+    shapes = tuple(families._extension_layer_shape(n, s, alpha, beta, c) for s in range(n + 1))
+    return _layered_cached(n, shapes, c, cap)
+
+
+@lru_cache(maxsize=256)
+def _layered_cached(n: int, shapes: tuple, c: float, cap: int) -> tuple:
+    """The layered family whose layer s has shape shapes[s], as read-only
+    (T, ell) columns, and its cost."""
+    columns = np.ascontiguousarray(families._layered(n, shapes.__getitem__, cap, c).T)
+    columns.flags.writeable = False
+    return *columns, families.log_cost(columns[1], c)
 
 
 def _combine_classes(
     weights, delta: float, zeta: float, target: float, inner, cap: int, **setting
 ):
-    """Partition by weight, lift each class's family, combine and deduplicate.
+    """Partition by weight, size the windows, then _combine.
 
     inner(m) gives the (T, ell) columns of the unweighted zeta-family on m
     elements, and target is the family's own factor, the one it is verified
-    against.  Returns the entries, in first-seen order over the occupied
-    indices, as the rows of an (N, 2) int64 array, and the schedule: delta,
-    zeta, gamma, the spread R, the builder's `setting`, each class's family
-    size and the class where each window starts.  The entries are int64
-    masks, so n > 63 is refused; so is a family whose blocks hold more than
-    2^cap entries before deduplication.
+    against.  The schedule holds delta, zeta, gamma, the spread R and the
+    builder's `setting`, then _combine's entries.  The entries are int64
+    masks, so n > 63 is refused.
     """
     _check_word(len(weights))
     part = partition_by_weight(weights, delta)
     starts, ratio = _window_starts(weights, part, target, zeta)  # window j: starts[j] .. j
+    schedule = {"delta": delta, "inner": zeta, "gamma": part.gamma, "spread": ratio}
+    return _combine(part, starts, inner, cap, schedule | setting)
+
+
+def _combine(part: WeightClassPartition, starts, inner, cap: int, schedule: dict):
+    """Lift each class's family, combine the windows and deduplicate.
+
+    Returns the entries, in first-seen order over the occupied indices, as
+    the rows of an (N, 2) int64 array, and the schedule with each class's
+    family size and the class where each window starts added.  A family
+    whose blocks hold more than 2^cap entries before deduplication is
+    refused.
+    """
     lifted, prefix = [], [0]  # each class's (T, ell) columns; the running OR
     for i in part.index_set:
         local, ells = inner(len(part.classes[i]))
@@ -194,9 +243,7 @@ def _combine_classes(
             ells = (ells[:, None] + class_ells).ravel()
         blocks.append((ts, ells))
     entries = np.stack([np.concatenate(cols) for cols in zip(*blocks)], axis=1)
-    schedule = {"delta": delta, "inner": zeta, "gamma": part.gamma, "spread": ratio}
     schedule.update(
-        setting,
         class_family_sizes=dict(zip(part.index_set, sizes)),
         starts={k: part.index_set[start] for k, start in zip(part.index_set, starts)},
     )
@@ -307,6 +354,10 @@ def _select_inner_beta(alpha: float, c: float, beta: float, eps: float) -> float
     return chosen
 
 
+# The inner-target candidates beside the paper's: zeta_j = 1 + (beta - 1) * 2^-j.
+_CANDIDATES = range(1, 8)
+
+
 def build_weighted_extension(
     weights,
     alpha: float,
@@ -315,7 +366,14 @@ def build_weighted_extension(
     eps: float = 0.05,
     cap: int = DEFAULT_CAP,
 ) -> WeightedFamilyReport:
-    """(alpha, beta)-extension family of an arbitrarily weighted universe."""
+    """(alpha, beta)-extension family of an arbitrarily weighted universe.
+
+    Uniform weights are built as the unweighted family at beta itself.
+    Otherwise the classes come from the paper's split delta = beta/zeta' - 1,
+    zeta' = _select_inner_beta, and the inner target zeta is the candidate
+    of least predicted cost (see _choose_inner).  The schedule records
+    zeta' as paper_inner and each scored candidate's predicted ln cost.
+    """
     _check_factors(alpha=alpha, c=c)
     _check_factors(strict=True, beta=beta)
     _check_factors(0.0, strict=True, eps=eps)
@@ -325,18 +383,64 @@ def build_weighted_extension(
         return WeightedFamilyReport(
             family=fam, schedule={"delta": 0.0, "inner": beta}, cost_log=0.0
         )
-    zeta = _select_inner_beta(alpha, c, beta, eps)
-    delta = beta / zeta - 1.0
-    entries, schedule = _combine_classes(
-        weights,
-        delta,
-        zeta,
-        beta,
-        lambda m: _unweighted_extension_cached(m, alpha, c, zeta, cap),
+    _check_word(n)
+    _check_weights(weights)
+    if min(weights) == max(weights):
+        fam = families.build_unweighted_extension(n, alpha, c, beta, cap=cap)
+        schedule = {
+            "delta": 0.0, "inner": beta, "gamma": 1.0, "spread": 1.0, "eps": eps,
+            "class_family_sizes": {0: fam.ts.size}, "starts": {0: 0},
+        }
+        return WeightedFamilyReport(
+            family=fam, schedule=schedule, cost_log=families.family_cost(fam, c)
+        )
+    paper = _select_inner_beta(alpha, c, beta, eps)
+    part = partition_by_weight(weights, beta / paper - 1.0)
+    zeta, starts, spread, predicted = _choose_inner(weights, part, alpha, c, beta, paper, cap)
+    entries, schedule = _combine(
+        part,
+        starts,
+        lambda m: _unweighted_extension_cached(m, alpha, c, zeta, cap)[:2],
         cap,
-        eps=eps,
+        {
+            "delta": part.delta, "inner": zeta, "gamma": part.gamma, "spread": spread,
+            "eps": eps, "paper_inner": paper, "predicted": predicted,
+        },
     )
     fam = ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
     return WeightedFamilyReport(
         family=fam, schedule=schedule, cost_log=families.family_cost(fam, c)
     )
+
+
+def _choose_inner(weights, part, alpha: float, c: float, beta: float, paper: float, cap: int):
+    """The inner target of least predicted cost, its window starts, the
+    spread R and every scored candidate's predicted ln cost.
+
+    The candidates are the paper's zeta' first, then zeta_j for j in
+    _CANDIDATES.  A window's family is the product of its classes' families
+    under one prefix, so before deduplication it costs the product of their
+    costs C_i = sum(c^ell), and the family the sum of its windows' products:
+    ln sum_k prod_{i in window k} C_i, from the cached class families.  A
+    candidate with R*zeta > beta is skipped, by the exact test of the
+    windows; zeta' never is, since R < gamma = 1 + delta/2.  The first
+    candidate of least predicted cost wins, so the chosen family costs at
+    most the paper's before deduplication, and deduplication only lowers it.
+    """
+    lows, totals, spread = _class_weights(weights, part)
+    sizes = [len(part.classes[i]) for i in part.index_set]
+    zetas = (1.0 + (beta - 1.0) * 2.0**-j for j in _CANDIDATES)
+    best, predicted = None, {}
+    for zeta in dict.fromkeys([paper, *(z for z in zetas if z > 1.0)]):
+        slack = _slack(spread, beta, zeta)
+        if slack[0] < 0 and zeta != paper:
+            continue
+        cost = {m: _unweighted_extension_cached(m, alpha, c, zeta, cap)[2] for m in set(sizes)}
+        logs = list(accumulate((cost[m] for m in sizes), initial=0.0))
+        starts = _starts(lows, totals, slack)
+        windows = [logs[j + 1] - logs[s] for j, s in enumerate(starts)]
+        top = max(windows)
+        predicted[zeta] = top + math.log(sum([math.exp(w - top) for w in windows]))
+        if best is None or predicted[zeta] < predicted[best[0]]:
+            best = zeta, starts
+    return *best, spread[0] / spread[1], predicted

@@ -332,7 +332,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("model", ["extension", "membership"])
     def test_max_n_bounds_spread_weight_family(self, capsys, tmp_path, model):
         # Weight classes of one or two vertices each fit cap 8, but their
-        # product blocks hold 590 (extension) and 446 (membership) entries.
+        # product blocks hold 302 (extension) and 446 (membership) entries.
         path = tmp_path / "i.wvc"
         path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=7)))
         code, out, err = run(

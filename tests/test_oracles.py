@@ -498,6 +498,56 @@ class TestNegativeQueries:
         assert calls == []
 
 
+# (subsets, budgets, index of the first mask of 2^6 or more); the
+# FVS local-ratio oracle would answer these, and the others raise IndexError.
+OUTSIDE_QUERIES = [
+    ([1 << 6], [1], 0),
+    ([65], [0], 0),
+    ([0, 63, (1 << 6) | 1, 1 << 62], [1, 0, 1, 2], 2),
+    ([3, (1 << 63) - 1], [0, 0], 1),
+]
+
+
+class TestOutsideQueries:
+    """A handle from oracle_for knows n and refuses masks of 2^n or more
+    before the oracle runs and before the ledger records anything."""
+
+    @pytest.mark.parametrize("kind", ["wvc", "whs", "wfvs", "wpvc"])
+    @pytest.mark.parametrize("subsets,budgets,first", OUTSIDE_QUERIES)
+    def test_rejected_by_every_handle(self, kind, subsets, budgets, first):
+        inst = random_instance("wvc" if kind == "wpvc" else kind, 6, 0.4, seed=2)
+        if kind == "wpvc":
+            inst = WeightedPVCInstance(n=6, weights=inst.weights, edges=inst.edges, t=2)
+        for name in ORACLES.get(kind, ("exact",)):
+            handle = oracle_for(inst, name)
+            assert handle.universe_size == 6
+            outside = f"query {first} has S = 0x.* outside the 6-element"
+            with pytest.raises(ValueError, match=outside):
+                handle.extend_many(subsets, budgets)
+            if len(subsets) == 1:
+                with pytest.raises(ValueError, match="query 0 has S"):
+                    handle.extend(subsets[0], budgets[0])
+            assert handle.ledger.queries.shape == (0, 2)
+            assert handle.ledger.wall_time == 0.0
+            # The full universe is inside it.
+            assert membership_check(inst, 63 | handle.extend(63, 1))
+
+    def test_negative_named_first(self):
+        handle = oracle_for(random_instance("wvc", 6, 0.4, seed=2), "exact")
+        with pytest.raises(ValueError, match="query 1 has a negative"):
+            handle.extend_many([1 << 6, -1], [1, 1])
+
+    def test_wrapped_function_without_n_is_asked(self):
+        calls = []
+        handle = wrap_with_ledger(lambda s, ell: calls.append((s, ell)) or 0, c=2.0)
+        assert handle.universe_size is None
+        assert handle.extend(1 << 40, 1) == 0
+        assert calls == [(1 << 40, 1)]
+        sized = wrap_with_ledger(lambda s, ell: 0, c=2.0, universe_size=40)
+        with pytest.raises(ValueError, match="outside the 40-element universe"):
+            sized.extend(1 << 40, 1)
+
+
 class TestBatchedQueries:
     @settings(max_examples=150, deadline=None)
     @given(inst=small_instances(), data=st.data())

@@ -15,7 +15,9 @@ from wamls import bounds, weighted
 from wamls.families import (
     DEFAULT_CAP,
     ResourceCapError,
+    build_unweighted_extension,
     dump_family,
+    family_cost,
     verify_covering,
     verify_extension,
 )
@@ -239,17 +241,25 @@ class TestClassWindows:
     @given(weights=st.one_of(WEIGHT_LISTS, FLOAT_WEIGHTS), spec=BUILDS)
     def test_prefixes_fit_their_slack(self, weights, spec):
         rep, target = build_with_target(weights, spec)
+        if rep.schedule["delta"] == 0.0:  # uniform extension weights: no classes
+            assert spec[0] is build_weighted_extension and min(weights) == max(weights)
+            assert (rep.schedule["inner"], rep.schedule["starts"]) == (target, {0: 0})
+            return
         part = partition_by_weight(weights, rep.schedule["delta"])
         groups, spread = exact_groups(weights, part)
         assert rep.schedule["spread"] == float(spread)
         assert rep.schedule["starts"] == exact_windows(weights, part, target, rep.schedule["inner"])[1]
-        # Every prefix W_k fits its slack, and every window is a suffix of
-        # the paper's window [k - d, k].
+        # Every prefix W_k fits its slack.
         slack = Fraction(target) - spread * Fraction(rep.schedule["inner"])
-        paper = paper_window(part)
         for (k, start), group in zip(rep.schedule["starts"].items(), groups):
             prefix = sum(sum(g) for i, g in zip(part.index_set, groups) if i < start)
             assert prefix <= slack * min(group)
+            assert start <= k
+        # At the paper's inner target every window is a suffix of the
+        # paper's window [k - d, k].
+        paper = paper_window(part)
+        paper_inner = rep.schedule.get("paper_inner", rep.schedule["inner"])
+        for k, start in exact_windows(weights, part, target, paper_inner)[1].items():
             assert paper[k] <= start <= k
 
     @settings(max_examples=100, deadline=None)
@@ -311,6 +321,99 @@ class TestClassWindows:
             assert rep.schedule["spread"] == 1.0
 
 
+def predicted_cost(weights, part, alpha, c, beta, zeta):
+    """ln sum_k prod_{i in window k} C_i, C_i = sum(c^ell) over class i's
+    zeta-family, from the exact windows, in Fractions."""
+    _, starts = exact_windows(weights, part, beta, zeta)
+    cost = {}
+    for i, us in part.classes.items():
+        fam = build_unweighted_extension(len(us), alpha, c, zeta)
+        cost[i] = sum(Fraction(c) ** ell for ell in fam.ells.tolist())
+    windows = [[cost[i] for i in part.index_set if starts[k] <= i <= k] for k in part.index_set]
+    return math.log(sum(map(math.prod, windows)))
+
+
+# Weights 64..100 put two elements of ratio up to 1.23 in one class.
+SPREAD_WEIGHTS = st.one_of(
+    st.lists(st.integers(1, 100), min_size=2, max_size=9),
+    st.lists(st.integers(1, 2), min_size=2, max_size=9),
+    st.lists(st.integers(64, 100), min_size=2, max_size=9),
+).filter(lambda ws: min(ws) < max(ws))
+
+# The oracles' (alpha, c) at the bench's targets; and settings whose paper
+# target lies below some zeta_j: at (1, 1, 1.5) it is 1 + 2^-21, gamma is
+# 1.25, and a class of spread R > 1.2 skips zeta_1 = 1.25.
+CHOICE_FACTORS = st.one_of(
+    st.tuples(
+        st.sampled_from([(1.0, 2.0), (1.0, 3.0), (2.0, 1.0)]), st.sampled_from([1.2, 1.5, 1.9])
+    ),
+    st.sampled_from([((2.0, 2.0), 1.004), ((1.0, 1.0), 2.5), ((1.0, 1.0), 1.5)]),
+)
+
+
+class TestInnerChoice:
+    """The inner target is the first candidate of least predicted cost."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=SPREAD_WEIGHTS, factors=CHOICE_FACTORS)
+    def test_chosen_family_verifies(self, weights, factors):
+        (alpha, c), beta = factors
+        rep = build_weighted_extension(weights, alpha, c, beta)
+        assert verify_extension(rep.family, weights).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=SPREAD_WEIGHTS, factors=CHOICE_FACTORS)
+    def test_chosen_cost_at_most_papers(self, weights, factors):
+        (alpha, c), beta = factors
+        rep = build_weighted_extension(weights, alpha, c, beta)
+        sched = rep.schedule
+        paper, predicted = sched["paper_inner"], sched["predicted"]
+        part = partition_by_weight(weights, sched["delta"])
+        _, spread = exact_groups(weights, part)
+        # Scored: the paper's target, then each zeta_j whose R * zeta_j <= beta.
+        zetas = [1 + (beta - 1) * 2.0**-j for j in range(1, 8)]
+        admissible = [z for z in zetas if spread * Fraction(z) <= Fraction(beta)]
+        assert list(predicted) == list(dict.fromkeys([paper, *admissible]))
+        for zeta, cost in predicted.items():
+            want = predicted_cost(weights, part, alpha, c, beta, zeta)
+            assert cost == pytest.approx(want, rel=1e-9)
+        least = min(predicted.values())
+        assert sched["inner"] == next(z for z, cost in predicted.items() if cost == least)
+        assert predicted[sched["inner"]] <= predicted[paper]
+        # Deduplication only lowers the cost.
+        assert rep.cost_log <= predicted[sched["inner"]] + 1e-9
+
+    def test_candidate_past_its_slack_skipped(self):
+        # Weights 70 and 86 share class 19 (gamma = 1.25), so R = 86/70 and
+        # R * 1.25 > 1.5: zeta_1 is not scored, zeta_2 = 1.125 is.
+        rep = build_weighted_extension([70, 86, 100], 1.0, 1.0, 1.5)
+        assert rep.schedule["spread"] == 86 / 70
+        assert list(rep.schedule["predicted"]) == [
+            rep.schedule["paper_inner"], *(1 + 0.5 * 2.0**-j for j in range(2, 8))
+        ]
+        assert verify_extension(rep.family, [70, 86, 100]).ok
+
+    @pytest.mark.parametrize("w", [1, 7, 10**6, 2.5])
+    def test_uniform_weights_build_at_beta(self, w):
+        for n in (1, 5, 9):
+            for alpha, c, beta in [(1.0, 2.0, 1.5), (2.0, 1.0, 1.9), (1.0, 3.0, 1.2)]:
+                rep = build_weighted_extension([w] * n, alpha, c, beta)
+                want = build_unweighted_extension(n, alpha, c, beta)
+                assert rep.family.entries == want.entries
+                assert rep.cost_log == family_cost(want, c)
+                assert rep.schedule == {
+                    "delta": 0.0, "inner": beta, "gamma": 1.0, "spread": 1.0, "eps": 0.05,
+                    "class_family_sizes": {0: len(want.entries)}, "starts": {0: 0},
+                }
+                assert verify_extension(rep.family, [w] * n).ok
+
+    def test_uniform_weights_keep_the_caps(self):
+        with pytest.raises(ResourceCapError, match="universe size 9 exceeds enumeration cap 8"):
+            build_weighted_extension([7] * 9, 1.0, 2.0, 1.5, cap=8)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            build_weighted_extension([math.nan] * 3, 1.0, 2.0, 1.5)
+
+
 class TestArrayCombination:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -320,13 +423,16 @@ class TestArrayCombination:
     def test_extension_matches_naive(self, weights, factors):
         alpha, c, beta = factors
         rep = build_weighted_extension(weights, alpha, c, beta)
+        if min(weights) == max(weights):
+            assert rep.family == build_unweighted_extension(len(weights), alpha, c, beta)
+            return
         zeta = rep.schedule["inner"]
         naive = naive_combination(
             weights,
             rep.schedule["delta"],
             beta,
             zeta,
-            lambda m: weighted._unweighted_extension_cached(m, alpha, c, zeta, DEFAULT_CAP),
+            lambda m: weighted._unweighted_extension_cached(m, alpha, c, zeta, DEFAULT_CAP)[:2],
         )
         assert rep.family.entries == naive
 
@@ -346,16 +452,24 @@ class TestArrayCombination:
 
     def test_family_size_cap(self):
         # Covering at alpha = 1.5 (fixed: inner 1.25) and extension at
-        # (1, 2, 1.5) (inner 1.25) both have gamma = 1.1 and slack
-        # 1.5 - 1.25 = 0.25.  These weights fall in classes 48..59, one
-        # element each (R = 1), and 0.25 * 299 < 105, so no class has a
-        # prefix: window k holds classes 48..k, and each class family has
-        # 2 entries.  Each class fits cap 12, but the product blocks would
-        # hold 2 + 4 + ... + 2^12 = 2^13 - 2 = 8190 entries.
+        # (1, 2, 1.5) (paper's inner 1.25) both have gamma = 1.1.  These
+        # weights fall in classes 48..59, one element each (R = 1), and
+        # each class family has 2 entries.  Covering has slack 1.5 - 1.25
+        # = 0.25, and 0.25 * 299 < 105, so no class has a prefix: window k
+        # holds classes 48..k.  Each class fits cap 12, but the product
+        # blocks would hold 2 + 4 + ... + 2^12 = 2^13 - 2 = 8190 entries.
         weights = [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299]
         with pytest.raises(ResourceCapError, match="8190 entries exceeds 2\\^12"):
             build_weighted_covering(weights, 1.5, cap=12)
-        with pytest.raises(ResourceCapError, match="8190 entries exceeds 2\\^12"):
+        # Extension takes inner 1.03125, of slack 0.46875: the windows of
+        # classes 56..59 (weights 225 and up, 0.46875 * 225 >= 105) start
+        # at class 49, so they hold 2^8 + ... + 2^11 = 3840 entries, half
+        # as many, and the blocks 2^9 - 2 + 3840 = 4350.
+        rep = build_weighted_extension(weights, 1.0, 2.0, 1.5)
+        assert rep.schedule["inner"] == 1.03125
+        starts = dict.fromkeys(range(48, 56), 48) | dict.fromkeys(range(56, 60), 49)
+        assert rep.schedule["starts"] == starts
+        with pytest.raises(ResourceCapError, match="4350 entries exceeds 2\\^12"):
             build_weighted_extension(weights, 1.0, 2.0, 1.5, cap=12)
         # The count is taken before deduplication: eight such classes give
         # 2^9 - 2 = 510 entries, over 2^8, though only the 2^8 subsets of
@@ -453,11 +567,14 @@ class TestWeightedExtension:
         )
 
     def test_inner_target_between_one_and_beta(self):
+        # delta is the paper's split of beta; the inner target is the
+        # cheapest candidate, scored beside the paper's.
         rep = build_weighted_extension([1, 7, 50], 1.0, 2.0, 1.5)
-        assert 1.0 < rep.schedule["inner"] < 1.5
-        assert rep.schedule["delta"] == pytest.approx(
-            1.5 / rep.schedule["inner"] - 1.0, abs=1e-12
-        )
+        paper = rep.schedule["paper_inner"]
+        assert paper == weighted._select_inner_beta(1.0, 2.0, 1.5, 0.05)
+        assert rep.schedule["delta"] == 1.5 / paper - 1.0
+        assert 1.0 < rep.schedule["inner"] <= paper < 1.5
+        assert rep.schedule["inner"] in rep.schedule["predicted"]
 
     def test_scale_invariance_of_verdict(self):
         weights = [3, 1, 4, 1, 5]
