@@ -8,10 +8,11 @@ w(T) + alpha * w(S \\ T) <= beta * w(S).
 
 A family holds its entries in order as read-only int64 columns: ts, and for
 an extension family ells; sets and entries are list views of them.  So n is
-at most 63.  The constructor names the first entry whose T leaves the
+at most 63.  The public constructors name the first entry whose T leaves the
 universe (ts >> n != 0, negative masks too), whose ell is outside [0, n], or
-that repeats (by _first_seen), tested in that order.  log_cost adds the
-terms c^ell left to right, so the cost does not depend on the Python sum().
+that repeats, in that order; builders hand _Family._built columns distinct
+and in range by construction, unchecked.  log_cost adds the terms c^ell left
+to right, so the cost does not depend on the Python sum().
 
 An alpha-covering family is the (1, alpha)-extension family with every
 budget 0: then S subseteq T and w(T) + w(S \\ T) = w(T).  So one layer loop
@@ -144,8 +145,8 @@ def _entry_columns(n: int, rows, width: int) -> np.ndarray:
         table = np.where(abs(given) >> 63 == 0, given, -1).astype(np.int64)
     outside = table[:, 0] >> n != 0
     unbudgeted = ((table[:, 1:] < 0) | (table[:, 1:] > n)).any(axis=1)
-    firsts, inverse = _first_seen(*table.T)
-    bad = outside | unbudgeted | (firsts[inverse] != np.arange(len(table)))
+    firsts = np.bincount(_distinct(*table.T), minlength=len(table))  # 1 at each first occurrence
+    bad = outside | unbudgeted | (firsts == 0)
     if bad.any():
         i = int(np.argmax(bad))
         t, ell = (*given[i].tolist(), 0)[:2]  # a covering set has budget 0
@@ -154,13 +155,27 @@ def _entry_columns(n: int, rows, width: int) -> np.ndarray:
         if unbudgeted[i]:
             raise ValueError(f"budget {ell} out of range for entry {t:#x}")
         raise ValueError(f"duplicate set {t:#x}" if width == 1 else f"duplicate entry ({t:#x}, {ell})")
-    columns = np.ascontiguousarray(table.T)
+    return _frozen(table.T)
+
+
+def _frozen(columns) -> np.ndarray:
+    """The int64 columns, C-contiguous (copied only if they are not) and read-only."""
+    columns = np.ascontiguousarray(columns, dtype=np.int64)
     columns.flags.writeable = False
     return columns
 
 
 class _Family:
     """Equality and repr over the header and the entry columns."""
+
+    @classmethod
+    def _built(cls, *header, columns):
+        """The family of the header (n and the factors, in constructor order)
+        and a builder's distinct, in-range entry columns, unchecked."""
+        family = cls.__new__(cls)
+        vars(family).update(zip(("universe_size", "alpha", "beta"), header))
+        vars(family).update(zip(("ts", "ells"), _frozen(columns)))
+        return family
 
     def __eq__(self, other) -> bool:
         same = type(other) is type(self)
@@ -219,20 +234,27 @@ def subset_sums(values, dtype) -> np.ndarray:
     return sums
 
 
-def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of equal-length 1-D columns: the index of each one's
-    first occurrence, in first-seen order, and for every row the position of
-    its distinct row in that order.
-
-    A stable np.lexsort brings equal rows together in index order, so the
-    head of each run is its first occurrence.
-    """
+def _runs(columns) -> tuple[np.ndarray, np.ndarray]:
+    """A stable np.lexsort of the rows of equal-length 1-D columns, which brings
+    equal rows together in index order, and the head of each run of them."""
     order = np.lexsort(columns)
     head = np.zeros(order.size, dtype=bool)
     head[:1] = True
     for col in columns:
         col = col[order]
         head[1:] |= col[1:] != col[:-1]
+    return order, head
+
+
+def _distinct(*columns: np.ndarray) -> np.ndarray:
+    """The index of each distinct row's first occurrence, ascending."""
+    order, head = _runs(columns)
+    return np.sort(order[head])
+
+
+def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_distinct's indices, and for every row the position of its own among them."""
+    order, head = _runs(columns)
     firsts = order[head]
     seen = np.argsort(firsts, kind="stable")
     position = np.empty_like(seen)
@@ -310,7 +332,7 @@ def _greedy_layer(n: int, s: int, t: int, ell: int, popcount, ordered) -> np.nda
 
 def _layered(n: int, shape, cap: int, c: float = 1.0) -> np.ndarray:
     """Layered greedy (T, ell) entries, deduplicated in first-pick order, as
-    the rows of an (N, 2) int64 array.
+    read-only (2, N) int64 columns.
 
     shape(s) gives layer s its target size t and budget ell.  Layer s picks
     t-sets until every s-subset S has a pick T with |S \\ T| <= ell; a layer
@@ -329,8 +351,8 @@ def _layered(n: int, shape, cap: int, c: float = 1.0) -> np.ndarray:
         if picks is None or len(picks) * Fraction(c) ** ell >= math.comb(n, s):
             picks, ell = np.flatnonzero(popcount == s), 0
         layers.append((picks, np.full_like(picks, ell)))
-    ts, ells = (np.concatenate(cols) for cols in zip(*layers))
-    return np.stack([ts, ells], axis=1)[_first_seen(ts, ells)[0]]
+    columns = np.stack([np.concatenate(cols) for cols in zip(*layers)])
+    return _frozen(columns.take(_distinct(*columns), axis=1))
 
 
 def build_unweighted_covering(
@@ -343,7 +365,7 @@ def build_unweighted_covering(
     """
     _check_factors(strict=True, alpha=alpha)
     entries = _layered(n, lambda s: (min(n, math.floor(alpha * s)), 0), cap)
-    return CoveringFamily(universe_size=n, alpha=alpha, sets=entries[:, 0])
+    return CoveringFamily._built(n, alpha, columns=entries[:1])
 
 
 def _extension_layer_shape(
@@ -391,7 +413,7 @@ def build_unweighted_extension(
     _check_factors(alpha=alpha, c=c)
     _check_factors(strict=True, beta=beta)
     entries = _layered(n, lambda s: _extension_layer_shape(n, s, alpha, beta, c), cap, c)
-    return ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
+    return ExtensionFamily._built(n, alpha, beta, columns=entries)
 
 
 def _check_weights(weights) -> None:
@@ -449,16 +471,24 @@ def family_cost(family: ExtensionFamily, c: float) -> float:
 
 def log_cost(ells, c: float) -> float:
     """ln sum(c^ell) over the budgets ell, via log-sum-exp; -inf when empty.
-    math.exp runs once per distinct ell; a sequential np.cumsum adds in order."""
+    math.exp runs once per distinct ell, into a table read by ell (by its rank
+    in np.unique past 63, which only a ledger's budgets reach); a sequential
+    np.cumsum adds the terms in order."""
     _check_factors(c=c)
     ells = np.asarray(ells, dtype=np.int64)
     if not ells.size:
         return -math.inf
-    distinct, inverse = np.unique(ells, return_inverse=True)
-    exponents = [ell * math.log(c) for ell in distinct.tolist()]
+    if (low := int(ells.min())) < 0:
+        raise ValueError(f"budgets must be >= 0, got {low}")
+    values = np.arange(_WORD_BITS + 1)  # the budget each key in ells stands for
+    if ells.max() > _WORD_BITS:
+        values, ells = np.unique(ells, return_inverse=True)
+    slots = np.flatnonzero(np.bincount(ells))
+    exponents = [ell * math.log(c) for ell in values[slots].tolist()]
     m = max(exponents)
-    terms = np.array([math.exp(x - m) for x in exponents])
-    return m + math.log(np.cumsum(terms[inverse])[-1])
+    table = np.zeros(slots[-1] + 1)
+    table[slots] = [math.exp(x - m) for x in exponents]
+    return m + math.log(np.cumsum(table[ells])[-1])
 
 
 def _factor(x: float) -> str:

@@ -37,11 +37,13 @@ so the unweighted family built at beta itself is valid as it is, with
 Esmer et al.'s unweighted guarantee.  It is not compared with a zeta family.
 
 Covering families are combined as the budget-0 case: each class's covering
-sets enter as (T, 0) entries, so one routine partitions, lifts, combines and
+sets enter as (T, 0) entries, so one routine, _combine, lifts, combines and
 deduplicates for both builders.  It works on the int64 ts and ells columns
 of the class families: a block is a broadcast OR of the T masks and a
-broadcast sum of the budgets, class by class, and the blocks are
-deduplicated in first-seen order with one stable np.lexsort.  So both
+broadcast sum of the budgets, class by class, row-major with the first class
+outermost, so a window that starts where the last one did extends its block
+by one class.  The blocks are deduplicated once, in first-seen order with
+one stable np.lexsort, and handed to families._Family._built.  So both
 builders refuse n > 63, and a family of more than 2^cap entries before
 deduplication, with ResourceCapError.  The uniform path refuses n > 63 and
 n > cap the same way; a family on n <= cap elements holds at most 2^n
@@ -67,7 +69,7 @@ from .families import (
     ExtensionFamily,
     _check_weights,
     _check_word,
-    _first_seen,
+    _distinct,
     subset_sums,
 )
 
@@ -192,37 +194,19 @@ def _unweighted_extension_cached(
 def _layered_cached(n: int, shapes: tuple, c: float, cap: int) -> tuple:
     """The layered family whose layer s has shape shapes[s], as read-only
     (T, ell) columns, and its cost."""
-    columns = np.ascontiguousarray(families._layered(n, shapes.__getitem__, cap, c).T)
-    columns.flags.writeable = False
+    columns = families._layered(n, shapes.__getitem__, cap, c)
     return *columns, families.log_cost(columns[1], c)
-
-
-def _combine_classes(
-    weights, delta: float, zeta: float, target: float, inner, cap: int, **setting
-):
-    """Partition by weight, size the windows, then _combine.
-
-    inner(m) gives the (T, ell) columns of the unweighted zeta-family on m
-    elements, and target is the family's own factor, the one it is verified
-    against.  The schedule holds delta, zeta, gamma, the spread R and the
-    builder's `setting`, then _combine's entries.  The entries are int64
-    masks, so n > 63 is refused.
-    """
-    _check_word(len(weights))
-    part = partition_by_weight(weights, delta)
-    starts, ratio = _window_starts(weights, part, target, zeta)  # window j: starts[j] .. j
-    schedule = {"delta": delta, "inner": zeta, "gamma": part.gamma, "spread": ratio}
-    return _combine(part, starts, inner, cap, schedule | setting)
 
 
 def _combine(part: WeightClassPartition, starts, inner, cap: int, schedule: dict):
     """Lift each class's family, combine the windows and deduplicate.
 
-    Returns the entries, in first-seen order over the occupied indices, as
-    the rows of an (N, 2) int64 array, and the schedule with each class's
-    family size and the class where each window starts added.  A family
-    whose blocks hold more than 2^cap entries before deduplication is
-    refused.
+    inner(m) gives the (T, ell) columns of the unweighted family on m
+    elements, and window j holds the classes starts[j]..j.  Returns the
+    entries, in first-seen order over the occupied indices, as (2, N) int64
+    (T, ell) columns, and the schedule with each class's family size and the
+    class where each window starts added.  A family whose blocks hold more
+    than 2^cap entries before deduplication is refused.
     """
     lifted, prefix = [], [0]  # each class's (T, ell) columns; the running OR
     for i in part.index_set:
@@ -236,18 +220,20 @@ def _combine(part: WeightClassPartition, starts, inner, cap: int, schedule: dict
         raise families.ResourceCapError(f"weighted family of up to {size} entries exceeds 2^{cap}")
     blocks = []
     for j, start in enumerate(starts):
-        # Row-major over the window's classes, the first class outermost.
-        ts, ells = np.array([prefix[start]], dtype=np.int64), np.zeros(1, dtype=np.int64)
-        for class_ts, class_ells in lifted[start : j + 1]:
+        # Row-major over the window's classes, the first class outermost, so a
+        # window that starts where the last one did extends its block.
+        fresh = not j or start != starts[j - 1]
+        ts, ells = np.array([[prefix[start]], [0]], dtype=np.int64) if fresh else blocks[-1]
+        for class_ts, class_ells in lifted[start if fresh else j : j + 1]:
             ts = (ts[:, None] | class_ts).ravel()
             ells = (ells[:, None] + class_ells).ravel()
         blocks.append((ts, ells))
-    entries = np.stack([np.concatenate(cols) for cols in zip(*blocks)], axis=1)
+    entries = np.stack([np.concatenate(cols) for cols in zip(*blocks)])
     schedule.update(
         class_family_sizes=dict(zip(part.index_set, sizes)),
         starts={k: part.index_set[start] for k, start in zip(part.index_set, starts)},
     )
-    return entries[_first_seen(*entries.T)[0]], schedule
+    return entries.take(_distinct(*entries), axis=1), schedule
 
 
 def _covering_schedule(alpha: float, n: int, mode: str) -> tuple[float, float]:
@@ -283,19 +269,17 @@ def build_weighted_covering(
     _check_factors(strict=True, alpha=alpha)
     n = len(weights)
     if n == 0:
-        fam = CoveringFamily(universe_size=0, alpha=alpha, sets=[0])
+        fam = CoveringFamily._built(0, alpha, columns=[[0]])
         return WeightedFamilyReport(family=fam, schedule={"delta": 0.0, "inner": alpha})
     delta, beta = _covering_schedule(alpha, n, mode)
-    entries, schedule = _combine_classes(
-        weights,
-        delta,
-        beta,
-        alpha,
-        lambda m: _unweighted_covering_cached(m, beta, cap),
-        cap,
-        mode=mode,
+    _check_word(n)
+    part = partition_by_weight(weights, delta)
+    starts, spread = _window_starts(weights, part, alpha, beta)
+    schedule = {"delta": delta, "inner": beta, "gamma": part.gamma, "spread": spread, "mode": mode}
+    entries, schedule = _combine(
+        part, starts, lambda m: _unweighted_covering_cached(m, beta, cap), cap, schedule
     )
-    fam = CoveringFamily(universe_size=n, alpha=alpha, sets=entries[:, 0])
+    fam = CoveringFamily._built(n, alpha, columns=entries[:1])
     return WeightedFamilyReport(family=fam, schedule=schedule)
 
 
@@ -379,7 +363,7 @@ def build_weighted_extension(
     _check_factors(0.0, strict=True, eps=eps)
     n = len(weights)
     if n == 0:
-        fam = ExtensionFamily(universe_size=0, alpha=alpha, beta=beta, entries=[(0, 0)])
+        fam = ExtensionFamily._built(0, alpha, beta, columns=[[0], [0]])
         return WeightedFamilyReport(
             family=fam, schedule={"delta": 0.0, "inner": beta}, cost_log=0.0
         )
@@ -407,7 +391,7 @@ def build_weighted_extension(
             "eps": eps, "paper_inner": paper, "predicted": predicted,
         },
     )
-    fam = ExtensionFamily(universe_size=n, alpha=alpha, beta=beta, entries=entries)
+    fam = ExtensionFamily._built(n, alpha, beta, columns=entries)
     return WeightedFamilyReport(
         family=fam, schedule=schedule, cost_log=families.family_cost(fam, c)
     )

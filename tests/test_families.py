@@ -325,8 +325,8 @@ class TestExtensionCost:
         # Layer 1 asks for the empty set with budget 1: its one pick costs c
         # against the C(4, 1) = 4 singletons, which replace it once c >= 4.
         entries = families._layered(4, lambda s: (0, 1) if s == 1 else (s, 0), cap=20, c=c)
-        assert ([0, 1] in entries.tolist()) == kept
-        assert len(entries) == (13 if kept else 16)
+        assert ([0, 1] in entries.T.tolist()) == kept
+        assert entries.shape[1] == (13 if kept else 16)
 
 
 class TestSubsetSums:
@@ -544,6 +544,17 @@ class TestLogCostOrder:
     def test_empty(self):
         assert log_cost([], 2.0) == -math.inf
 
+    @pytest.mark.parametrize("c", [1.0, 2.0, 17.25])
+    def test_budgets_past_the_word(self, c):
+        # A ledger may record any budget; these outgrow a table read by ell.
+        ells = [0, 70, 1 << 40, 70, 3, (1 << 63) - 1, 0]
+        assert log_cost(ells, c) == _left_to_right_cost(ells, c)
+
+    @pytest.mark.parametrize("ells", [[-1], [0, 3, -7, 2]])
+    def test_negative_budget_named(self, ells):
+        with pytest.raises(ValueError, match=f"^budgets must be >= 0, got {min(ells)}$"):
+            log_cost(ells, 2.0)
+
     @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, 0.5])
     @pytest.mark.parametrize("ells", [[], [0, 2]])
     def test_bad_c_named(self, c, ells):
@@ -654,6 +665,11 @@ class TestDumpParse:
             ExtensionFamily(
                 universe_size=2, alpha=1.0, beta=1.5, entries=[(1, 0), (1, 0)]
             )
+
+    def test_first_repeat_by_index_named(self):
+        # (0x1, 0) comes first and repeats too, but (0x2, 0) repeats first.
+        with pytest.raises(ValueError, match=r"^duplicate entry \(0x2, 0\)$"):
+            ExtensionFamily(2, 1.0, 1.5, [(1, 0), (2, 0), (2, 0), (1, 0)])
 
 
 @pytest.mark.parametrize(
@@ -795,4 +811,4 @@ class TestZeroStartGain:
         entries = families._layered(3, lambda s: (0, 0), cap=20)
         popcount = [m.bit_count() for m in range(8)]
         want = [[m, 0] for s in range(4) for m in range(8) if popcount[m] == s]
-        assert entries.tolist() == want
+        assert entries.T.tolist() == want

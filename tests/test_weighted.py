@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 from wamls import bounds, weighted
 from wamls.families import (
     DEFAULT_CAP,
+    CoveringFamily,
+    ExtensionFamily,
     ResourceCapError,
+    build_unweighted_covering,
     build_unweighted_extension,
     dump_family,
     family_cost,
+    parse_family,
     verify_covering,
     verify_extension,
 )
@@ -78,8 +82,8 @@ class TestPartition:
 
 
 def hand_built(per_class):
-    """inner(m) for _combine_classes: the j-th call returns per_class[j], a
-    list of class-local (T, ell) pairs, as int64 columns."""
+    """inner(m) for _combine: the j-th call returns per_class[j], a list of
+    class-local (T, ell) pairs, as int64 columns."""
     calls = iter(per_class)
 
     def inner(m):
@@ -90,12 +94,15 @@ def hand_built(per_class):
 
 
 def combine(weights, delta, target, per_class):
-    """weighted._combine_classes at inner target 1.5 over hand-built class
-    families, as a list of pairs, and the schedule."""
-    entries, schedule = weighted._combine_classes(
-        weights, delta, 1.5, target, hand_built(per_class), DEFAULT_CAP
+    """weighted._combine at inner target 1.5 over hand-built class families,
+    with the windows of weighted._window_starts, as a list of pairs, and the
+    schedule: the spread R, then _combine's entries."""
+    part = partition_by_weight(weights, delta)
+    starts, spread = weighted._window_starts(weights, part, target, 1.5)
+    entries, schedule = weighted._combine(
+        part, starts, hand_built(per_class), DEFAULT_CAP, {"spread": spread}
     )
-    return [tuple(row) for row in entries.tolist()], schedule
+    return [tuple(row) for row in entries.T.tolist()], schedule
 
 
 class TestCombineBlocks:
@@ -480,6 +487,35 @@ class TestArrayCombination:
         assert rep.schedule["starts"] == dict.fromkeys(range(48, 56), 48)
         assert len(rep.family.entries) == 2**8
 
+    @pytest.mark.parametrize(
+        ("weights", "beta", "starts"),
+        [
+            # The test_family_size_cap weights: windows 48..55 share start
+            # 48 and windows 56..59 start at 49, so each extends the block
+            # of the window before it.
+            (
+                [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299],
+                1.5,
+                dict.fromkeys(range(48, 56), 48) | dict.fromkeys(range(56, 60), 49),
+            ),
+            # Weights 1, 3, ..., 243: every window starts at its own class.
+            ([3**k for k in range(6)], 1.9, {0: 0, 7: 7, 15: 15, 22: 22, 30: 30, 38: 38}),
+        ],
+        ids=["shared-starts", "own-starts"],
+    )
+    def test_window_starts_match_naive(self, weights, beta, starts):
+        rep = build_weighted_extension(weights, 1.0, 2.0, beta)
+        assert rep.schedule["starts"] == starts
+        zeta = rep.schedule["inner"]
+        naive = naive_combination(
+            weights,
+            rep.schedule["delta"],
+            beta,
+            zeta,
+            lambda m: weighted._unweighted_extension_cached(m, 1.0, 2.0, zeta, DEFAULT_CAP)[:2],
+        )
+        assert rep.family.entries == naive
+
     @pytest.mark.parametrize("weights", [[1] * 64, [2**k for k in range(64)]])
     def test_more_than_63_elements_refused(self, weights):
         # Geometric weights put one element in each class, under the class cap.
@@ -541,6 +577,48 @@ class TestWeightedCovering:
 def test_non_finite_factor_named(build, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         build(*args)
+
+
+EXTENSION_FACTORS = st.sampled_from([(1.0, 2.0, 1.5), (2.0, 1.0, 1.9), (1.0, 3.0, 1.2)])
+COVERING_FACTORS = st.tuples(st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from(["fixed", "schedule"]))
+WEIGHTS_1_100 = st.lists(st.integers(1, 100), max_size=10)  # n = 0 included
+
+# A family from every builder: unweighted covering and extension, weighted
+# covering and extension, and uniform weights.
+BUILT_FAMILIES = st.one_of(
+    st.builds(build_unweighted_covering, st.integers(0, 8), st.sampled_from([1.5, 2.0, 3.0])),
+    st.builds(lambda n, f: build_unweighted_extension(n, *f), st.integers(0, 8), EXTENSION_FACTORS),
+    st.builds(
+        lambda w, f: build_weighted_covering(w, f[0], mode=f[1]).family,
+        WEIGHTS_1_100,
+        COVERING_FACTORS,
+    ),
+    st.builds(lambda w, f: build_weighted_extension(w, *f).family, WEIGHTS_1_100, EXTENSION_FACTORS),
+    st.builds(
+        lambda w, n, f: build_weighted_extension([w] * n, *f).family,
+        st.integers(1, 100),
+        st.integers(1, 10),
+        EXTENSION_FACTORS,
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(fam=BUILT_FAMILIES)
+def test_built_family_passes_the_public_checks(fam):
+    """Builders skip the entry checks; each family they hand over is one the
+    checked public constructor and parse_family accept unchanged."""
+    if isinstance(fam, CoveringFamily):
+        columns = [fam.ts]
+        checked = CoveringFamily(fam.universe_size, fam.alpha, fam.sets)
+    else:
+        columns = [fam.ts, fam.ells]
+        checked = ExtensionFamily(fam.universe_size, fam.alpha, fam.beta, fam.entries)
+    assert fam == checked
+    assert parse_family(dump_family(fam)) == fam
+    for col in columns:
+        assert col.dtype == np.int64
+        assert col.flags.c_contiguous and not col.flags.writeable
 
 
 class TestWeightedExtension:
