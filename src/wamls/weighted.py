@@ -21,33 +21,36 @@ The test is decided in exact integer arithmetic, so rounding never admits a
 prefix that fails it.  Each window is one slice of the sorted occupied
 indices, and W_k is the running OR of the class masks before that slice.
 
-Covering splits alpha = (1 + delta) * zeta (_covering_schedule).  Extension
-keeps the paper's split delta = beta/zeta' - 1, zeta' from
-_select_inner_beta, so there is one partition, but builds its classes at
-the candidate zeta of least predicted cost (_choose_inner): the argument
-above needs only R*zeta <= B and class families built at the zeta of the
-test.  At zeta', B - R*zeta' > (delta/2) * zeta', so the paper's window
-[k - d, k], with d = ceil((2/delta) * log2(2n/delta)), has a prefix that
-passes the same test: each of zeta''s windows is a suffix of the paper's,
-and the chosen family costs at most zeta''s before deduplication.
+Both builders take one path, _build: partition, choose the inner target
+among the builder's ordered candidates (_choose_inner), combine the windows
+(_combine) and assemble the schedule; the argument above needs only
+R*zeta <= B and class families built at the zeta of the test.  Covering
+splits alpha = (1 + delta) * zeta (_covering_schedule) and passes that zeta
+alone, unscored.  Its fixed split, zeta = (alpha+1)/2 and delta =
+(alpha-1)/(alpha+1), is the extension walk's fallback zeta'_1 = (1 + B)/2
+at B = alpha.  Extension keeps the paper's split delta = beta/zeta' - 1,
+zeta' from _select_inner_beta, and passes zeta', then the ladder zeta_j,
+building at the first of least predicted cost.  At zeta', B - R*zeta' >
+(delta/2) * zeta', so the paper's window [k - d, k], d = ceil((2/delta) *
+log2(2n/delta)), has a prefix that passes the same test: each of zeta''s
+windows is a suffix of the paper's, and the chosen family costs at most
+zeta''s before deduplication.
 
 Uniform extension weights skip the rounding: scaled by its one weight, an
 S meets both inequalities exactly when it meets them under unit weights,
 so the unweighted family built at beta itself is valid as it is, with
 Esmer et al.'s unweighted guarantee.  It is not compared with a zeta family.
 
-Covering families are combined as the budget-0 case: each class's covering
-sets enter as (T, 0) entries, so one routine, _combine, lifts, combines and
-deduplicates for both builders.  It works on the int64 ts and ells columns
-of the class families: a block is a broadcast OR of the T masks and a
-broadcast sum of the budgets, class by class, row-major with the first class
-outermost, so a window that starts where the last one did extends its block
-by one class.  The blocks are deduplicated once, in first-seen order with
-one stable np.lexsort, and handed to families._Family._built.  So both
-builders refuse n > 63, and a family of more than 2^cap entries before
-deduplication, with ResourceCapError.  The uniform path refuses n > 63 and
-n > cap the same way; a family on n <= cap elements holds at most 2^n
-entries.
+Covering's class families enter _combine as budget-0 (T, 0) entries.
+_combine works on the int64 ts and ells columns of the class families: a
+block is a broadcast OR of the T masks and a broadcast sum of the budgets,
+class by class, row-major with the first class outermost, so a window that
+starts where the last one did extends its block by one class.  The blocks
+are deduplicated once, in first-seen order with one stable np.lexsort, and
+handed to families._Family._built.  So both builders refuse n > 63, and a
+family of more than 2^cap entries before deduplication, with
+ResourceCapError.  The uniform path refuses n > 63 and n > cap the same
+way; a family on n <= cap elements holds at most 2^n entries.
 """
 
 from __future__ import annotations
@@ -128,12 +131,11 @@ def _class_weights(weights, part: WeightClassPartition):
     """The occupied classes in exact integers: each one's lightest weight,
     the running totals of the classes, and the spread R as (top, low).
 
-    The weights are scaled to integers by their common denominator; the
-    window test is homogeneous in them.
+    The weights are scaled to integers by their common denominator, each
+    read exactly (numpy floats too); the window test is homogeneous in them.
     """
     ratios = [
-        w.as_integer_ratio() if isinstance(w, (int, float)) else Fraction(w).as_integer_ratio()
-        for w in weights
+        (w if hasattr(w, "as_integer_ratio") else Fraction(w)).as_integer_ratio() for w in weights
     ]
     scale = math.lcm(*(q for _, q in ratios))
     exact = [int(p) * (scale // int(q)) for p, q in ratios]  # Python ints, whatever w was
@@ -158,13 +160,6 @@ def _starts(lows, totals, slack: tuple[int, int]) -> list[int]:
     the bound is floored against the integer totals, so the test is exact."""
     num, den = slack
     return [bisect_right(totals, num * lo // den, 1, j + 1) - 1 for j, lo in enumerate(lows)]
-
-
-def _window_starts(weights, part: WeightClassPartition, target: float, zeta: float):
-    """Each window's start, as a position in part.index_set, and the spread R,
-    for the slack target - R*zeta, decided exactly."""
-    lows, totals, spread = _class_weights(weights, part)
-    return _starts(lows, totals, _slack(spread, target, zeta)), spread[0] / spread[1]
 
 
 # A solve with a fresh target factor never hits these caches, so a large
@@ -198,15 +193,14 @@ def _layered_cached(n: int, shapes: tuple, c: float, cap: int) -> tuple:
     return *columns, families.log_cost(columns[1], c)
 
 
-def _combine(part: WeightClassPartition, starts, inner, cap: int, schedule: dict):
+def _combine(part: WeightClassPartition, starts, inner, cap: int):
     """Lift each class's family, combine the windows and deduplicate.
 
     inner(m) gives the (T, ell) columns of the unweighted family on m
     elements, and window j holds the classes starts[j]..j.  Returns the
     entries, in first-seen order over the occupied indices, as (2, N) int64
-    (T, ell) columns, and the schedule with each class's family size and the
-    class where each window starts added.  A family whose blocks hold more
-    than 2^cap entries before deduplication is refused.
+    (T, ell) columns, and each class's family size.  A family whose blocks
+    hold more than 2^cap entries before deduplication is refused.
     """
     lifted, prefix = [], [0]  # each class's (T, ell) columns; the running OR
     for i in part.index_set:
@@ -229,11 +223,57 @@ def _combine(part: WeightClassPartition, starts, inner, cap: int, schedule: dict
             ells = (ells[:, None] + class_ells).ravel()
         blocks.append((ts, ells))
     entries = np.stack([np.concatenate(cols) for cols in zip(*blocks)])
-    schedule.update(
-        class_family_sizes=dict(zip(part.index_set, sizes)),
-        starts={k: part.index_set[start] for k, start in zip(part.index_set, starts)},
-    )
-    return entries.take(_distinct(*entries), axis=1), schedule
+    return entries.take(_distinct(*entries), axis=1), sizes
+
+
+def _build(weights, delta: float, target: float, candidates, inner, cap: int, **own):
+    """Both builders' path: partition at delta, choose the inner target, and
+    return its combined entries and the schedule: delta, inner, gamma, spread,
+    the builder's own keys, predicted when candidates were scored, each
+    class's family size and the class where each window starts."""
+    part = partition_by_weight(weights, delta)
+    zeta, starts, spread, predicted = _choose_inner(weights, part, target, candidates, inner)
+    entries, sizes = _combine(part, starts, lambda m: inner(m, zeta)[:2], cap)
+    schedule = {"delta": delta, "inner": zeta, "gamma": part.gamma, "spread": spread, **own}
+    if predicted:
+        schedule["predicted"] = predicted
+    schedule["class_family_sizes"] = dict(zip(part.index_set, sizes))
+    schedule["starts"] = {k: part.index_set[start] for k, start in zip(part.index_set, starts)}
+    return entries, schedule
+
+
+def _choose_inner(weights, part: WeightClassPartition, target: float, candidates, inner):
+    """The inner target of least predicted cost, its window starts, the
+    spread R and each scored candidate's predicted ln cost.
+
+    inner(m, zeta)[2] is the ln cost ln sum(c^ell) of the class family on m
+    elements at zeta.  A window's family is the product of its classes'
+    families under one prefix, so before deduplication it costs the product
+    of their costs C_i, and the family the sum of its windows' products:
+    ln sum_k prod_{i in window k} C_i.  A candidate with R*zeta > target is
+    skipped, by the exact test of the windows, except the first, which the
+    split target = (1 + delta) * zeta and R < gamma keep below target.  The
+    first candidate of least predicted cost wins, so the chosen family costs
+    at most the first's before deduplication, and deduplication only lowers
+    it.  A lone candidate is not scored, and predicted is then empty.
+    """
+    lows, totals, spread = _class_weights(weights, part)
+    sizes = [len(part.classes[i]) for i in part.index_set]
+    best, predicted = None, {}
+    for zeta in candidates:
+        slack = _slack(spread, target, zeta)
+        if best and slack[0] < 0:
+            continue
+        starts = _starts(lows, totals, slack)
+        if len(candidates) > 1:
+            cost = {m: inner(m, zeta)[2] for m in set(sizes)}
+            logs = list(accumulate((cost[m] for m in sizes), initial=0.0))
+            windows = [logs[j + 1] - logs[s] for j, s in enumerate(starts)]
+            top = max(windows)
+            predicted[zeta] = top + math.log(sum([math.exp(w - top) for w in windows]))
+        if not best or predicted[zeta] < predicted[best[0]]:
+            best = zeta, starts
+    return *best, spread[0] / spread[1], predicted
 
 
 def _covering_schedule(alpha: float, n: int, mode: str) -> tuple[float, float]:
@@ -273,12 +313,8 @@ def build_weighted_covering(
         return WeightedFamilyReport(family=fam, schedule={"delta": 0.0, "inner": alpha})
     delta, beta = _covering_schedule(alpha, n, mode)
     _check_word(n)
-    part = partition_by_weight(weights, delta)
-    starts, spread = _window_starts(weights, part, alpha, beta)
-    schedule = {"delta": delta, "inner": beta, "gamma": part.gamma, "spread": spread, "mode": mode}
-    entries, schedule = _combine(
-        part, starts, lambda m: _unweighted_covering_cached(m, beta, cap), cap, schedule
-    )
+    inner = lambda m, zeta: _unweighted_covering_cached(m, zeta, cap)
+    entries, schedule = _build(weights, delta, alpha, [beta], inner, cap, mode=mode)
     fam = CoveringFamily._built(n, alpha, columns=entries[:1])
     return WeightedFamilyReport(family=fam, schedule=schedule)
 
@@ -289,6 +325,11 @@ _TIE = 2 * bounds.BoundParams.precision
 # Tolerances of the coarse searches a test of the inner target tries, loosest
 # first, before the full-precision values decide it.
 _RUNGS = (1e-2, bounds._COARSE_TOL)
+
+
+def _ladder(beta: float, j: int) -> float:
+    """The inner-target probe zeta_j = 1 + (beta - 1) * 2^-j."""
+    return 1.0 + (beta - 1.0) * 2.0**-j
 
 
 def _amls(alpha: float, c: float, beta: float) -> float:
@@ -331,15 +372,11 @@ def _select_inner_beta(alpha: float, c: float, beta: float, eps: float) -> float
 
     chosen = (1.0 + beta) / 2.0
     for j in range(2, 21):
-        zeta = 1.0 + (beta - 1.0) * 2.0**-j
+        zeta = _ladder(beta, j)
         if zeta <= beta / 2.0 or zeta <= 1.0 or not within(zeta):
             break
         chosen = zeta
     return chosen
-
-
-# The inner-target candidates beside the paper's: zeta_j = 1 + (beta - 1) * 2^-j.
-_CANDIDATES = range(1, 8)
 
 
 def build_weighted_extension(
@@ -379,52 +416,14 @@ def build_weighted_extension(
             family=fam, schedule=schedule, cost_log=families.family_cost(fam, c)
         )
     paper = _select_inner_beta(alpha, c, beta, eps)
-    part = partition_by_weight(weights, beta / paper - 1.0)
-    zeta, starts, spread, predicted = _choose_inner(weights, part, alpha, c, beta, paper, cap)
-    entries, schedule = _combine(
-        part,
-        starts,
-        lambda m: _unweighted_extension_cached(m, alpha, c, zeta, cap)[:2],
-        cap,
-        {
-            "delta": part.delta, "inner": zeta, "gamma": part.gamma, "spread": spread,
-            "eps": eps, "paper_inner": paper, "predicted": predicted,
-        },
+    zetas = (_ladder(beta, j) for j in range(1, 8))
+    candidates = list(dict.fromkeys([paper, *(z for z in zetas if z > 1.0)]))
+    inner = lambda m, zeta: _unweighted_extension_cached(m, alpha, c, zeta, cap)
+    entries, schedule = _build(
+        weights, beta / paper - 1.0, beta, candidates, inner, cap, eps=eps, paper_inner=paper
     )
     fam = ExtensionFamily._built(n, alpha, beta, columns=entries)
     return WeightedFamilyReport(
         family=fam, schedule=schedule, cost_log=families.family_cost(fam, c)
     )
 
-
-def _choose_inner(weights, part, alpha: float, c: float, beta: float, paper: float, cap: int):
-    """The inner target of least predicted cost, its window starts, the
-    spread R and every scored candidate's predicted ln cost.
-
-    The candidates are the paper's zeta' first, then zeta_j for j in
-    _CANDIDATES.  A window's family is the product of its classes' families
-    under one prefix, so before deduplication it costs the product of their
-    costs C_i = sum(c^ell), and the family the sum of its windows' products:
-    ln sum_k prod_{i in window k} C_i, from the cached class families.  A
-    candidate with R*zeta > beta is skipped, by the exact test of the
-    windows; zeta' never is, since R < gamma = 1 + delta/2.  The first
-    candidate of least predicted cost wins, so the chosen family costs at
-    most the paper's before deduplication, and deduplication only lowers it.
-    """
-    lows, totals, spread = _class_weights(weights, part)
-    sizes = [len(part.classes[i]) for i in part.index_set]
-    zetas = (1.0 + (beta - 1.0) * 2.0**-j for j in _CANDIDATES)
-    best, predicted = None, {}
-    for zeta in dict.fromkeys([paper, *(z for z in zetas if z > 1.0)]):
-        slack = _slack(spread, beta, zeta)
-        if slack[0] < 0 and zeta != paper:
-            continue
-        cost = {m: _unweighted_extension_cached(m, alpha, c, zeta, cap)[2] for m in set(sizes)}
-        logs = list(accumulate((cost[m] for m in sizes), initial=0.0))
-        starts = _starts(lows, totals, slack)
-        windows = [logs[j + 1] - logs[s] for j, s in enumerate(starts)]
-        top = max(windows)
-        predicted[zeta] = top + math.log(sum([math.exp(w - top) for w in windows]))
-        if best is None or predicted[zeta] < predicted[best[0]]:
-            best = zeta, starts
-    return *best, spread[0] / spread[1], predicted

@@ -82,8 +82,8 @@ class TestPartition:
 
 
 def hand_built(per_class):
-    """inner(m) for _combine: the j-th call returns per_class[j], a list of
-    class-local (T, ell) pairs, as int64 columns."""
+    """inner(m) for the class combination: the j-th call returns
+    per_class[j], a list of class-local (T, ell) pairs, as int64 columns."""
     calls = iter(per_class)
 
     def inner(m):
@@ -93,15 +93,29 @@ def hand_built(per_class):
     return inner
 
 
-def combine(weights, delta, target, per_class):
-    """weighted._combine at inner target 1.5 over hand-built class families,
-    with the windows of weighted._window_starts, as a list of pairs, and the
-    schedule: the spread R, then _combine's entries."""
-    part = partition_by_weight(weights, delta)
-    starts, spread = weighted._window_starts(weights, part, target, 1.5)
-    entries, schedule = weighted._combine(
-        part, starts, hand_built(per_class), DEFAULT_CAP, {"spread": spread}
+def unscored(m, zeta):
+    """inner(m, zeta) for a lone candidate, which _choose_inner never scores."""
+    raise AssertionError(f"a lone candidate {zeta} was scored at m = {m}")
+
+
+def windows(weights, part, target, zeta):
+    """The window starts, as positions in part.index_set, and the spread R
+    that weighted._choose_inner gives its lone candidate zeta."""
+    chosen, starts, spread, predicted = weighted._choose_inner(
+        weights, part, target, [zeta], unscored
     )
+    assert (chosen, predicted) == (zeta, {})
+    return starts, spread
+
+
+def combine(weights, delta, target, per_class):
+    """weighted._build at the lone inner target 1.5 over hand-built class
+    families, as a list of pairs, and its schedule."""
+    inner = hand_built(per_class)
+    entries, schedule = weighted._build(
+        weights, delta, target, [1.5], lambda m, zeta: inner(m), DEFAULT_CAP
+    )
+    assert list(schedule)[:4] == ["delta", "inner", "gamma", "spread"]
     return [tuple(row) for row in entries.T.tolist()], schedule
 
 
@@ -285,7 +299,7 @@ class TestClassWindows:
         s = data.draw(st.integers(0, j))
         tie = float(spread * Fraction(zeta) + sum(map(sum, groups[:s])) / min(groups[j]))
         for target in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
-            starts, got_spread = weighted._window_starts(weights, part, target, zeta)
+            starts, got_spread = windows(weights, part, target, zeta)
             want_spread, want = exact_windows(weights, part, target, zeta)
             assert got_spread == float(want_spread)
             assert dict(zip(part.index_set, (part.index_set[i] for i in starts))) == want
@@ -299,9 +313,9 @@ class TestClassWindows:
         part = partition_by_weight(weights, 0.9)
         target = 2.017467949140497
         assert 189368 <= (target - 52 / 46 * 1.25) * 313303
-        assert weighted._window_starts(weights, part, target, 1.25)[0] == [0, 1, 1]
+        assert windows(weights, part, target, 1.25)[0] == [0, 1, 1]
         above = math.nextafter(target, 3.0)
-        assert weighted._window_starts(weights, part, above, 1.25)[0] == [0, 1, 2]
+        assert windows(weights, part, above, 1.25)[0] == [0, 1, 2]
 
     @settings(max_examples=40, deadline=None)
     @given(weights=st.one_of(WEIGHT_LISTS, FLOAT_WEIGHTS), spec=BUILDS)
@@ -313,12 +327,27 @@ class TestClassWindows:
             assert verify_extension(rep.family, weights).ok
 
     def test_numpy_weights_match_list(self):
-        # numpy integers have no as_integer_ratio, so they go through Fraction.
-        weights = [1, 3, 9, 27, 81, 243, 5, 50]
-        want = build_weighted_extension(weights, 1.0, 2.0, 1.9)
-        got = build_weighted_extension(np.array(weights), 1.0, 2.0, 1.9)
-        assert got.schedule == want.schedule
-        assert got.family.entries == want.family.entries
+        builds = [
+            lambda w: build_weighted_extension(w, 1.0, 2.0, 1.9),
+            lambda w: build_weighted_covering(w, 2.0),
+            lambda w: build_weighted_covering(w, 2.0, mode="schedule"),
+        ]
+        floats = [1.5, 2.0, 7.0, 3.3, 100.1, 1.05]
+        for weights, dtype in [
+            # numpy integers have no as_integer_ratio, so they go through Fraction.
+            ([1, 3, 9, 27, 81, 243, 5, 50], np.int64),
+            # numpy float16 and float32 are no Python floats, and Fraction
+            # refuses them; each is read exactly as the float it converts to.
+            (floats, np.float32),
+            (floats, np.float16),
+        ]:
+            array = np.array(weights, dtype=dtype)
+            for build in builds:
+                want = build(array.tolist())
+                got = build(array)
+                assert got.schedule == want.schedule
+                assert got.family == want.family
+                assert got.cost_log == want.cost_log
 
     def test_unit_weights_one_window(self):
         # One class: its window starts at 0, whatever the slack.
@@ -444,9 +473,14 @@ class TestArrayCombination:
         assert rep.family.entries == naive
 
     @settings(max_examples=60, deadline=None)
-    @given(weights=WEIGHT_LISTS, alpha=st.sampled_from([1.5, 2.0, 3.0]))
-    def test_covering_matches_naive(self, weights, alpha):
-        rep = build_weighted_covering(weights, alpha)
+    @given(
+        weights=WEIGHT_LISTS,
+        alpha=st.sampled_from([1.5, 2.0, 3.0]),
+        mode=st.sampled_from(["fixed", "schedule"]),
+    )
+    def test_covering_matches_naive(self, weights, alpha, mode):
+        rep = build_weighted_covering(weights, alpha, mode=mode)
+        assert "predicted" not in rep.schedule  # a lone inner target is not scored
         inner = rep.schedule["inner"]
         naive = naive_combination(
             weights,
@@ -488,33 +522,73 @@ class TestArrayCombination:
         assert len(rep.family.entries) == 2**8
 
     @pytest.mark.parametrize(
-        ("weights", "beta", "starts"),
+        ("weights", "spec", "starts"),
         [
-            # The test_family_size_cap weights: windows 48..55 share start
-            # 48 and windows 56..59 start at 49, so each extends the block
-            # of the window before it.
+            # The test_family_size_cap weights: extension windows 48..55
+            # share start 48 and windows 56..59 start at 49, so each extends
+            # the block of the window before it.
             (
                 [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299],
-                1.5,
+                (build_weighted_extension, (1.0, 2.0, 1.5)),
                 dict.fromkeys(range(48, 56), 48) | dict.fromkeys(range(56, 60), 49),
             ),
             # Weights 1, 3, ..., 243: every window starts at its own class.
-            ([3**k for k in range(6)], 1.9, {0: 0, 7: 7, 15: 15, 22: 22, 30: 30, 38: 38}),
+            (
+                [3**k for k in range(6)],
+                (build_weighted_extension, (1.0, 2.0, 1.9)),
+                {0: 0, 7: 7, 15: 15, 22: 22, 30: 30, 38: 38},
+            ),
+            # Covering at alpha = 1.5 on the test_family_size_cap weights: in
+            # fixed mode every window starts at class 48, in schedule mode
+            # (delta 0.228) at class 43.
+            (
+                [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299],
+                (build_weighted_covering, (1.5, "fixed")),
+                dict.fromkeys(range(48, 60), 48),
+            ),
+            (
+                [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299],
+                (build_weighted_covering, (1.5, "schedule")),
+                dict.fromkeys(range(43, 53), 43),
+            ),
+            # Covering at alpha = 2 on weights 1, 3, ..., 243: fixed mode
+            # (slack 0.5) starts every window at its own class; schedule
+            # mode (inner 1.61, slack 0.39) starts windows 9 and 19 at 9,
+            # so window 19 extends window 9's block, and each later window
+            # one occupied class back.
+            (
+                [3**k for k in range(6)],
+                (build_weighted_covering, (2.0, "fixed")),
+                {0: 0, 7: 7, 14: 14, 21: 21, 28: 28, 35: 35},
+            ),
+            (
+                [3**k for k in range(6)],
+                (build_weighted_covering, (2.0, "schedule")),
+                {0: 0, 9: 9, 19: 9, 29: 19, 38: 29, 48: 38},
+            ),
         ],
-        ids=["shared-starts", "own-starts"],
+        ids=[
+            "shared-starts",
+            "own-starts",
+            "covering-fixed-shared-starts",
+            "covering-schedule-shared-starts",
+            "covering-fixed-own-starts",
+            "covering-schedule-mixed-starts",
+        ],
     )
-    def test_window_starts_match_naive(self, weights, beta, starts):
-        rep = build_weighted_extension(weights, 1.0, 2.0, beta)
+    def test_window_starts_match_naive(self, weights, spec, starts):
+        rep, target = build_with_target(weights, spec)
         assert rep.schedule["starts"] == starts
         zeta = rep.schedule["inner"]
-        naive = naive_combination(
-            weights,
-            rep.schedule["delta"],
-            beta,
-            zeta,
-            lambda m: weighted._unweighted_extension_cached(m, 1.0, 2.0, zeta, DEFAULT_CAP)[:2],
-        )
-        assert rep.family.entries == naive
+        if spec[0] is build_weighted_covering:
+            got = [(t, 0) for t in rep.family.sets]
+            inner = lambda m: weighted._unweighted_covering_cached(m, zeta, DEFAULT_CAP)
+        else:
+            got = rep.family.entries
+            alpha, c, _ = spec[1]
+            cached = weighted._unweighted_extension_cached
+            inner = lambda m: cached(m, alpha, c, zeta, DEFAULT_CAP)[:2]
+        assert got == naive_combination(weights, rep.schedule["delta"], target, zeta, inner)
 
     @pytest.mark.parametrize("weights", [[1] * 64, [2**k for k in range(64)]])
     def test_more_than_63_elements_refused(self, weights):
