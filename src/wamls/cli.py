@@ -106,9 +106,7 @@ def cmd_family(args) -> int:
     weights = _load_weights(args)
     if args.action == "build":
         if args.kind == "covering":
-            rep = weighted.build_weighted_covering(
-                weights, args.alpha, mode=args.mode, cap=cap
-            )
+            rep = weighted.build_weighted_covering(weights, args.alpha, cap=cap)
         else:
             rep = weighted.build_weighted_extension(
                 weights, args.alpha, args.c, args.beta, eps=args.eps, cap=cap
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--c", type=float, default=1.0)
     f.add_argument("--beta", type=float, default=1.5)
     f.add_argument("--eps", type=float, default=0.05)
-    f.add_argument("--mode", choices=("fixed", "schedule"), default="fixed")
     f.add_argument("--dump", help="family dump to verify")
     f.add_argument("--out", help="dump output path for build")
     f.add_argument("--max-n", type=int, help="enumeration cap override")
@@ -236,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, default=2.0, help="membership target factor")
     s.add_argument("--beta", type=float, default=1.5, help="extension target factor")
     s.add_argument("--eps", type=float, default=0.05)
-    s.add_argument("--mode", choices=("fixed", "schedule", "exhaustive"), default="fixed")
+    s.add_argument("--mode", choices=("covering", "exhaustive"), default="covering")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--force", action="store_true", help="allow oracle alpha > beta")
     s.add_argument("--report", help="write the run report JSON here")

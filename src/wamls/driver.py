@@ -91,26 +91,27 @@ def _report(instance: Instance, solutions: np.ndarray, **run) -> RunReport:
 def approximate_membership(
     instance: Instance,
     alpha: float,
-    mode: str = "fixed",
+    mode: str = "covering",
     eps: float = 1e-3,
     cap: int = DEFAULT_CAP,
     seed: int | None = None,
 ) -> RunReport:
     """Membership-model alpha-approximation via a weighted covering family.
 
-    mode "exhaustive" scans all 2^n subsets (the exact degenerate case);
-    "fixed"/"schedule" select the weight-rounding split accordingly.
+    mode "covering" scans build_weighted_covering's family, whose inner
+    target is chosen by its predicted cost; "exhaustive" scans all 2^n
+    subsets (the exact degenerate case).
     """
     _check_factors(alpha=alpha)
     _check_factors(0.0, strict=True, eps=eps)
     _check_int64(instance)
+    if mode not in ("covering", "exhaustive"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
         ok = membership_table(instance, cap)
         family_size, solutions = ok.size, np.flatnonzero(ok)
     else:
-        sets = weighted.build_weighted_covering(
-            list(instance.weights), alpha, mode=mode, cap=cap
-        ).family.ts
+        sets = weighted.build_weighted_covering(list(instance.weights), alpha, cap=cap).family.ts
         family_size, solutions = sets.size, sets[membership_many(instance, sets)]
     # U is in every covering family and every system, so a solution exists.
     return _report(

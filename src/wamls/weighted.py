@@ -21,25 +21,24 @@ The test is decided in exact integer arithmetic, so rounding never admits a
 prefix that fails it.  Each window is one slice of the sorted occupied
 indices, and W_k is the running OR of the class masks before that slice.
 
-Both builders take one path, _build: partition, choose the inner target
-among the builder's ordered candidates (_choose_inner), combine the windows
+Both builders take one path, _build: partition, score the builder's
+ordered candidates for the inner target by the cost of their blocks before
+deduplication (_choose_inner), combine the windows of the first cheapest
 (_combine) and assemble the schedule; the argument above needs only
 R*zeta <= B and class families built at the zeta of the test.  Covering
-splits alpha = (1 + delta) * zeta (_covering_schedule) and passes that zeta
-alone, unscored.  Its fixed split, zeta = (alpha+1)/2 and delta =
-(alpha-1)/(alpha+1), is the extension walk's fallback zeta'_1 = (1 + B)/2
-at B = alpha.  Extension keeps the paper's split delta = beta/zeta' - 1,
-zeta' from _select_inner_beta, and passes zeta', then the ladder zeta_j,
-building at the first of least predicted cost.  At zeta', B - R*zeta' >
-(delta/2) * zeta', so the paper's window [k - d, k], d = ceil((2/delta) *
-log2(2n/delta)), has a prefix that passes the same test: each of zeta''s
-windows is a suffix of the paper's, and the chosen family costs at most
-zeta''s before deduplication.
+partitions at the fixed split delta = (alpha-1)/(alpha+1) and passes
+zeta'_1 = (alpha+1)/2 first.  Extension keeps the paper's split delta =
+beta/zeta' - 1, zeta' from _select_inner_beta, and passes zeta' first.  At
+zeta', B - R*zeta' > (delta/2) * zeta', so the paper's window [k - d, k],
+d = ceil((2/delta) * log2(2n/delta)), has a prefix that passes the same
+test: each of zeta''s windows is a suffix of the paper's, and the chosen
+family costs at most zeta''s before deduplication.
 
-Uniform extension weights skip the rounding: scaled by its one weight, an
-S meets both inequalities exactly when it meets them under unit weights,
-so the unweighted family built at beta itself is valid as it is, with
-Esmer et al.'s unweighted guarantee.  It is not compared with a zeta family.
+Uniform weights skip the rounding: scaled by its one weight, an S meets
+the inequalities exactly when it meets them under unit weights, so the
+unweighted family built at the target itself, alpha or beta, is valid as
+it is, with Esmer et al.'s unweighted guarantee.  It is not compared with
+a zeta family.
 
 Covering's class families enter _combine as budget-0 (T, 0) entries.
 _combine works on the int64 ts and ells columns of the class families: a
@@ -114,8 +113,10 @@ def partition_by_weight(weights, delta: float) -> WeightClassPartition:
     """Bucket elements into geometric weight classes with gamma = 1 + delta/2."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    _check_weights(weights)
     gamma = 1.0 + delta / 2.0
+    if gamma == 1.0:
+        raise ValueError(f"delta = {delta!r} is too small: gamma = 1 + delta/2 rounds to 1")
+    _check_weights(weights)
     classes: dict[int, list[int]] = {}
     for u, w in enumerate(weights):
         classes.setdefault(_class_index(w, gamma), []).append(u)
@@ -164,15 +165,17 @@ def _starts(lows, totals, slack: tuple[int, int]) -> list[int]:
 
 # A solve with a fresh target factor never hits these caches, so a large
 # bound only grows the process by a few KB per solve.  Every inner-target
-# candidate asks the extension cache: the bench's weighted-mix, with classes
-# of 1..12 elements, four oracle (alpha, c) and 21 candidates, can ask for
-# 1008 keys (it asked for 364 in a 20 s run), whose families have only 164
-# distinct layer shapes.
+# candidate asks a class cache: the bench's weighted-mix, with classes of
+# 1..12 elements, four oracle (alpha, c) and 21 candidates, can ask for 1008
+# extension keys (it asked for 364 in a 20 s run), whose families have only
+# 164 distinct layer shapes; its covering ops asked for 146 covering keys in
+# 8000 ops, of 19 more distinct shapes.
 @lru_cache(maxsize=256)
 def _unweighted_covering_cached(n: int, alpha: float, cap: int) -> tuple:
-    """The covering family's sets as budget-0 (T, ell) columns."""
-    ts = families.build_unweighted_covering(n, alpha, cap=cap).ts
-    return ts, np.zeros_like(ts)
+    """The budget-0 (T, ell) columns of build_unweighted_covering(n, alpha)
+    and its cost ln |F|, shared by the targets of equal layer shapes."""
+    shapes = tuple((min(n, math.floor(alpha * s)), 0) for s in range(n + 1))
+    return _layered_cached(n, shapes, 1.0, cap)
 
 
 @lru_cache(maxsize=1024)
@@ -226,19 +229,29 @@ def _combine(part: WeightClassPartition, starts, inner, cap: int):
     return entries.take(_distinct(*entries), axis=1), sizes
 
 
+def _uniform_schedule(target: float, size: int, **own) -> dict:
+    """The schedule of a uniform-weight family of size entries, built at the
+    family's own target: one class, whose window starts at itself."""
+    return {
+        "delta": 0.0, "inner": target, "gamma": 1.0, "spread": 1.0, **own,
+        "class_family_sizes": {0: size}, "starts": {0: 0},
+    }
+
+
 def _build(weights, delta: float, target: float, candidates, inner, cap: int, **own):
     """Both builders' path: partition at delta, choose the inner target, and
     return its combined entries and the schedule: delta, inner, gamma, spread,
-    the builder's own keys, predicted when candidates were scored, each
-    class's family size and the class where each window starts."""
+    the builder's own keys, each candidate's predicted ln cost, each class's
+    family size and the class where each window starts."""
     part = partition_by_weight(weights, delta)
     zeta, starts, spread, predicted = _choose_inner(weights, part, target, candidates, inner)
     entries, sizes = _combine(part, starts, lambda m: inner(m, zeta)[:2], cap)
-    schedule = {"delta": delta, "inner": zeta, "gamma": part.gamma, "spread": spread, **own}
-    if predicted:
-        schedule["predicted"] = predicted
-    schedule["class_family_sizes"] = dict(zip(part.index_set, sizes))
-    schedule["starts"] = {k: part.index_set[start] for k, start in zip(part.index_set, starts)}
+    schedule = {
+        "delta": delta, "inner": zeta, "gamma": part.gamma, "spread": spread, **own,
+        "predicted": predicted,
+        "class_family_sizes": dict(zip(part.index_set, sizes)),
+        "starts": {k: part.index_set[start] for k, start in zip(part.index_set, starts)},
+    }
     return entries, schedule
 
 
@@ -255,7 +268,7 @@ def _choose_inner(weights, part: WeightClassPartition, target: float, candidates
     split target = (1 + delta) * zeta and R < gamma keep below target.  The
     first candidate of least predicted cost wins, so the chosen family costs
     at most the first's before deduplication, and deduplication only lowers
-    it.  A lone candidate is not scored, and predicted is then empty.
+    it.
     """
     lows, totals, spread = _class_weights(weights, part)
     sizes = [len(part.classes[i]) for i in part.index_set]
@@ -265,56 +278,51 @@ def _choose_inner(weights, part: WeightClassPartition, target: float, candidates
         if best and slack[0] < 0:
             continue
         starts = _starts(lows, totals, slack)
-        if len(candidates) > 1:
-            cost = {m: inner(m, zeta)[2] for m in set(sizes)}
-            logs = list(accumulate((cost[m] for m in sizes), initial=0.0))
-            windows = [logs[j + 1] - logs[s] for j, s in enumerate(starts)]
-            top = max(windows)
-            predicted[zeta] = top + math.log(sum([math.exp(w - top) for w in windows]))
+        cost = {m: inner(m, zeta)[2] for m in set(sizes)}
+        logs = list(accumulate((cost[m] for m in sizes), initial=0.0))
+        windows = [logs[j + 1] - logs[s] for j, s in enumerate(starts)]
+        top = max(windows)
+        predicted[zeta] = top + math.log(sum([math.exp(w - top) for w in windows]))
         if not best or predicted[zeta] < predicted[best[0]]:
             best = zeta, starts
     return *best, spread[0] / spread[1], predicted
 
 
-def _covering_schedule(alpha: float, n: int, mode: str) -> tuple[float, float]:
-    """Split alpha = (1 + delta) * beta into an inner target and rounding slack.
-
-    Schedule mode follows beta(n) = alpha - 1/log2(n) when that leaves
-    beta > 1 and delta in (0, 1); otherwise (and in fixed mode) the
-    n-independent split delta = (alpha-1)/(alpha+1), beta = (alpha+1)/2.
-    """
-    if mode not in ("schedule", "fixed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "schedule" and n >= 3:
-        beta = alpha - 1.0 / math.log2(n)
-        if beta > 1.0:
-            delta = alpha / beta - 1.0
-            if 0 < delta < 1:
-                return delta, beta
-    delta = (alpha - 1.0) / (alpha + 1.0)
-    return delta, (alpha + 1.0) / 2.0
+def _ladder(beta: float, j: int) -> float:
+    """The inner-target probe zeta_j = 1 + (beta - 1) * 2^-j."""
+    return 1.0 + (beta - 1.0) * 2.0**-j
 
 
 def build_weighted_covering(
-    weights,
-    alpha: float,
-    mode: str = "fixed",
-    cap: int = DEFAULT_CAP,
+    weights, alpha: float, cap: int = DEFAULT_CAP
 ) -> WeightedFamilyReport:
     """alpha-covering family of an arbitrarily weighted universe.
 
-    Inner unweighted families target beta with (1 + delta) * beta = alpha;
-    the class windows are sized against alpha itself.
+    Uniform weights are built as the unweighted family at alpha itself.
+    Otherwise the classes come from the fixed split delta = (alpha-1)/(alpha+1),
+    and the inner target is the first candidate of least predicted cost
+    (see _choose_inner): zeta'_1 = (alpha+1)/2, with (1 + delta) * zeta'_1 =
+    alpha, then alpha - 1/log2(n) and the ladder zeta_j = 1 + (alpha-1) * 2^-j,
+    j = 2..7, each when above 1.  A class costs its family's size, so each
+    predicted ln cost is ln of the candidate's block count before
+    deduplication.
     """
     _check_factors(strict=True, alpha=alpha)
     n = len(weights)
     if n == 0:
         fam = CoveringFamily._built(0, alpha, columns=[[0]])
         return WeightedFamilyReport(family=fam, schedule={"delta": 0.0, "inner": alpha})
-    delta, beta = _covering_schedule(alpha, n, mode)
     _check_word(n)
+    _check_weights(weights)
+    if min(weights) == max(weights):
+        fam = families.build_unweighted_covering(n, alpha, cap=cap)
+        return WeightedFamilyReport(family=fam, schedule=_uniform_schedule(alpha, fam.ts.size))
+    zetas = [alpha - 1.0 / math.log2(n)] if n >= 3 else []
+    zetas += [_ladder(alpha, j) for j in range(2, 8)]
+    candidates = list(dict.fromkeys([(alpha + 1.0) / 2.0, *(z for z in zetas if z > 1.0)]))
     inner = lambda m, zeta: _unweighted_covering_cached(m, zeta, cap)
-    entries, schedule = _build(weights, delta, alpha, [beta], inner, cap, mode=mode)
+    delta = (alpha - 1.0) / (alpha + 1.0)
+    entries, schedule = _build(weights, delta, alpha, candidates, inner, cap)
     fam = CoveringFamily._built(n, alpha, columns=entries[:1])
     return WeightedFamilyReport(family=fam, schedule=schedule)
 
@@ -325,11 +333,6 @@ _TIE = 2 * bounds.BoundParams.precision
 # Tolerances of the coarse searches a test of the inner target tries, loosest
 # first, before the full-precision values decide it.
 _RUNGS = (1e-2, bounds._COARSE_TOL)
-
-
-def _ladder(beta: float, j: int) -> float:
-    """The inner-target probe zeta_j = 1 + (beta - 1) * 2^-j."""
-    return 1.0 + (beta - 1.0) * 2.0**-j
 
 
 def _amls(alpha: float, c: float, beta: float) -> float:
@@ -408,12 +411,9 @@ def build_weighted_extension(
     _check_weights(weights)
     if min(weights) == max(weights):
         fam = families.build_unweighted_extension(n, alpha, c, beta, cap=cap)
-        schedule = {
-            "delta": 0.0, "inner": beta, "gamma": 1.0, "spread": 1.0, "eps": eps,
-            "class_family_sizes": {0: fam.ts.size}, "starts": {0: 0},
-        }
         return WeightedFamilyReport(
-            family=fam, schedule=schedule, cost_log=families.family_cost(fam, c)
+            family=fam, schedule=_uniform_schedule(beta, fam.ts.size, eps=eps),
+            cost_log=families.family_cost(fam, c),
         )
     paper = _select_inner_beta(alpha, c, beta, eps)
     zetas = (_ladder(beta, j) for j in range(1, 8))

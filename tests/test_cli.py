@@ -200,6 +200,18 @@ class TestFamilyCommand:
         assert out == ""
         assert err == "error: need --instance or --n (uniform weights)\n"
 
+    def test_alpha_too_close_to_one_is_usage_error(self, capsys, tmp_path):
+        # Uniform weights build at alpha without classes; spread weights
+        # need gamma = 1 + delta/2 > 1, which this alpha cannot give.
+        path = tmp_path / "i.wvc"
+        path.write_text("p wvc 3 0\nw 1 1\nw 2 2\nw 3 3\n")
+        code, out, err = run(
+            capsys, "family", "build", "covering", "--instance", str(path),
+            "--alpha", "1.0000000000000002",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: delta = ") and "too small" in err
+
     def test_build_writes_dump_to_stdout(self, capsys):
         code, out, err = run(capsys, "family", "build", "covering", "--n", "2", "--alpha", "2")
         assert code == 0
@@ -251,6 +263,15 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", str(path), "--beta", "1.5")
         assert code == 0
         assert json.loads(out)["output_weight"] == 0
+
+    @pytest.mark.parametrize("mode", ["fixed", "schedule"])
+    def test_split_modes_gone(self, capsys, vc_file, mode):
+        code, out, err = run(capsys, "solve", vc_file, "--model", "membership", "--mode", mode)
+        assert (code, out) == (2, "")
+        assert f"invalid choice: '{mode}'" in err
+        code, out, err = run(capsys, "family", "build", "covering", "--n", "3", "--mode", mode)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --mode" in err
 
     def test_unknown_oracle(self, capsys, vc_file):
         code, out, err = run(capsys, "solve", vc_file, "--oracle", "wizard")
@@ -331,10 +352,12 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("model", ["extension", "membership"])
     def test_max_n_bounds_spread_weight_family(self, capsys, tmp_path, model):
-        # Weight classes of one or two vertices each fit cap 8, but their
-        # product blocks hold 302 (extension) and 446 (membership) entries.
+        # Weight classes of at most three vertices each fit cap 8, but the
+        # chosen product blocks hold 302 entries (extension, seed 7) and 344
+        # (membership, seed 0; seed 7's cheapest covering blocks hold 116).
         path = tmp_path / "i.wvc"
-        path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=7)))
+        seed = {"extension": 7, "membership": 0}[model]
+        path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=seed)))
         code, out, err = run(
             capsys, "solve", str(path), "--model", model, "--oracle", "branching",
             "--max-n", "8",

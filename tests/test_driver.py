@@ -67,10 +67,9 @@ def golden_report_lines():
                     runs.append((f"{case} {name} beta={beta}", inst, report, beta))
     for kind in ("wvc", "whs", "wfvs", "wpvc"):
         for case, inst in _golden_instances(kind):
-            for mode in ("fixed", "schedule"):
-                for alpha in GOLDEN_ALPHAS:
-                    report = approximate_membership(inst, alpha, mode=mode, seed=7)
-                    runs.append((f"{case} membership {mode} alpha={alpha}", inst, report, alpha))
+            for alpha in GOLDEN_ALPHAS:
+                report = approximate_membership(inst, alpha, seed=7)
+                runs.append((f"{case} membership covering alpha={alpha}", inst, report, alpha))
     lines = []
     for case, inst, report, target in runs:
         verdict = verify_run(inst, report, target)
@@ -184,12 +183,11 @@ class TestBatchedCheckAndRank:
         )
         report = approximate_membership(cycle, 2.0, mode="exhaustive")
         assert (report.output_set, report.output_weight) == (0b0101, 2)
-        for mode in ("fixed", "schedule"):
-            sets = build_weighted_covering([1] * 4, 2.0, mode=mode).family.sets
-            sols = [t for t in sets if membership_check(cycle, t)]
-            best = min(sols, key=lambda t: (weight_of(cycle, t), t.bit_count(), t))
-            report = approximate_membership(cycle, 2.0, mode=mode)
-            assert (report.output_set, report.output_weight) == (best, weight_of(cycle, best))
+        sets = build_weighted_covering([1] * 4, 2.0).family.sets
+        sols = [t for t in sets if membership_check(cycle, t)]
+        best = min(sols, key=lambda t: (weight_of(cycle, t), t.bit_count(), t))
+        report = approximate_membership(cycle, 2.0)
+        assert (report.output_set, report.output_weight) == (best, weight_of(cycle, best))
 
         def choose(t, ell):
             # The unit family queries T = 0 at ell = 0..3; {1, 3} comes first.

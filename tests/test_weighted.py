@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wamls import bounds, weighted
+from wamls.driver import approximate_membership
 from wamls.families import (
     DEFAULT_CAP,
     CoveringFamily,
@@ -25,6 +26,7 @@ from wamls.families import (
     verify_covering,
     verify_extension,
 )
+from wamls.problems import random_instance
 from wamls.weighted import (
     build_weighted_covering,
     build_weighted_extension,
@@ -93,29 +95,38 @@ def hand_built(per_class):
     return inner
 
 
-def unscored(m, zeta):
-    """inner(m, zeta) for a lone candidate, which _choose_inner never scores."""
-    raise AssertionError(f"a lone candidate {zeta} was scored at m = {m}")
-
-
 def windows(weights, part, target, zeta):
     """The window starts, as positions in part.index_set, and the spread R
-    that weighted._choose_inner gives its lone candidate zeta."""
+    that weighted._choose_inner gives its lone candidate zeta.  Every class
+    costs 0 nats, so each window's product costs 1."""
     chosen, starts, spread, predicted = weighted._choose_inner(
-        weights, part, target, [zeta], unscored
+        weights, part, target, [zeta], lambda m, z: (None, None, 0.0)
     )
-    assert (chosen, predicted) == (zeta, {})
+    assert (chosen, predicted) == (zeta, {zeta: math.log(len(starts))})
     return starts, spread
+
+
+class HandBuiltFamily:
+    """What inner(m, zeta) gives weighted._build: scoring reads its cost [2],
+    0 nats, and the combination its (T, ell) columns [:2], the next entry of
+    the hand-built per-class list."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __getitem__(self, key):
+        return 0.0 if key == 2 else self.columns(None)
 
 
 def combine(weights, delta, target, per_class):
     """weighted._build at the lone inner target 1.5 over hand-built class
     families, as a list of pairs, and its schedule."""
-    inner = hand_built(per_class)
+    family = HandBuiltFamily(hand_built(per_class))
     entries, schedule = weighted._build(
-        weights, delta, target, [1.5], lambda m, zeta: inner(m), DEFAULT_CAP
+        weights, delta, target, [1.5], lambda m, zeta: family, DEFAULT_CAP
     )
-    assert list(schedule)[:4] == ["delta", "inner", "gamma", "spread"]
+    assert list(schedule)[:5] == ["delta", "inner", "gamma", "spread", "predicted"]
+    assert schedule["predicted"] == {1.5: math.log(len(schedule["starts"]))}
     return [tuple(row) for row in entries.T.tolist()], schedule
 
 
@@ -231,12 +242,9 @@ FLOAT_WEIGHTS = st.lists(
     st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=10
 )
 
-# (builder, its factors): covering (alpha, mode), extension (alpha, c, beta).
+# (builder, its factors): covering (alpha,), extension (alpha, c, beta).
 BUILDS = st.one_of(
-    st.tuples(
-        st.just(build_weighted_covering),
-        st.tuples(st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from(["fixed", "schedule"])),
-    ),
+    st.tuples(st.just(build_weighted_covering), st.sampled_from([(1.5,), (2.0,), (3.0,)])),
     st.tuples(
         st.just(build_weighted_extension),
         st.sampled_from([(1.0, 2.0, 1.5), (2.0, 1.0, 1.9), (1.0, 3.0, 1.2), (1.0, 1.0, 4.0)]),
@@ -248,10 +256,7 @@ def build_with_target(weights, spec):
     """The built report and its family's own target: alpha for covering,
     beta for extension."""
     build, factors = spec
-    if build is build_weighted_covering:
-        alpha, mode = factors
-        return build(weights, alpha, mode=mode), alpha
-    return build(weights, *factors), factors[2]
+    return build(weights, *factors), factors[-1]
 
 
 class TestClassWindows:
@@ -262,8 +267,8 @@ class TestClassWindows:
     @given(weights=st.one_of(WEIGHT_LISTS, FLOAT_WEIGHTS), spec=BUILDS)
     def test_prefixes_fit_their_slack(self, weights, spec):
         rep, target = build_with_target(weights, spec)
-        if rep.schedule["delta"] == 0.0:  # uniform extension weights: no classes
-            assert spec[0] is build_weighted_extension and min(weights) == max(weights)
+        if rep.schedule["delta"] == 0.0:  # uniform weights: no classes
+            assert min(weights) == max(weights)
             assert (rep.schedule["inner"], rep.schedule["starts"]) == (target, {0: 0})
             return
         part = partition_by_weight(weights, rep.schedule["delta"])
@@ -276,10 +281,10 @@ class TestClassWindows:
             prefix = sum(sum(g) for i, g in zip(part.index_set, groups) if i < start)
             assert prefix <= slack * min(group)
             assert start <= k
-        # At the paper's inner target every window is a suffix of the
-        # paper's window [k - d, k].
+        # At the paper's inner target, or covering's zeta'_1 = (alpha+1)/2,
+        # every window is a suffix of the paper's window [k - d, k].
         paper = paper_window(part)
-        paper_inner = rep.schedule.get("paper_inner", rep.schedule["inner"])
+        paper_inner = rep.schedule.get("paper_inner", (target + 1.0) / 2.0)
         for k, start in exact_windows(weights, part, target, paper_inner)[1].items():
             assert paper[k] <= start <= k
 
@@ -330,7 +335,7 @@ class TestClassWindows:
         builds = [
             lambda w: build_weighted_extension(w, 1.0, 2.0, 1.9),
             lambda w: build_weighted_covering(w, 2.0),
-            lambda w: build_weighted_covering(w, 2.0, mode="schedule"),
+            lambda w: build_weighted_covering(w, 3.0),
         ]
         floats = [1.5, 2.0, 7.0, 3.3, 100.1, 1.05]
         for weights, dtype in [
@@ -384,6 +389,15 @@ CHOICE_FACTORS = st.one_of(
         st.sampled_from([(1.0, 2.0), (1.0, 3.0), (2.0, 1.0)]), st.sampled_from([1.2, 1.5, 1.9])
     ),
     st.sampled_from([((2.0, 2.0), 1.004), ((1.0, 1.0), 2.5), ((1.0, 1.0), 1.5)]),
+)
+
+
+# Covering draws: SPREAD_WEIGHTS and powers of two, one per class.
+COVERING_SPREAD_WEIGHTS = st.one_of(
+    SPREAD_WEIGHTS,
+    st.lists(st.integers(0, 40).map(lambda k: 2**k), min_size=2, max_size=9).filter(
+        lambda ws: min(ws) < max(ws)
+    ),
 )
 
 
@@ -444,10 +458,71 @@ class TestInnerChoice:
                 assert verify_extension(rep.family, [w] * n).ok
 
     def test_uniform_weights_keep_the_caps(self):
-        with pytest.raises(ResourceCapError, match="universe size 9 exceeds enumeration cap 8"):
-            build_weighted_extension([7] * 9, 1.0, 2.0, 1.5, cap=8)
-        with pytest.raises(ValueError, match="weights must be finite"):
-            build_weighted_extension([math.nan] * 3, 1.0, 2.0, 1.5)
+        for build in (
+            lambda w, cap=DEFAULT_CAP: build_weighted_extension(w, 1.0, 2.0, 1.5, cap=cap),
+            lambda w, cap=DEFAULT_CAP: build_weighted_covering(w, 2.0, cap=cap),
+        ):
+            with pytest.raises(ResourceCapError, match="universe size 9 exceeds enumeration cap 8"):
+                build([7] * 9, cap=8)
+            with pytest.raises(ResourceCapError, match="63-element limit"):
+                build([7] * 64, cap=64)
+            with pytest.raises(ValueError, match="weights must be finite"):
+                build([math.nan] * 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=COVERING_SPREAD_WEIGHTS, alpha=st.sampled_from([1.2, 1.5, 2.0, 3.0]))
+    def test_covering_family_verifies(self, weights, alpha):
+        rep = build_weighted_covering(weights, alpha)
+        assert verify_covering(rep.family, weights).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=COVERING_SPREAD_WEIGHTS, alpha=st.sampled_from([1.2, 1.5, 2.0, 3.0]))
+    def test_covering_cost_is_block_count(self, weights, alpha):
+        rep = build_weighted_covering(weights, alpha)
+        sched, n = rep.schedule, len(weights)
+        predicted, first = sched["predicted"], (alpha + 1.0) / 2.0
+        part = partition_by_weight(weights, sched["delta"])
+        assert sched["delta"] == (alpha - 1.0) / (alpha + 1.0)
+        _, spread = exact_groups(weights, part)
+        # Scored: zeta'_1, then alpha - 1/log2 n (n >= 3) and each zeta_j,
+        # j = 2..7, above 1 and with R * zeta <= alpha.
+        zetas = [alpha - 1 / math.log2(n)] if n >= 3 else []
+        zetas += [1 + (alpha - 1) * 2.0**-j for j in range(2, 8)]
+        admissible = [z for z in zetas if z > 1 and spread * Fraction(z) <= Fraction(alpha)]
+        assert list(predicted) == list(dict.fromkeys([first, *admissible]))
+        # A class costs its family's size, so each candidate's predicted
+        # cost is ln of its block count before deduplication.
+        for zeta, cost in predicted.items():
+            _, starts = exact_windows(weights, part, alpha, zeta)
+            size = {i: len(budget_zero(len(us), zeta)[0]) for i, us in part.classes.items()}
+            blocks = sum(
+                math.prod(size[i] for i in part.index_set if starts[k] <= i <= k)
+                for k in part.index_set
+            )
+            assert cost == pytest.approx(math.log(blocks), rel=1e-12)
+        least = min(predicted.values())
+        assert sched["inner"] == next(z for z, cost in predicted.items() if cost == least)
+        assert predicted[sched["inner"]] <= predicted[first]
+        assert math.log(len(rep.family.sets)) <= predicted[sched["inner"]] + 1e-9
+
+    @pytest.mark.parametrize("w", [1, 7])
+    def test_uniform_covering_builds_at_alpha(self, w):
+        for n in (1, 5, 9):
+            for alpha in (1.2, 1.5, 2.0, 3.0):
+                rep = build_weighted_covering([w] * n, alpha)
+                want = build_unweighted_covering(n, alpha)
+                assert rep.family == want
+                assert rep.schedule == {
+                    "delta": 0.0, "inner": alpha, "gamma": 1.0, "spread": 1.0,
+                    "class_family_sizes": {0: len(want.sets)}, "starts": {0: 0},
+                }
+                assert verify_covering(rep.family, [w] * n).ok
+
+
+def budget_zero(m, alpha):
+    """build_unweighted_covering(m, alpha)'s sets as budget-0 (T, ell) columns."""
+    ts = build_unweighted_covering(m, alpha).ts
+    return ts, np.zeros_like(ts)
 
 
 class TestArrayCombination:
@@ -475,43 +550,56 @@ class TestArrayCombination:
     @settings(max_examples=60, deadline=None)
     @given(
         weights=WEIGHT_LISTS,
-        alpha=st.sampled_from([1.5, 2.0, 3.0]),
-        mode=st.sampled_from(["fixed", "schedule"]),
+        alpha=st.sampled_from([1.2, 1.5, 2.0, 3.0]),
     )
-    def test_covering_matches_naive(self, weights, alpha, mode):
-        rep = build_weighted_covering(weights, alpha, mode=mode)
-        assert "predicted" not in rep.schedule  # a lone inner target is not scored
+    def test_covering_matches_naive(self, weights, alpha):
+        rep = build_weighted_covering(weights, alpha)
+        if min(weights) == max(weights):
+            assert rep.family == build_unweighted_covering(len(weights), alpha)
+            return
         inner = rep.schedule["inner"]
+        assert inner in rep.schedule["predicted"]
         naive = naive_combination(
-            weights,
-            rep.schedule["delta"],
-            alpha,
-            inner,
-            lambda m: weighted._unweighted_covering_cached(m, inner, DEFAULT_CAP),
+            weights, rep.schedule["delta"], alpha, inner, lambda m: budget_zero(m, inner)
         )
         assert rep.family.sets == [t for t, _ in naive]
 
     def test_family_size_cap(self):
-        # Covering at alpha = 1.5 (fixed: inner 1.25) and extension at
-        # (1, 2, 1.5) (paper's inner 1.25) both have gamma = 1.1.  These
-        # weights fall in classes 48..59, one element each (R = 1), and
-        # each class family has 2 entries.  Covering has slack 1.5 - 1.25
-        # = 0.25, and 0.25 * 299 < 105, so no class has a prefix: window k
-        # holds classes 48..k.  Each class fits cap 12, but the product
-        # blocks would hold 2 + 4 + ... + 2^12 = 2^13 - 2 = 8190 entries.
+        # Covering at alpha = 1.5 (delta = 0.2) and extension at (1, 2, 1.5)
+        # (paper's inner 1.25) both have gamma = 1.1.  These weights fall in
+        # classes 48..59, one element each (R = 1), and each class family
+        # has 2 entries.  At zeta'_1 = 1.25, of slack 1.5 - 1.25 = 0.25,
+        # 0.25 * 299 < 105, so no class has a prefix: window k holds classes
+        # 48..k, and the product blocks would hold 2 + 4 + ... + 2^12 =
+        # 2^13 - 2 = 8190 entries.  Both builders take inner 1.03125, of
+        # slack 0.46875: the windows of classes 56..59 (weights 225 and up,
+        # 0.46875 * 225 >= 105) start at class 49, so they hold 2^8 + ... +
+        # 2^11 = 3840 entries, half as many, and the blocks 2^9 - 2 + 3840
+        # = 4350.  Each class fits cap 12, but the blocks do not.
         weights = [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299]
-        with pytest.raises(ResourceCapError, match="8190 entries exceeds 2\\^12"):
+        starts = dict.fromkeys(range(48, 56), 48) | dict.fromkeys(range(56, 60), 49)
+        cover = build_weighted_covering(weights, 1.5)
+        assert cover.schedule["inner"] == 1.03125
+        assert cover.schedule["starts"] == starts
+        assert cover.schedule["predicted"][1.25] == pytest.approx(math.log(8190), rel=1e-12)
+        assert cover.schedule["predicted"][1.03125] == pytest.approx(math.log(4350), rel=1e-12)
+        with pytest.raises(ResourceCapError, match="4350 entries exceeds 2\\^12"):
             build_weighted_covering(weights, 1.5, cap=12)
-        # Extension takes inner 1.03125, of slack 0.46875: the windows of
-        # classes 56..59 (weights 225 and up, 0.46875 * 225 >= 105) start
-        # at class 49, so they hold 2^8 + ... + 2^11 = 3840 entries, half
-        # as many, and the blocks 2^9 - 2 + 3840 = 4350.
         rep = build_weighted_extension(weights, 1.0, 2.0, 1.5)
         assert rep.schedule["inner"] == 1.03125
-        starts = dict.fromkeys(range(48, 56), 48) | dict.fromkeys(range(56, 60), 49)
         assert rep.schedule["starts"] == starts
         with pytest.raises(ResourceCapError, match="4350 entries exceeds 2\\^12"):
             build_weighted_extension(weights, 1.0, 2.0, 1.5, cap=12)
+        # The cap tests the chosen candidate's blocks: covering weights 1, 3,
+        # ..., 243 at alpha = 1.5 would hold 22 at zeta'_1 = 1.25, over 2^4,
+        # but their cheapest candidate, 1.00390625, holds 14.
+        spread = [3**k for k in range(6)]
+        cover = build_weighted_covering(spread, 1.5, cap=4)
+        assert cover.schedule["inner"] == 1.00390625
+        assert cover.schedule["predicted"][1.25] == pytest.approx(math.log(22), rel=1e-12)
+        assert verify_covering(cover.family, spread).ok
+        with pytest.raises(ResourceCapError, match="14 entries exceeds 2\\^3"):
+            build_weighted_covering(spread, 1.5, cap=3)
         # The count is taken before deduplication: eight such classes give
         # 2^9 - 2 = 510 entries, over 2^8, though only the 2^8 subsets of
         # the eight elements are distinct.
@@ -522,7 +610,7 @@ class TestArrayCombination:
         assert len(rep.family.entries) == 2**8
 
     @pytest.mark.parametrize(
-        ("weights", "spec", "starts"),
+        ("weights", "spec", "inner", "starts"),
         [
             # The test_family_size_cap weights: extension windows 48..55
             # share start 48 and windows 56..59 start at 49, so each extends
@@ -530,41 +618,56 @@ class TestArrayCombination:
             (
                 [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299],
                 (build_weighted_extension, (1.0, 2.0, 1.5)),
+                1.03125,
                 dict.fromkeys(range(48, 56), 48) | dict.fromkeys(range(56, 60), 49),
             ),
             # Weights 1, 3, ..., 243: every window starts at its own class.
             (
                 [3**k for k in range(6)],
                 (build_weighted_extension, (1.0, 2.0, 1.9)),
+                1.225,
                 {0: 0, 7: 7, 15: 15, 22: 22, 30: 30, 38: 38},
             ),
-            # Covering at alpha = 1.5 on the test_family_size_cap weights: in
-            # fixed mode every window starts at class 48, in schedule mode
-            # (delta 0.228) at class 43.
+            # Covering at alpha = 1.5 on the first eight test_family_size_cap
+            # weights: every candidate holds 510 blocks, so the first, the
+            # fixed split's zeta'_1 = 1.25, wins, and every window starts at
+            # class 48.
             (
-                [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299],
-                (build_weighted_covering, (1.5, "fixed")),
-                dict.fromkeys(range(48, 60), 48),
+                [105, 116, 127, 140, 154, 169, 186, 205],
+                (build_weighted_covering, (1.5,)),
+                1.25,
+                dict.fromkeys(range(48, 56), 48),
             ),
+            # Covering at alpha = 3 (delta = 0.5, classes 0 and 3): the
+            # schedule target 3 - 1/log2(6) = 2.61 covers class 0's five
+            # elements with 5 sets, zeta'_1 = 2 with 8, and both start both
+            # windows at class 0: 15 blocks against 24.
             (
-                [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299],
-                (build_weighted_covering, (1.5, "schedule")),
-                dict.fromkeys(range(43, 53), 43),
+                [1, 1, 1, 2, 1, 1],
+                (build_weighted_covering, (3.0,)),
+                3.0 - 1.0 / math.log2(6),
+                {0: 0, 3: 0},
             ),
-            # Covering at alpha = 2 on weights 1, 3, ..., 243: fixed mode
-            # (slack 0.5) starts every window at its own class; schedule
-            # mode (inner 1.61, slack 0.39) starts windows 9 and 19 at 9,
-            # so window 19 extends window 9's block, and each later window
-            # one occupied class back.
+            # Covering at alpha = 2 on weights 1, 3, ..., 243: every
+            # candidate holds 12 blocks but the schedule target's 20, so
+            # zeta'_1 = 1.5 (slack 0.5) wins and starts every window at its
+            # own class.
             (
                 [3**k for k in range(6)],
-                (build_weighted_covering, (2.0, "fixed")),
+                (build_weighted_covering, (2.0,)),
+                1.5,
                 {0: 0, 7: 7, 14: 14, 21: 21, 28: 28, 35: 35},
             ),
+            # Covering at alpha = 2 on weights 8, 5, 9: the schedule target
+            # 2 - 1/log2(3) = 1.37 (slack 0.63) puts class 10 in the prefix
+            # of windows 13 and 14, so window 14 extends window 13's block:
+            # 8 blocks against 14 at zeta'_1 = 1.5 (slack 0.5), whose
+            # windows all start at class 10.
             (
-                [3**k for k in range(6)],
-                (build_weighted_covering, (2.0, "schedule")),
-                {0: 0, 9: 9, 19: 9, 29: 19, 38: 29, 48: 38},
+                [8, 5, 9],
+                (build_weighted_covering, (2.0,)),
+                2.0 - 1.0 / math.log2(3),
+                {10: 10, 13: 13, 14: 13},
             ),
         ],
         ids=[
@@ -576,19 +679,18 @@ class TestArrayCombination:
             "covering-schedule-mixed-starts",
         ],
     )
-    def test_window_starts_match_naive(self, weights, spec, starts):
+    def test_window_starts_match_naive(self, weights, spec, inner, starts):
         rep, target = build_with_target(weights, spec)
-        assert rep.schedule["starts"] == starts
-        zeta = rep.schedule["inner"]
+        assert (rep.schedule["inner"], rep.schedule["starts"]) == (inner, starts)
         if spec[0] is build_weighted_covering:
             got = [(t, 0) for t in rep.family.sets]
-            inner = lambda m: weighted._unweighted_covering_cached(m, zeta, DEFAULT_CAP)
+            class_family = lambda m: budget_zero(m, inner)
         else:
             got = rep.family.entries
             alpha, c, _ = spec[1]
             cached = weighted._unweighted_extension_cached
-            inner = lambda m: cached(m, alpha, c, zeta, DEFAULT_CAP)[:2]
-        assert got == naive_combination(weights, rep.schedule["delta"], target, zeta, inner)
+            class_family = lambda m: cached(m, alpha, c, inner, DEFAULT_CAP)[:2]
+        assert got == naive_combination(weights, rep.schedule["delta"], target, inner, class_family)
 
     @pytest.mark.parametrize("weights", [[1] * 64, [2**k for k in range(64)]])
     def test_more_than_63_elements_refused(self, weights):
@@ -614,10 +716,12 @@ class TestWeightedCovering:
                 assert verify_covering(rep.family, weights).ok
 
     def test_schedule_mode_verifies(self):
-        weights = [3, 1, 4, 1, 5, 9, 2, 6]
-        rep = build_weighted_covering(weights, 2.0, mode="schedule")
+        # The schedule target alpha - 1/log2(n) is a candidate, and here it
+        # is the cheapest.
+        weights = [2, 2, 1, 1, 1, 2, 2, 2, 1]
+        rep = build_weighted_covering(weights, 3.0)
+        assert rep.schedule["inner"] == 3.0 - 1.0 / math.log2(9)
         assert verify_covering(rep.family, weights).ok
-        assert rep.schedule["mode"] == "schedule"
 
     def test_uniform_weights_match_unweighted_validity(self):
         rep = build_weighted_covering([1] * 7, 2.0)
@@ -629,8 +733,20 @@ class TestWeightedCovering:
         assert (1 + delta) * inner == pytest.approx(2.0, abs=1e-9)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode 'greedy'"):
-            build_weighted_covering([1, 2, 3], 2.0, mode="greedy")
+        # The inner target is chosen by cost, so the old split modes are gone.
+        inst = random_instance("wvc", 5, 0.4, seed=1)
+        for mode in ("fixed", "schedule", "greedy"):
+            with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+                approximate_membership(inst, 2.0, mode=mode)
+        with pytest.raises(TypeError, match="mode"):
+            build_weighted_covering([1, 2, 3], 2.0, mode="fixed")
+
+    def test_delta_rounding_to_gamma_one_rejected(self):
+        # delta this small leaves gamma = 1 + delta/2 at 1.0, no class base.
+        with pytest.raises(ValueError, match="^delta = .* is too small"):
+            build_weighted_covering([1, 2, 3], 1 + 2**-52)
+        with pytest.raises(ValueError, match="^delta = .* is too small"):
+            build_weighted_extension([1, 2, 3], 1.0, 2.0, 1 + 2**-51)
 
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ValueError):
@@ -654,7 +770,7 @@ def test_non_finite_factor_named(build, args, name):
 
 
 EXTENSION_FACTORS = st.sampled_from([(1.0, 2.0, 1.5), (2.0, 1.0, 1.9), (1.0, 3.0, 1.2)])
-COVERING_FACTORS = st.tuples(st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from(["fixed", "schedule"]))
+COVERING_ALPHAS = st.sampled_from([1.5, 2.0, 3.0])
 WEIGHTS_1_100 = st.lists(st.integers(1, 100), max_size=10)  # n = 0 included
 
 # A family from every builder: unweighted covering and extension, weighted
@@ -662,11 +778,7 @@ WEIGHTS_1_100 = st.lists(st.integers(1, 100), max_size=10)  # n = 0 included
 BUILT_FAMILIES = st.one_of(
     st.builds(build_unweighted_covering, st.integers(0, 8), st.sampled_from([1.5, 2.0, 3.0])),
     st.builds(lambda n, f: build_unweighted_extension(n, *f), st.integers(0, 8), EXTENSION_FACTORS),
-    st.builds(
-        lambda w, f: build_weighted_covering(w, f[0], mode=f[1]).family,
-        WEIGHTS_1_100,
-        COVERING_FACTORS,
-    ),
+    st.builds(lambda w, a: build_weighted_covering(w, a).family, WEIGHTS_1_100, COVERING_ALPHAS),
     st.builds(lambda w, f: build_weighted_extension(w, *f).family, WEIGHTS_1_100, EXTENSION_FACTORS),
     st.builds(
         lambda w, n, f: build_weighted_extension([w] * n, *f).family,
@@ -884,11 +996,7 @@ def _golden_weighted_blocks():
         for n in range(11):
             rng = random.Random(100 * hi + n)
             weights = [rng.randint(1, hi) for _ in range(n)]
-            reps = [
-                build_weighted_covering(weights, alpha, mode=mode)
-                for alpha in GOLDEN_COVERING_ALPHAS
-                for mode in ("fixed", "schedule")
-            ]
+            reps = [build_weighted_covering(weights, alpha) for alpha in GOLDEN_COVERING_ALPHAS]
             reps += [
                 build_weighted_extension(weights, alpha, c, beta)
                 for alpha, c, beta in GOLDEN_EXTENSION_PARAMS
