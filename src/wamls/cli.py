@@ -114,8 +114,8 @@ def cmd_family(args) -> int:
         sched = rep.schedule
         schedule = (
             f"delta={sched['delta']:g} inner={sched['inner']:g} "
-            f"starts={','.join(f'{k}:{i}' for k, i in sched.get('starts', {}).items())} "
-            f"gamma={sched.get('gamma', 0):g}"
+            f"starts={','.join(f'{k}:{i}' for k, i in sched['starts'].items())} "
+            f"gamma={sched['gamma']:g}"
         )
         text = families.dump_family(rep.family, schedule=schedule)
         if args.out:
@@ -151,7 +151,7 @@ def cmd_solve(args) -> int:
         inst = problems.parse_instance(fh.read())
     if args.model == "membership":
         report = driver.approximate_membership(
-            inst, args.alpha, mode=args.mode, eps=args.eps, cap=cap, seed=args.seed
+            inst, args.alpha, mode=args.mode, cap=cap, seed=args.seed
         )
         target = args.alpha
     else:
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--alpha", type=float, default=2.0, help="membership target factor")
     s.add_argument("--beta", type=float, default=1.5, help="extension target factor")
-    s.add_argument("--eps", type=float, default=0.05)
+    s.add_argument("--eps", type=float, default=0.05, help="inner-target slack (extension model)")
     s.add_argument("--mode", choices=("covering", "exhaustive"), default="covering")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--force", action="store_true", help="allow oracle alpha > beta")

@@ -92,7 +92,6 @@ def approximate_membership(
     instance: Instance,
     alpha: float,
     mode: str = "covering",
-    eps: float = 1e-3,
     cap: int = DEFAULT_CAP,
     seed: int | None = None,
 ) -> RunReport:
@@ -103,7 +102,6 @@ def approximate_membership(
     subsets (the exact degenerate case).
     """
     _check_factors(alpha=alpha)
-    _check_factors(0.0, strict=True, eps=eps)
     _check_int64(instance)
     if mode not in ("covering", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -115,7 +113,7 @@ def approximate_membership(
         family_size, solutions = sets.size, sets[membership_many(instance, sets)]
     # U is in every covering family and every system, so a solution exists.
     return _report(
-        instance, solutions, alpha=alpha, c=None, beta=None, eps=eps,
+        instance, solutions, alpha=alpha, c=None, beta=None, eps=None,
         family_size=family_size, cost_log=math.log(family_size), seed=seed,
     )
 

@@ -11,8 +11,9 @@ an extension family ells; sets and entries are list views of them.  So n is
 at most 63.  The public constructors name the first entry whose T leaves the
 universe (ts >> n != 0, negative masks too), whose ell is outside [0, n], or
 that repeats, in that order; builders hand _Family._built columns distinct
-and in range by construction, unchecked.  log_cost adds the terms c^ell left
-to right, so the cost does not depend on the Python sum().
+and in range by construction, unchecked.  log_cost adds one term per
+distinct budget, ascending, in _log_sum_exp, the one log-sum-exp, with no
+sum(): a cost depends on the budgets alone, not on their order.
 
 An alpha-covering family is the (1, alpha)-extension family with every
 budget 0: then S subseteq T and w(T) + w(S \\ T) = w(T).  So one layer loop
@@ -469,26 +470,29 @@ def family_cost(family: ExtensionFamily, c: float) -> float:
     return log_cost(family.ells, c)
 
 
+def _log_sum_exp(exponents, counts=None) -> float:
+    """ln sum(counts_i * e^x_i), every count 1 by default; -inf when empty.
+    The terms, scaled by the largest x_i, are added left to right by a loop,
+    not by sum(), whose float rounding changed in Python 3.12."""
+    exponents = list(exponents)
+    if not exponents:
+        return -math.inf
+    top, total = max(exponents), 0.0
+    for i, x in enumerate(exponents):
+        total += math.exp(x - top) * (1 if counts is None else counts[i])
+    return top + math.log(total)
+
+
 def log_cost(ells, c: float) -> float:
-    """ln sum(c^ell) over the budgets ell, via log-sum-exp; -inf when empty.
-    math.exp runs once per distinct ell, into a table read by ell (by its rank
-    in np.unique past 63, which only a ledger's budgets reach); a sequential
-    np.cumsum adds the terms in order."""
+    """ln sum(c^ell) over the budgets ell; -inf when empty.  One _log_sum_exp
+    over the distinct budgets, ascending, each term times its count, so the
+    cost depends on the budgets alone, not on their order."""
     _check_factors(c=c)
     ells = np.asarray(ells, dtype=np.int64)
-    if not ells.size:
-        return -math.inf
-    if (low := int(ells.min())) < 0:
+    if ells.size and (low := int(ells.min())) < 0:
         raise ValueError(f"budgets must be >= 0, got {low}")
-    values = np.arange(_WORD_BITS + 1)  # the budget each key in ells stands for
-    if ells.max() > _WORD_BITS:
-        values, ells = np.unique(ells, return_inverse=True)
-    slots = np.flatnonzero(np.bincount(ells))
-    exponents = [ell * math.log(c) for ell in values[slots].tolist()]
-    m = max(exponents)
-    table = np.zeros(slots[-1] + 1)
-    table[slots] = [math.exp(x - m) for x in exponents]
-    return m + math.log(np.cumsum(table[ells])[-1])
+    values, counts = np.unique(ells, return_counts=True)
+    return _log_sum_exp([ell * math.log(c) for ell in values.tolist()], counts.tolist())
 
 
 def _factor(x: float) -> str:

@@ -22,17 +22,17 @@ prefix that fails it.  Each window is one slice of the sorted occupied
 indices, and W_k is the running OR of the class masks before that slice.
 
 Both builders take one path, _build: partition, score the builder's
-ordered candidates for the inner target by the cost of their blocks before
-deduplication (_choose_inner), combine the windows of the first cheapest
-(_combine) and assemble the schedule; the argument above needs only
-R*zeta <= B and class families built at the zeta of the test.  Covering
-partitions at the fixed split delta = (alpha-1)/(alpha+1) and passes
-zeta'_1 = (alpha+1)/2 first.  Extension keeps the paper's split delta =
-beta/zeta' - 1, zeta' from _select_inner_beta, and passes zeta' first.  At
-zeta', B - R*zeta' > (delta/2) * zeta', so the paper's window [k - d, k],
-d = ceil((2/delta) * log2(2n/delta)), has a prefix that passes the same
-test: each of zeta''s windows is a suffix of the paper's, and the chosen
-family costs at most zeta''s before deduplication.
+ordered candidates for the inner target by the cost of every window's
+product before deduplication (_choose_inner), combine the windows of the
+first cheapest (_combine) and assemble the schedule; the argument above
+needs only R*zeta <= B and class families built at the zeta of the test.
+Covering partitions at the fixed split delta = (alpha-1)/(alpha+1) and
+passes zeta'_1 = (alpha+1)/2 first.  Extension keeps the paper's split
+delta = beta/zeta' - 1, zeta' from _select_inner_beta, and passes zeta'
+first.  At zeta', B - R*zeta' > (delta/2) * zeta', so the paper's window
+[k - d, k], d = ceil((2/delta) * log2(2n/delta)), has a prefix that passes
+the same test: each of zeta''s windows is a suffix of the paper's, and the
+chosen family costs at most zeta''s before deduplication.
 
 Uniform weights skip the rounding: scaled by its one weight, an S meets
 the inequalities exactly when it meets them under unit weights, so the
@@ -41,13 +41,15 @@ it is, with Esmer et al.'s unweighted guarantee.  It is not compared with
 a zeta family.
 
 Covering's class families enter _combine as budget-0 (T, 0) entries.
+Every class family starts with (0, 0), layer 0 of families._layered, which
+the lift keeps, so a window's block holds the block of each shorter window
+of its start, and _combine builds only the longest window of each start.
 _combine works on the int64 ts and ells columns of the class families: a
 block is a broadcast OR of the T masks and a broadcast sum of the budgets,
-class by class, row-major with the first class outermost, so a window that
-starts where the last one did extends its block by one class.  The blocks
-are deduplicated once, in first-seen order with one stable np.lexsort, and
+class by class, row-major with the first class outermost.  The blocks are
+deduplicated once, in first-seen order with one stable np.lexsort, and
 handed to families._Family._built.  So both builders refuse n > 63, and a
-family of more than 2^cap entries before deduplication, with
+family whose built blocks hold more than 2^cap rows, with
 ResourceCapError.  The uniform path refuses n > 63 and n > cap the same
 way; a family on n <= cap elements holds at most 2^n entries.
 """
@@ -200,10 +202,11 @@ def _combine(part: WeightClassPartition, starts, inner, cap: int):
     """Lift each class's family, combine the windows and deduplicate.
 
     inner(m) gives the (T, ell) columns of the unweighted family on m
-    elements, and window j holds the classes starts[j]..j.  Returns the
-    entries, in first-seen order over the occupied indices, as (2, N) int64
-    (T, ell) columns, and each class's family size.  A family whose blocks
-    hold more than 2^cap entries before deduplication is refused.
+    elements, which start with (0, 0), and window j holds the classes
+    starts[j]..j, so only the longest window of each start is built.
+    Returns the entries, in first-seen order, as (2, N) int64 (T, ell)
+    columns, and each class's family size.  A family whose built blocks
+    hold more than 2^cap rows before deduplication is refused.
     """
     lifted, prefix = [], [0]  # each class's (T, ell) columns; the running OR
     for i in part.index_set:
@@ -212,16 +215,14 @@ def _combine(part: WeightClassPartition, starts, inner, cap: int):
         lifted.append((spread[local], ells))
         prefix.append(prefix[-1] | int(spread[-1]))
     sizes = [len(ts) for ts, _ in lifted]
-    size = sum(math.prod(sizes[start : j + 1]) for j, start in enumerate(starts))
+    ends = dict(zip(starts, range(len(starts))))  # each start's last, longest window
+    size = sum(math.prod(sizes[start : j + 1]) for start, j in ends.items())
     if size > 1 << cap:
         raise families.ResourceCapError(f"weighted family of up to {size} entries exceeds 2^{cap}")
     blocks = []
-    for j, start in enumerate(starts):
-        # Row-major over the window's classes, the first class outermost, so a
-        # window that starts where the last one did extends its block.
-        fresh = not j or start != starts[j - 1]
-        ts, ells = np.array([[prefix[start]], [0]], dtype=np.int64) if fresh else blocks[-1]
-        for class_ts, class_ells in lifted[start if fresh else j : j + 1]:
+    for start, j in ends.items():  # row-major, the first class outermost
+        ts, ells = np.array([[prefix[start]], [0]], dtype=np.int64)
+        for class_ts, class_ells in lifted[start : j + 1]:
             ts = (ts[:, None] | class_ts).ravel()
             ells = (ells[:, None] + class_ells).ravel()
         blocks.append((ts, ells))
@@ -261,14 +262,15 @@ def _choose_inner(weights, part: WeightClassPartition, target: float, candidates
 
     inner(m, zeta)[2] is the ln cost ln sum(c^ell) of the class family on m
     elements at zeta.  A window's family is the product of its classes'
-    families under one prefix, so before deduplication it costs the product
-    of their costs C_i, and the family the sum of its windows' products:
-    ln sum_k prod_{i in window k} C_i.  A candidate with R*zeta > target is
-    skipped, by the exact test of the windows, except the first, which the
-    split target = (1 + delta) * zeta and R < gamma keep below target.  The
-    first candidate of least predicted cost wins, so the chosen family costs
-    at most the first's before deduplication, and deduplication only lowers
-    it.
+    families under one prefix, so it costs the product of their costs C_i.
+    The score is families._log_sum_exp over every window, ln sum_k prod_{i in
+    window k} C_i, shorter windows of a shared start too, though _combine
+    builds only the longest: scoring the built blocks alone picked costlier
+    families.  A candidate with R*zeta > target is skipped, by the exact
+    test of the windows, except the first, which the split target = (1 +
+    delta) * zeta and R < gamma keep below target.  The first candidate of
+    least predicted cost wins, so the chosen family costs at most the
+    first's before deduplication, and deduplication only lowers it.
     """
     lows, totals, spread = _class_weights(weights, part)
     sizes = [len(part.classes[i]) for i in part.index_set]
@@ -280,9 +282,7 @@ def _choose_inner(weights, part: WeightClassPartition, target: float, candidates
         starts = _starts(lows, totals, slack)
         cost = {m: inner(m, zeta)[2] for m in set(sizes)}
         logs = list(accumulate((cost[m] for m in sizes), initial=0.0))
-        windows = [logs[j + 1] - logs[s] for j, s in enumerate(starts)]
-        top = max(windows)
-        predicted[zeta] = top + math.log(sum([math.exp(w - top) for w in windows]))
+        predicted[zeta] = families._log_sum_exp(logs[j + 1] - logs[s] for j, s in enumerate(starts))
         if not best or predicted[zeta] < predicted[best[0]]:
             best = zeta, starts
     return *best, spread[0] / spread[1], predicted
@@ -304,17 +304,14 @@ def build_weighted_covering(
     (see _choose_inner): zeta'_1 = (alpha+1)/2, with (1 + delta) * zeta'_1 =
     alpha, then alpha - 1/log2(n) and the ladder zeta_j = 1 + (alpha-1) * 2^-j,
     j = 2..7, each when above 1.  A class costs its family's size, so each
-    predicted ln cost is ln of the candidate's block count before
-    deduplication.
+    predicted ln cost is ln of the entry count of the candidate's window
+    products before deduplication.
     """
     _check_factors(strict=True, alpha=alpha)
     n = len(weights)
-    if n == 0:
-        fam = CoveringFamily._built(0, alpha, columns=[[0]])
-        return WeightedFamilyReport(family=fam, schedule={"delta": 0.0, "inner": alpha})
     _check_word(n)
     _check_weights(weights)
-    if min(weights) == max(weights):
+    if len(set(weights)) <= 1:
         fam = families.build_unweighted_covering(n, alpha, cap=cap)
         return WeightedFamilyReport(family=fam, schedule=_uniform_schedule(alpha, fam.ts.size))
     zetas = [alpha - 1.0 / math.log2(n)] if n >= 3 else []
@@ -402,14 +399,9 @@ def build_weighted_extension(
     _check_factors(strict=True, beta=beta)
     _check_factors(0.0, strict=True, eps=eps)
     n = len(weights)
-    if n == 0:
-        fam = ExtensionFamily._built(0, alpha, beta, columns=[[0], [0]])
-        return WeightedFamilyReport(
-            family=fam, schedule={"delta": 0.0, "inner": beta}, cost_log=0.0
-        )
     _check_word(n)
     _check_weights(weights)
-    if min(weights) == max(weights):
+    if len(set(weights)) <= 1:
         fam = families.build_unweighted_extension(n, alpha, c, beta, cap=cap)
         return WeightedFamilyReport(
             family=fam, schedule=_uniform_schedule(beta, fam.ts.size, eps=eps),

@@ -212,6 +212,12 @@ class TestFamilyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: delta = ") and "too small" in err
 
+    @pytest.mark.parametrize("kind", ["covering", "extension"])
+    def test_build_empty_universe(self, capsys, kind):
+        code, out, _ = run(capsys, "family", "build", kind, "--n", "0")
+        assert code == 0
+        assert out.splitlines()[1].endswith(" starts=0:0 gamma=1")
+
     def test_build_writes_dump_to_stdout(self, capsys):
         code, out, err = run(capsys, "family", "build", "covering", "--n", "2", "--alpha", "2")
         assert code == 0
@@ -272,6 +278,15 @@ class TestSolveCommand:
         code, out, err = run(capsys, "family", "build", "covering", "--n", "3", "--mode", mode)
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --mode" in err
+
+    def test_membership_ignores_eps(self, capsys, vc_file):
+        # No covering or exhaustive family depends on eps, as none does on beta.
+        outs = set()
+        for eps in ("0.5", "0.01", "nan"):
+            code, out, _ = run(capsys, "solve", vc_file, "--model", "membership", "--eps", eps)
+            assert code == 0
+            outs.add(out)
+        assert len(outs) == 1 and json.loads(outs.pop())["eps"] is None
 
     def test_unknown_oracle(self, capsys, vc_file):
         code, out, err = run(capsys, "solve", vc_file, "--oracle", "wizard")
@@ -353,11 +368,10 @@ class TestSolveCommand:
     @pytest.mark.parametrize("model", ["extension", "membership"])
     def test_max_n_bounds_spread_weight_family(self, capsys, tmp_path, model):
         # Weight classes of at most three vertices each fit cap 8, but the
-        # chosen product blocks hold 302 entries (extension, seed 7) and 344
-        # (membership, seed 0; seed 7's cheapest covering blocks hold 116).
+        # chosen built blocks hold 290 rows (extension) and 262 (membership)
+        # on seed 0; seed 7's now hold 152 extension rows and fit.
         path = tmp_path / "i.wvc"
-        seed = {"extension": 7, "membership": 0}[model]
-        path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=seed)))
+        path.write_text(emit_instance(random_instance("wvc", 10, 0.3, seed=0)))
         code, out, err = run(
             capsys, "solve", str(path), "--model", model, "--oracle", "branching",
             "--max-n", "8",

@@ -94,6 +94,16 @@ class TestMembershipDriver:
         assert verify_run(inst, report, 2.0).ok
         assert built == [inst] and membership_table(inst) is table
 
+    def test_no_eps(self):
+        # No membership family depends on eps: it is not taken, and the
+        # report leaves it null, as it does c and beta.
+        inst = random_instance("wvc", 6, 0.4, seed=1)
+        for mode in ("covering", "exhaustive"):
+            report = approximate_membership(inst, 2.0, mode=mode)
+            assert (report.c, report.beta, report.eps) == (None, None, None)
+        with pytest.raises(TypeError, match="eps"):
+            approximate_membership(inst, 2.0, eps=0.5)
+
     def test_edgeless_returns_empty(self):
         inst = WeightedVCInstance(n=4, weights=(1, 2, 3, 4), edges=())
         report = approximate_membership(inst, 2.0)

@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -508,18 +509,22 @@ class TestFamilyCost:
 
 
 def _left_to_right_cost(ells, c):
-    """ln sum(c^ell) as log-sum-exp with a plain left-to-right float loop."""
-    exponents = [ell * math.log(c) for ell in ells]
+    """ln sum(c^ell) as log-sum-exp grouped by budget: the distinct budgets
+    ascending, each term times its count, added by a plain left-to-right
+    float loop."""
+    counts = Counter(ells)
+    exponents = [ell * math.log(c) for ell in sorted(counts)]
     m = max(exponents)
     total = 0.0
-    for x in exponents:
-        total = total + math.exp(x - m)
+    for ell, x in zip(sorted(counts), exponents):
+        total = total + math.exp(x - m) * counts[ell]
     return m + math.log(total)
 
 
 class TestLogCostOrder:
-    """log_cost adds its terms left to right, bit for bit, whatever the
-    Python version's sum() does."""
+    """log_cost groups its budgets and adds their terms ascending, left to
+    right, bit for bit, whatever the Python version's sum() does, so the
+    cost does not depend on the order of the budgets."""
 
     @pytest.mark.parametrize("c", [1.0, 1.363, 2.168, math.pi, 3.618, 17.25])
     @pytest.mark.parametrize("size", [1, 2, 999, 4000])
@@ -541,12 +546,23 @@ class TestLogCostOrder:
         ledger = QueryLedger(queries=np.array([(t.bit_count(), ell) for t, ell in fam.entries]))
         assert ledger.cost_log(c) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ells=st.lists(st.integers(0, 70), min_size=1, max_size=60),
+        c=st.sampled_from([1.0, 1.363, 2.168, math.pi, 17.25]),
+        data=st.data(),
+    )
+    def test_order_free(self, ells, c, data):
+        shuffled = data.draw(st.permutations(ells))
+        assert log_cost(shuffled, c) == log_cost(ells, c)
+        assert log_cost(np.array(shuffled), c) == _left_to_right_cost(ells, c)
+
     def test_empty(self):
         assert log_cost([], 2.0) == -math.inf
 
     @pytest.mark.parametrize("c", [1.0, 2.0, 17.25])
     def test_budgets_past_the_word(self, c):
-        # A ledger may record any budget; these outgrow a table read by ell.
+        # A ledger may record any budget, past the n <= 63 a family's reach.
         ells = [0, 70, 1 << 40, 70, 3, (1 << 63) - 1, 0]
         assert log_cost(ells, c) == _left_to_right_cost(ells, c)
 

@@ -1,5 +1,6 @@
 """Tests for weight-class rounding and the weighted family constructions."""
 
+import builtins
 import math
 import pathlib
 import random
@@ -160,16 +161,20 @@ class TestCombineBlocks:
         got, schedule = combine(weights, 0.9, 1.55, per_class)
         assert schedule["starts"] == {0: 0, 2: 0, 5: 0, 8: 2, 11: 5, 14: 5}
         assert schedule["spread"] == 1.0
-        assert got == naive_combination(weights, 0.9, 1.55, 1.5, hand_built(per_class))
+        naive = naive_combination(weights, 0.9, 1.55, 1.5, hand_built(per_class))
+        assert sorted(got) == sorted(naive)
+        assert got == naive_combination(
+            weights, 0.9, 1.55, 1.5, hand_built(per_class), longest=True
+        )
         # The last window [5, 14] holds classes 5, 8, 11 and 14 (elements 2
         # to 5), and its prefix W_k classes 0 and 2 (elements 0 and 1).  Its
-        # entries without element 5 are window 11's, so only the eight with
-        # it are new.
+        # entries without element 5 are window 11's, which shares its start,
+        # so only the last window's block is built, and its 16 entries, all
+        # new, close the family.
         last = [(0b11, 0)]
         for e in range(2, 6):
             last = [(t | x, l1 + l2) for t, l1 in last for x, l2 in [(1 << e, 1), (0, 0)]]
-        assert set(last) <= set(got)
-        assert got[-8:] == [(t, ell) for t, ell in last if t >> 5 & 1]
+        assert got[-16:] == last
 
 
 def paper_window(part):
@@ -206,10 +211,13 @@ def exact_windows(weights, part, target, zeta):
     return spread, starts
 
 
-def naive_combination(weights, delta, target, zeta, inner):
+def naive_combination(weights, delta, target, zeta, inner, longest=False):
     """The class combination in plain Python: each window's product of
     per-class lists under its prefix, deduplicated by dict.fromkeys in
-    first-seen order."""
+    first-seen order.  With longest, only the last window of each start
+    (in the order of the starts) is built, the blocks weighted._combine
+    builds; the entry set is the same when every class family holds
+    (0, 0)."""
     part = partition_by_weight(weights, delta)
     _, starts = exact_windows(weights, part, target, zeta)
     per_class = {}
@@ -220,8 +228,9 @@ def naive_combination(weights, delta, target, zeta, inner):
             (sum(1 << e for j, e in enumerate(elems) if t >> j & 1), ell)
             for t, ell in zip(ts.tolist(), ells.tolist())
         ]
+    ends = {starts[k]: k for k in part.index_set}.values() if longest else part.index_set
     entries = []
-    for k in part.index_set:
+    for k in ends:
         block = [(sum(1 << e for i in part.index_set if i < starts[k] for e in part.classes[i]), 0)]
         for i in part.index_set:
             if starts[k] <= i <= k:
@@ -491,7 +500,10 @@ class TestInnerChoice:
         admissible = [z for z in zetas if z > 1 and spread * Fraction(z) <= Fraction(alpha)]
         assert list(predicted) == list(dict.fromkeys([first, *admissible]))
         # A class costs its family's size, so each candidate's predicted
-        # cost is ln of its block count before deduplication.
+        # cost is ln of the entry count of every window's product before
+        # deduplication.  That is not the count the size cap tests: only the
+        # longest window of each start is built, and the cap counts those
+        # rows.
         for zeta, cost in predicted.items():
             _, starts = exact_windows(weights, part, alpha, zeta)
             size = {i: len(budget_zero(len(us), zeta)[0]) for i, us in part.classes.items()}
@@ -544,6 +556,7 @@ class TestArrayCombination:
             beta,
             zeta,
             lambda m: weighted._unweighted_extension_cached(m, alpha, c, zeta, DEFAULT_CAP)[:2],
+            longest=True,
         )
         assert rep.family.entries == naive
 
@@ -560,7 +573,8 @@ class TestArrayCombination:
         inner = rep.schedule["inner"]
         assert inner in rep.schedule["predicted"]
         naive = naive_combination(
-            weights, rep.schedule["delta"], alpha, inner, lambda m: budget_zero(m, inner)
+            weights, rep.schedule["delta"], alpha, inner, lambda m: budget_zero(m, inner),
+            longest=True,
         )
         assert rep.family.sets == [t for t, _ in naive]
 
@@ -570,51 +584,64 @@ class TestArrayCombination:
         # classes 48..59, one element each (R = 1), and each class family
         # has 2 entries.  At zeta'_1 = 1.25, of slack 1.5 - 1.25 = 0.25,
         # 0.25 * 299 < 105, so no class has a prefix: window k holds classes
-        # 48..k, and the product blocks would hold 2 + 4 + ... + 2^12 =
+        # 48..k, and its windows' products would hold 2 + 4 + ... + 2^12 =
         # 2^13 - 2 = 8190 entries.  Both builders take inner 1.03125, of
         # slack 0.46875: the windows of classes 56..59 (weights 225 and up,
         # 0.46875 * 225 >= 105) start at class 49, so they hold 2^8 + ... +
-        # 2^11 = 3840 entries, half as many, and the blocks 2^9 - 2 + 3840
-        # = 4350.  Each class fits cap 12, but the blocks do not.
+        # 2^11 = 3840 entries, half as many, and the windows' products 2^9 -
+        # 2 + 3840 = 4350: the predicted cost counts every window.  Only the
+        # longest window of each start is built, [48, 55] and [49, 59]:
+        # 2^8 + 2^11 = 2304 rows (2176 distinct), which fit cap 12 but not
+        # cap 11, though each class fits both.
         weights = [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299]
         starts = dict.fromkeys(range(48, 56), 48) | dict.fromkeys(range(56, 60), 49)
-        cover = build_weighted_covering(weights, 1.5)
+        cover = build_weighted_covering(weights, 1.5, cap=12)
         assert cover.schedule["inner"] == 1.03125
         assert cover.schedule["starts"] == starts
         assert cover.schedule["predicted"][1.25] == pytest.approx(math.log(8190), rel=1e-12)
         assert cover.schedule["predicted"][1.03125] == pytest.approx(math.log(4350), rel=1e-12)
-        with pytest.raises(ResourceCapError, match="4350 entries exceeds 2\\^12"):
-            build_weighted_covering(weights, 1.5, cap=12)
-        rep = build_weighted_extension(weights, 1.0, 2.0, 1.5)
+        assert len(cover.family.sets) == 2176
+        with pytest.raises(ResourceCapError, match="2304 entries exceeds 2\\^11"):
+            build_weighted_covering(weights, 1.5, cap=11)
+        rep = build_weighted_extension(weights, 1.0, 2.0, 1.5, cap=12)
         assert rep.schedule["inner"] == 1.03125
         assert rep.schedule["starts"] == starts
-        with pytest.raises(ResourceCapError, match="4350 entries exceeds 2\\^12"):
-            build_weighted_extension(weights, 1.0, 2.0, 1.5, cap=12)
-        # The cap tests the chosen candidate's blocks: covering weights 1, 3,
-        # ..., 243 at alpha = 1.5 would hold 22 at zeta'_1 = 1.25, over 2^4,
-        # but their cheapest candidate, 1.00390625, holds 14.
+        assert len(rep.family.entries) == 2176
+        with pytest.raises(ResourceCapError, match="2304 entries exceeds 2\\^11"):
+            build_weighted_extension(weights, 1.0, 2.0, 1.5, cap=11)
+        # The cap tests the chosen candidate's built rows: covering weights
+        # 1, 3, ..., 243 at alpha = 1.5 would score 22 windows' entries at
+        # zeta'_1 = 1.25, over 2^4, but their cheapest candidate, 1.00390625,
+        # scores 14, and its windows of classes 46 and 57 share a start, so
+        # it builds 12 rows.
         spread = [3**k for k in range(6)]
         cover = build_weighted_covering(spread, 1.5, cap=4)
         assert cover.schedule["inner"] == 1.00390625
+        assert cover.schedule["starts"] == {0: 0, 11: 11, 23: 23, 34: 34, 46: 46, 57: 46}
         assert cover.schedule["predicted"][1.25] == pytest.approx(math.log(22), rel=1e-12)
+        assert cover.schedule["predicted"][1.00390625] == pytest.approx(math.log(14), rel=1e-12)
         assert verify_covering(cover.family, spread).ok
-        with pytest.raises(ResourceCapError, match="14 entries exceeds 2\\^3"):
+        with pytest.raises(ResourceCapError, match="12 entries exceeds 2\\^3"):
             build_weighted_covering(spread, 1.5, cap=3)
-        # The count is taken before deduplication: eight such classes give
-        # 2^9 - 2 = 510 entries, over 2^8, though only the 2^8 subsets of
-        # the eight elements are distinct.
-        with pytest.raises(ResourceCapError, match="510 entries exceeds 2\\^8"):
-            build_weighted_extension(weights[:8], 1.0, 2.0, 1.5, cap=8)
-        rep = build_weighted_extension(weights[:8], 1.0, 2.0, 1.5, cap=9)
+        # The count is taken before deduplication, and eight such classes
+        # share start 48: their one built block, the window [48, 55], holds
+        # the 2^8 = 256 subsets of the eight elements once each, where their
+        # eight windows' products would hold 2^9 - 2 = 510.
+        with pytest.raises(ResourceCapError, match="256 entries exceeds 2\\^7"):
+            build_weighted_extension(weights[:8], 1.0, 2.0, 1.5, cap=7)
+        rep = build_weighted_extension(weights[:8], 1.0, 2.0, 1.5, cap=8)
         assert rep.schedule["starts"] == dict.fromkeys(range(48, 56), 48)
+        assert rep.schedule["predicted"][rep.schedule["inner"]] == pytest.approx(
+            math.log(510), rel=1e-12
+        )
         assert len(rep.family.entries) == 2**8
 
     @pytest.mark.parametrize(
         ("weights", "spec", "inner", "starts"),
         [
             # The test_family_size_cap weights: extension windows 48..55
-            # share start 48 and windows 56..59 start at 49, so each extends
-            # the block of the window before it.
+            # share start 48 and windows 56..59 start at 49, so only windows
+            # 55 and 59 are built.
             (
                 [105, 116, 127, 140, 154, 169, 186, 205, 225, 248, 272, 299],
                 (build_weighted_extension, (1.0, 2.0, 1.5)),
@@ -660,9 +687,9 @@ class TestArrayCombination:
             ),
             # Covering at alpha = 2 on weights 8, 5, 9: the schedule target
             # 2 - 1/log2(3) = 1.37 (slack 0.63) puts class 10 in the prefix
-            # of windows 13 and 14, so window 14 extends window 13's block:
-            # 8 blocks against 14 at zeta'_1 = 1.5 (slack 0.5), whose
-            # windows all start at class 10.
+            # of windows 13 and 14, so only window 14 of the two is built:
+            # 8 windows' entries against 14 at zeta'_1 = 1.5 (slack 0.5),
+            # whose windows all start at class 10.
             (
                 [8, 5, 9],
                 (build_weighted_covering, (2.0,)),
@@ -690,7 +717,42 @@ class TestArrayCombination:
             alpha, c, _ = spec[1]
             cached = weighted._unweighted_extension_cached
             class_family = lambda m: cached(m, alpha, c, inner, DEFAULT_CAP)[:2]
-        assert got == naive_combination(weights, rep.schedule["delta"], target, inner, class_family)
+        delta = rep.schedule["delta"]
+        assert got == naive_combination(weights, delta, target, inner, class_family, longest=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=WEIGHT_LISTS, spec=BUILDS)
+    def test_entry_set_matches_all_windows(self, weights, spec):
+        # Building only each start's longest window loses no entry: the
+        # family holds the distinct entries of every window's product.
+        rep, target = build_with_target(weights, spec)
+        if len(set(weights)) == 1:
+            return
+        build, factors = spec
+        inner = rep.schedule["inner"]
+        if build is build_weighted_covering:
+            got = [(t, 0) for t in rep.family.sets]
+            class_family = lambda m: budget_zero(m, inner)
+        else:
+            got = rep.family.entries
+            alpha, c, _ = factors
+            cached = weighted._unweighted_extension_cached
+            class_family = lambda m: cached(m, alpha, c, inner, DEFAULT_CAP)[:2]
+        naive = naive_combination(weights, rep.schedule["delta"], target, inner, class_family)
+        assert len(got) == len(naive)
+        assert set(got) == set(naive)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_class_families_start_empty(self, m):
+        # Layer 0 of every layered family is the empty set at budget 0, so a
+        # window's block holds every shorter window's of the same start.
+        for zeta in (1.00390625, 1.03125, 1.25, 1.37, 1.5, 2.0, 2.61):
+            ts, ells, _ = weighted._unweighted_covering_cached(m, zeta, DEFAULT_CAP)
+            assert (ts[0], ells[0]) == (0, 0)
+        for alpha, c, beta in [(1.0, 2.0, 1.5), (2.0, 1.0, 1.9), (1.0, 3.0, 1.2), (1.5, 3.0, 2.0)]:
+            for zeta in dict.fromkeys([beta, *(weighted._ladder(beta, j) for j in range(1, 8))]):
+                ts, ells, _ = weighted._unweighted_extension_cached(m, alpha, c, zeta, DEFAULT_CAP)
+                assert (ts[0], ells[0]) == (0, 0)
 
     @pytest.mark.parametrize("weights", [[1] * 64, [2**k for k in range(64)]])
     def test_more_than_63_elements_refused(self, weights):
@@ -809,9 +871,16 @@ def test_built_family_passes_the_public_checks(fam):
 
 class TestWeightedExtension:
     def test_empty_universe(self):
+        # An empty list is uniform: one class, whose one window starts at itself.
+        uniform = {"delta": 0.0, "gamma": 1.0, "spread": 1.0}
+        one = {"class_family_sizes": {0: 1}, "starts": {0: 0}}
         rep = build_weighted_extension([], 1.0, 2.0, 1.5)
         assert rep.family.entries == [(0, 0)]
-        assert rep.cost_log == pytest.approx(0.0, abs=1e-12)
+        assert rep.cost_log == 0.0
+        assert rep.schedule == {"inner": 1.5, **uniform, "eps": 0.05, **one}
+        cover = build_weighted_covering([], 2.0)
+        assert cover.family.sets == [0] and cover.cost_log is None
+        assert cover.schedule == {"inner": 2.0, **uniform, **one}
 
     def test_random_weights_verify(self):
         rng = random.Random(23)
@@ -1018,3 +1087,34 @@ class TestWeightedGolden:
         text = (DATA / "golden_weighted.txt").read_text()
         golden = [b for b in re.split(r"(?m)^(?=family )", text) if b]
         assert _golden_weighted_blocks() == golden
+
+    def test_golden_dumps_under_compensated_sum(self, monkeypatch):
+        # Python 3.12's sum() of floats compensates its rounding; no cost
+        # or schedule value may depend on it.
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        for cached in (
+            weighted._layered_cached,
+            weighted._unweighted_covering_cached,
+            weighted._unweighted_extension_cached,
+            weighted._select_inner_beta,
+        ):
+            cached.cache_clear()
+        self.test_golden_dumps()
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """sum() as CPython 3.12 adds floats: Neumaier's compensated sum over a
+    non-empty run of floats from an int or float start; anything else goes
+    to the builtin."""
+    items = list(iterable)
+    if type(start) not in (int, float) or not items or any(type(x) is not float for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, error = float(start), 0.0
+    for x in items:
+        t = total + x
+        error += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + error if error and math.isfinite(error) else total
